@@ -13,9 +13,10 @@ They were engineered to consume the *same RNG stream* as the
 vectorized schedulers (batched draws read the generator exactly like
 repeated scalar draws), so both sides execute the identical schedule
 and the comparison is pure implementation overhead — the benchmark
-asserts this by comparing outcomes. A third mode, the kernel pinned to
-scalar ``successes()`` via ``scalar_reference()``, isolates how much
-of the win comes from batch success evaluation vs batched draws.
+asserts this by comparing outcomes. A third mode, the same run loop
+pinned to scalar ``successes()`` via ``scalar_reference()``, isolates
+how much of the win comes from batch success evaluation vs batched
+draws.
 
 Workloads:
 
@@ -51,6 +52,8 @@ from repro.staticsched import (
     DecayScheduler,
     KvScheduler,
     SingleHopScheduler,
+    scalar_reference,
+    use_backend,
 )
 from repro.staticsched.base import (
     LinkQueues,
@@ -58,8 +61,6 @@ from repro.staticsched.base import (
     SlotRecord,
     StaticAlgorithm,
 )
-from repro.staticsched.kernel import scalar_reference
-from repro.staticsched.runloop import use_backend
 from repro.utils.rng import RngLike, ensure_rng
 
 NUM_LINKS = 500
@@ -240,10 +241,9 @@ def run_stability(scheduler, frames: int):
     """The 500-link stability run; only the frame loop is timed —
     instance construction is identical across modes and excluded.
 
-    Pinned to the ``kernel`` backend: P1 measures the per-slot kernel
-    against the pre-kernel scalar loops, and must keep doing so now
-    that the default backend is the fused loop (P4 owns that
-    comparison). A scalar-reference context still wins the tie.
+    Pinned to the ``numpy`` backend: P1 measures the vectorized run
+    loop against the pre-kernel scalar loops. A scalar-reference
+    context still wins the tie.
     """
     model = build_model()
     protocol = repro.DynamicProtocol(
@@ -254,7 +254,7 @@ def run_stability(scheduler, frames: int):
         routing, model, FRAME.rate, num_generators=8, rng=1017
     )
     simulation = repro.FrameSimulation(protocol, injection)
-    with use_backend("kernel"):
+    with use_backend("numpy"):
         start = time.perf_counter()
         simulation.run(frames)
         seconds = time.perf_counter() - start
@@ -269,13 +269,13 @@ def run_stability(scheduler, frames: int):
 def run_static(scheduler, budget: int, model_kwargs=None):
     """A static backlog drain on the 500-link model (run loop timed).
 
-    Pinned to the ``kernel`` backend like :func:`run_stability`.
+    Pinned to the ``numpy`` backend like :func:`run_stability`.
     """
     model = build_model(**(model_kwargs or {}))
     model.weight_matrix()  # build + validate W outside the timed region
     rng = np.random.default_rng(23)
     requests = list(rng.integers(0, NUM_LINKS, size=4000))
-    with use_backend("kernel"):
+    with use_backend("numpy"):
         start = time.perf_counter()
         result = scheduler.run(
             model, requests, budget, rng=np.random.default_rng(29)

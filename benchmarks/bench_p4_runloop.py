@@ -1,23 +1,18 @@
-"""P4 — fused run-loop backends vs the P1 per-slot kernel path.
+"""P4 — throughput of the fused run loop and its history overhead.
 
-The perf tentpole of the run-loop backend PR: on the P1 headline
-workload (a 500-link dynamic-protocol stability run under the
-ack-feedback KV scheduler, store-mode bookkeeping) the fused
-pure-numpy backend must clear at least **1.5×** the slots/sec of the
-P1 kernel path it subsumes, and the numba-compiled backend at least
-**3×** whenever numba is importable (enforced by the CI numba lane;
-``numba_present`` is recorded honestly in the JSON either way, like
-BENCH_p3 does for ``cpu_count``).
+On the P1 headline workload (a 500-link dynamic-protocol stability run
+under the ack-feedback KV scheduler, store-mode bookkeeping) this
+records the fused ``numpy`` backend's slots/sec; the speedup over the
+pre-kernel scalar loops is P1's job.
 
 Workloads:
 
 * ``stability-500link-kv`` — the headline: the same 500-link
   affectance instance and frame parameters as BENCH_p1, but with the
   struct-of-arrays packet store (P2) carrying the protocol side, so
-  the slot loop dominates wall-clock and the backend comparison is
-  undiluted. Timed per backend, interleaved min-of-3; the run outcome
+  the slot loop dominates wall-clock. Timed min-of-3; the run outcome
   (delivered ids, packets in system, failure count) must be identical
-  across backends and repetitions before any number is reported.
+  across repetitions before any number is reported.
 * ``static-singlehop-500link`` — the all-transmit fast path (row-sum
   evaluator) in isolation.
 * ``history-500link-kv`` — a 500-link KV backlog drain on the fused
@@ -42,22 +37,16 @@ from bench_p1_slot_kernel import FRAME, NUM_LINKS, build_model
 
 import repro
 from repro.staticsched import KvScheduler, SingleHopScheduler
-from repro.staticsched.runloop import (
-    available_backends,
-    numba_available,
-    use_backend,
-)
+from repro.staticsched.runloop import use_backend
 
 FRAMES = 8
 TIMING_REPEATS = 3
 
-#: Floors enforced by the pytest wrapper (and run_perf for numpy).
-NUMPY_FLOOR = 1.5
-NUMBA_FLOOR = 3.0
+#: Ceiling enforced by the pytest wrapper.
 HISTORY_OVERHEAD_CEILING = 0.10
 
 
-def _stability_run(frames: int, backend: str):
+def _stability_run(frames: int):
     """One store-mode stability run; only the frame loop is timed."""
     model = build_model()
     routing = repro.build_routing_table(model.network)
@@ -69,7 +58,7 @@ def _stability_run(frames: int, backend: str):
         store=injection.store,
     )
     simulation = repro.FrameSimulation(protocol, injection)
-    with use_backend(backend):
+    with use_backend("numpy"):
         start = time.perf_counter()
         simulation.run(frames)
         seconds = time.perf_counter() - start
@@ -81,12 +70,12 @@ def _stability_run(frames: int, backend: str):
     return outcome, seconds
 
 
-def _static_singlehop(backend: str):
+def _static_singlehop():
     model = build_model(reach=40, base=0.5, exponent=1.5)
     model.weight_matrix()
     rng = np.random.default_rng(23)
     requests = list(rng.integers(0, NUM_LINKS, size=4000))
-    with use_backend(backend):
+    with use_backend("numpy"):
         start = time.perf_counter()
         result = SingleHopScheduler().run(
             model, requests, 1200, rng=np.random.default_rng(29)
@@ -118,51 +107,30 @@ def _history_drain(record_history: bool):
     return outcome, seconds, result
 
 
-def _interleaved_min(runners):
-    """Time the named runners interleaved, min-of-N wall-clock each.
-
-    Interleaving means a slow window in a shared container degrades
-    every mode's samples instead of biasing one side of a ratio; the
-    min is the standard noise-robust estimator. Outcomes must agree
-    across modes and repetitions, which is asserted.
-    """
-    seconds = {name: float("inf") for name in runners}
-    outcomes = {}
+def _min_of(runner):
+    """Min-of-N wall-clock (the standard noise-robust estimator); the
+    outcome must agree across repetitions, which is asserted."""
+    seconds = float("inf")
+    reference = None
     for _ in range(TIMING_REPEATS):
-        for name, runner in runners.items():
-            outcome, elapsed = runner()
-            reference = outcomes.setdefault(name, outcome)
-            assert reference == outcome, (
-                f"{name}: outcome diverged across repetitions"
-            )
-            seconds[name] = min(seconds[name], elapsed)
-    first = next(iter(outcomes))
-    for name, outcome in outcomes.items():
-        assert outcome == outcomes[first], (
-            f"backends diverged: {first} produced {outcomes[first]}, "
-            f"{name} produced {outcome}"
-        )
-    return seconds, outcomes[first]
+        outcome, elapsed = runner()
+        if reference is None:
+            reference = outcome
+        assert outcome == reference, "outcome diverged across repetitions"
+        seconds = min(seconds, elapsed)
+    return seconds, reference
 
 
 def run_experiment(frames: int = FRAMES, out_path=None, tags=None):
-    backends = [
-        name for name in available_backends() if name != "scalar"
-    ]
-
     slots = frames * FRAME.frame_length
-    headline_secs, headline_outcome = _interleaved_min({
-        backend: (lambda b=backend: _stability_run(frames, b))
-        for backend in backends
-    })
-    singlehop_secs, singlehop_outcome = _interleaved_min({
-        backend: (lambda b=backend: _static_singlehop(b))
-        for backend in backends
-    })
+    headline_secs, headline_outcome = _min_of(
+        lambda: _stability_run(frames)
+    )
+    singlehop_secs, singlehop_outcome = _min_of(_static_singlehop)
 
     # History overhead on the fused backend. The effect being bounded
     # is small (~1 µs/slot), so it gets more interleaved repetitions
-    # than the ratio workloads — container wall-clock jitter on a
+    # than the throughput workloads — container wall-clock jitter on a
     # ~0.5 s drain otherwise drowns a few-percent measurement.
     hist_secs = {"plain": float("inf"), "history": float("inf")}
     hist_result = None
@@ -175,40 +143,25 @@ def run_experiment(frames: int = FRAMES, out_path=None, tags=None):
     # The lazy history must actually contain the run.
     assert len(hist_result.history) == hist_result.slots_used
 
-    headline_speedup = (
-        headline_secs["kernel"] / headline_secs["numpy"]
-    )
-    numba_speedup = (
-        headline_secs["kernel"] / headline_secs["numba"]
-        if "numba" in headline_secs else None
-    )
-
     payload = {
         "benchmark": "p4_runloop",
         "created_unix": time.time(),
         "links": NUM_LINKS,
         "frames": frames,
-        "numba_present": numba_available(),
-        "backends": backends,
+        "backend": "numpy",
         "workloads": [
             {
                 "name": "stability-500link-kv",
                 "slots": slots,
                 **headline_outcome,
                 "seconds": headline_secs,
-                "slots_per_sec": {
-                    backend: slots / seconds
-                    for backend, seconds in headline_secs.items()
-                },
+                "slots_per_sec": slots / headline_secs,
             },
             {
                 "name": "static-singlehop-500link",
                 **singlehop_outcome,
                 "seconds": singlehop_secs,
-                "slots_per_sec": {
-                    backend: singlehop_outcome["slots"] / seconds
-                    for backend, seconds in singlehop_secs.items()
-                },
+                "slots_per_sec": singlehop_outcome["slots"] / singlehop_secs,
             },
             {
                 "name": "history-500link-kv",
@@ -217,8 +170,6 @@ def run_experiment(frames: int = FRAMES, out_path=None, tags=None):
                 "history_overhead": history_overhead,
             },
         ],
-        "headline_speedup": headline_speedup,
-        "numba_speedup": numba_speedup,
         "history_overhead": history_overhead,
         "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
     }
@@ -228,32 +179,22 @@ def run_experiment(frames: int = FRAMES, out_path=None, tags=None):
         out_path = Path(__file__).resolve().parents[1] / "BENCH_p4.json"
     Path(out_path).write_text(json.dumps(payload, indent=2) + "\n")
 
-    rows = []
-    for workload in payload["workloads"][:2]:
-        per_backend = workload["slots_per_sec"]
-        rows.append([
-            workload["name"],
-            workload["slots"],
-            f"{per_backend['kernel']:,.0f}",
-            f"{per_backend['numpy']:,.0f}",
-            f"{per_backend['numpy'] / per_backend['kernel']:.2f}x",
-            f"{per_backend['numba']:,.0f}" if "numba" in per_backend
-            else "-",
-        ])
+    rows = [
+        [workload["name"], workload["slots"],
+         f"{workload['slots_per_sec']:,.0f}", "-"]
+        for workload in payload["workloads"][:2]
+    ]
     rows.append([
         "history-500link-kv",
         hist_result.slots_used,
         "-",
-        "-",
-        f"{history_overhead:+.1%} rec",
-        "-",
+        f"{history_overhead:+.1%}",
     ])
     print_experiment(
         "P4",
-        "Fused run-loop backends: chunked coins, sparse bookkeeping "
-        "and lazy history vs the P1 per-slot kernel path",
-        ["workload", "slots", "kernel slots/s", "numpy slots/s",
-         "numpy/kernel", "numba slots/s"],
+        "Fused run loop: chunked coins, sparse bookkeeping and lazy "
+        "history on the numpy backend",
+        ["workload", "slots", "numpy slots/s", "history overhead"],
         rows,
     )
     return payload
@@ -261,16 +202,7 @@ def run_experiment(frames: int = FRAMES, out_path=None, tags=None):
 
 def test_p4_runloop(benchmark):
     payload = once(benchmark, run_experiment)
-    assert payload["headline_speedup"] >= NUMPY_FLOOR, (
-        "fused numpy backend below the 1.5x acceptance floor: "
-        f"{payload['headline_speedup']:.2f}x"
-    )
     assert payload["history_overhead"] <= HISTORY_OVERHEAD_CEILING, (
         "history recording overhead above the 10% ceiling: "
         f"{payload['history_overhead']:.1%}"
     )
-    if payload["numba_present"]:
-        assert payload["numba_speedup"] >= NUMBA_FLOOR, (
-            "numba backend below the 3x acceptance floor: "
-            f"{payload['numba_speedup']:.2f}x"
-        )

@@ -11,8 +11,6 @@
 * ``fleet`` — a multi-network scenario fleet, one process per network.
 * ``campaign`` — cross-product scenario grid with a stability-frontier
   bisection per cell; JSON document + ascii phase diagram.
-* ``backends`` — the live compiled-lane support matrix (which
-  scheduler × evaluator pairs run JIT-compiled right now, and why).
 * ``experiments`` — the reproduced-claim inventory.
 
 Every command writes plain text to stdout and returns a process exit
@@ -57,9 +55,8 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
         default="auto",
         choices=BACKENDS,
         help=(
-            "run-loop backend for the slot loop: 'auto' picks the "
-            "numba-compiled backend when numba is installed and the "
-            "fused numpy backend otherwise; 'scalar' pins the "
+            "run-loop backend for the slot loop: 'auto' (the default) "
+            "is the fused numpy backend; 'scalar' pins the "
             "ground-truth reference. Every backend produces identical "
             "results from one seed — the choice only changes speed"
         ),
@@ -346,12 +343,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "manifest instead of re-simulating them",
     )
 
-    sub.add_parser(
-        "backends",
-        help="print the live compiled-lane support matrix "
-             "(scheduler × evaluator → numba/numpy) and gate verdicts",
-    )
-
     sub.add_parser("experiments", help="list the reproduced paper claims")
 
     return parser
@@ -368,8 +359,7 @@ def cmd_info(args: argparse.Namespace) -> int:
     print("model presets: " + ", ".join(scenario_names()))
     print("topologies:    " + ", ".join(topology_names()))
     print("backends:      " + ", ".join(available_backends())
-          + " (--backend; 'numba' silently falls back to 'numpy' "
-          "when numba is not installed)")
+          + " (--backend; 'auto' resolves to 'numpy')")
     print(f"experiments:   {len(EXPERIMENTS)} "
           "(run `python -m repro experiments`)")
     print("scenario specs: `python -m repro scenarios` lists every "
@@ -822,42 +812,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_backends(args: argparse.Namespace) -> int:
-    """The live compiled-lane support matrix and its gate verdicts.
-
-    Every cell names the fastest lane the pair would take *right now*
-    in this process — fallback behavior measured, not guessed.
-    """
-    from repro.staticsched import _runloop_numba as rn
-    from repro.staticsched.runloop import resolve_backend
-
-    print("run-loop backends: " + ", ".join(available_backends())
-          + " (select with --backend)")
-    print("auto resolves to:  " + resolve_backend("auto"))
-    print("numba installed:   " + ("yes" if rn.NUMBA_AVAILABLE else "no"))
-    pairwise = rn._pairwise_self_check()
-    print("pairwise-sum self-check: "
-          + ("pass (hm admitted to the compiled lane)" if pairwise
-             else "FAIL (hm pinned to the numpy lane)"))
-    print()
-    matrix = rn.lane_matrix()
-    rows = [
-        [sched] + [matrix[(sched, ev)] for ev in rn.COMPILED_EVALUATORS]
-        for sched in rn.COMPILED_SCHEDULERS
-    ]
-    print(repro.format_table(
-        ["scheduler"] + list(rn.COMPILED_EVALUATORS), rows
-    ))
-    print()
-    print("batch-JIT wave driver (--executor batched, backend numba): "
-          + ("active for compiled groups"
-             if rn.NUMBA_AVAILABLE else "inactive (numpy wave engine)"))
-    print("every pair also runs on the fused numpy lane and the "
-          "scalar reference (--backend scalar); all lanes are "
-          "bit-identical from one seed")
-    return 0
-
-
 def cmd_experiments(args: argparse.Namespace) -> int:
     rows = [
         [entry.id, entry.paper_ref, entry.claim, entry.bench_file]
@@ -876,7 +830,6 @@ _COMMANDS = {
     "compare": cmd_compare,
     "fleet": cmd_fleet,
     "campaign": cmd_campaign,
-    "backends": cmd_backends,
     "experiments": cmd_experiments,
 }
 

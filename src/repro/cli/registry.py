@@ -171,9 +171,9 @@ EXPERIMENTS: List[ExperimentEntry] = [
     ),
     ExperimentEntry(
         "P4", "Performance",
-        "fused run-loop backends: >= 1.5x slots/sec over the per-slot "
-        "kernel path on the 500-link KV headline (>= 3x with numba), "
-        "bit-identical to the scalar reference",
+        "fused run loop: numpy-backend slots/sec on the 500-link KV "
+        "headline and an all-transmit drain; history recording "
+        "overhead <= 10%",
         "bench_p4_runloop.py",
     ),
     ExperimentEntry(
@@ -209,14 +209,6 @@ EXPERIMENTS: List[ExperimentEntry] = [
         "fused wave loop, bit-identical to serial; >= 2x fleet "
         "frames/sec over serial on a single core",
         "bench_p9_batched_fleet.py",
-    ),
-    ExperimentEntry(
-        "P10", "Performance",
-        "compiled wave engine: SINR gain-table evaluator in the numba "
-        "lane (>= 2x over fused numpy on the 500-link stability run) "
-        "and a batch-JIT fleet driver (>= 1.3x over the numpy wave "
-        "engine), both bit-identical to serial",
-        "bench_p10_compiled_wave.py",
     ),
 ]
 

@@ -22,8 +22,8 @@ Conventions (fixed across the library):
 Batch evaluation
 ----------------
 The scalar :meth:`InterferenceModel.successes` is the *reference*
-semantics; the slot kernel (:mod:`repro.staticsched.kernel`) drives the
-hot loop through two batch entry points instead:
+semantics; the fused slot loop (:mod:`repro.staticsched.runloop`) drives
+the hot loop through two batch entry points instead:
 
 * :meth:`InterferenceModel.successes_mask` — boolean mask in, boolean
   mask out; one call per slot, no Python-level set churn. The base
@@ -54,7 +54,7 @@ class BatchSuccessEvaluator:
 
     ``busy`` is a sorted array of link ids with pending work; all masks
     exchanged with the evaluator are *local* (aligned with ``busy``).
-    As links drain, the kernel calls :meth:`drop` with a local keep
+    As links drain, the run loop calls :meth:`drop` with a local keep
     mask; evaluators shrink their cached state in place instead of
     re-deriving it from the full ``W`` every slot.
     """
@@ -98,7 +98,7 @@ class ScalarBatchEvaluator(BatchSuccessEvaluator):
     """Reference evaluator: one scalar ``successes()`` call per slot.
 
     This is the ground-truth path the vectorised evaluators are verified
-    against (see ``repro.staticsched.kernel.scalar_reference``).
+    against (see ``repro.staticsched.scalar_reference``).
     """
 
     def __init__(self, model: "InterferenceModel", busy: np.ndarray):

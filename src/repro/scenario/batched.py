@@ -15,15 +15,15 @@ states are bit-identical to serial fused runs.
 
 Eligibility and grouping
 ------------------------
-A unit batches when its spec resolves to a fused run-loop backend
-(``numpy``/``numba`` — both replay the same bit stream), its scheduler
-has a fused policy, and it is not checkpointed (resume runs through
-its own serial machinery). Ineligible units fall back *loudly* — one
-aggregated :class:`BatchFallbackWarning` per run summarising every
-fallback (reason → count), or an immediate error under ``strict`` —
-and run serially. Eligible units are grouped by compatible signature
-(scheduler, model, kwargs, transform, backend, metrics) and, within a
-group, by a padding-waste bound: units are sorted by link count and
+A unit batches when its spec resolves to the ``numpy`` backend (the
+scalar reference does not batch), its scheduler has a fused policy,
+and it is not checkpointed (resume runs through its own serial
+machinery). Ineligible units fall back *loudly* — one aggregated
+:class:`BatchFallbackWarning` per run summarising every fallback
+(reason → count), or an immediate error under ``strict`` — and run
+serially. Eligible units are grouped by compatible signature
+(scheduler, model, kwargs, transform, metrics) and, within a group, by
+a padding-waste bound: units are sorted by link count and
 split greedily so no member has more than ``padding_ratio`` times the
 links of its group's smallest member (the wave tensor pads every
 network to the group's widest). Networks larger than ``large_links``
@@ -35,12 +35,6 @@ Mixed ``frames`` counts batch fine (a retired network simply stops
 contributing tasks; its RNG streams are private so survivors are
 unperturbed), as do batches of one and zero-link networks (their tasks
 are born finished and execute inline).
-
-Where numba is installed and a group's ``backend`` resolves to
-``numba``, the group routes to the batch-JIT wave driver
-(:mod:`repro.staticsched._batchloop_numba`) — one compiled call per
-wave round instead of numpy calls per event slot — under the same
-bit-exactness contract. Everything else takes the numpy wave engine.
 """
 
 from __future__ import annotations
@@ -53,10 +47,6 @@ from repro.errors import ConfigurationError
 from repro.scenario.fleet import FleetUnit
 from repro.sim.engine import FrameSimulation
 from repro.sim.runner import summarize_cell
-from repro.staticsched._batchloop_numba import (
-    jit_group_supported,
-    run_batched_streams_jit,
-)
 from repro.staticsched.batchloop import run_batched_streams
 from repro.staticsched.runloop import resolve_backend
 
@@ -80,15 +70,10 @@ def _ineligible_reason(unit: Any) -> Optional[str]:
         )
     if unit.checkpoint_path is not None:
         return "checkpointed units resume through their serial path"
-    spec = unit.spec
-    try:
-        backend = resolve_backend(spec.backend)
-    except ConfigurationError:
-        return f"backend {spec.backend!r} does not resolve"
-    if backend not in ("numpy", "numba"):
-        return f"backend {backend!r} has no fused run loop"
-    if spec.scheduler not in BATCHABLE_SCHEDULERS:
-        return f"scheduler {spec.scheduler!r} has no fused policy"
+    if resolve_backend(unit.spec.backend) == "scalar":
+        return "the scalar reference does not batch"
+    if unit.spec.scheduler not in BATCHABLE_SCHEDULERS:
+        return f"scheduler {unit.spec.scheduler!r} has no fused policy"
     return None
 
 
@@ -125,7 +110,7 @@ def _unit_stream(unit: FleetUnit, built):
     Mirrors ``ScenarioSpec.run`` exactly — same construction, same
     measurement reduction — with the frame loop driven through the
     generator seam. No backend context is entered: the wave engine is
-    bit-identical to every fused backend, and a context manager held
+    bit-identical to the numpy backend, and a context manager held
     across yields would corrupt the backend override stack for the
     other interleaved networks.
     """
@@ -166,7 +151,6 @@ def _group_key(spec) -> Tuple:
         frozen(spec.model_kwargs),
         spec.transform,
         spec.chi_scale if spec.transform else None,
-        resolve_backend(spec.backend),
         spec.metrics,
     )
 
@@ -235,7 +219,7 @@ def run_fleet_batched(
             stacklevel=2,
         )
 
-    for key, members in groups.items():
+    for members in groups.values():
         # Padding-waste bound: greedy split over ascending link counts
         # so no batch member pads beyond ratio x its smallest peer.
         members.sort(key=lambda member: (member[3], member[0]))
@@ -249,23 +233,11 @@ def run_fleet_batched(
             batch.append(member)
         if batch:
             batches.append(batch)
-        # The group key pins (scheduler, model, backend) per group, so
-        # one member answers for all: backend "numba" routes the batch
-        # to the compiled wave driver when its (scheduler, evaluator)
-        # pair is compiled, everything else to the numpy wave engine.
-        # Both drivers are bit-identical to serial, so routing is pure
-        # performance policy.
-        use_jit = key[6] == "numba" and jit_group_supported(
-            members[0][2].model, scheduler=key[0]
-        )
         for batch in batches:
             streams = [
                 _unit_stream(unit, built) for _, unit, built, _ in batch
             ]
-            if use_jit:
-                outputs = run_batched_streams_jit(streams)
-            else:
-                outputs = run_batched_streams(streams)
+            outputs = run_batched_streams(streams)
             for (position, _, _, _), output in zip(batch, outputs):
                 results[position] = output
 

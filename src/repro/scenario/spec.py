@@ -49,11 +49,7 @@ import repro.scenario.components  # noqa: F401  (registers the built-ins)
 from repro.scenario.registry import resolve
 from repro.sim.metrics import RETENTIONS
 from repro.sim.runner import CellResult, measure_cell
-from repro.staticsched.runloop import BACKENDS, use_backend
-
-#: Backend names a spec may pin; ``kernel`` (the P1 per-slot baseline)
-#: is accepted for benchmarks even though it is not a CLI choice.
-_SPEC_BACKENDS = frozenset(BACKENDS) | {"kernel"}
+from repro.staticsched.runloop import check_backend, use_backend
 
 _RATE_MODES = ("fraction", "absolute")
 
@@ -189,11 +185,8 @@ class ScenarioSpec:
             raise ConfigurationError(
                 f"chi_scale must be positive, got {self.chi_scale}"
             )
-        if self.backend is not None and self.backend not in _SPEC_BACKENDS:
-            raise ConfigurationError(
-                f"unknown run-loop backend '{self.backend}'; choose from "
-                f"{', '.join(sorted(_SPEC_BACKENDS))}"
-            )
+        if self.backend is not None:
+            check_backend(self.backend)
         if self.metrics not in RETENTIONS:
             raise ConfigurationError(
                 f"scenario metrics must be one of {', '.join(RETENTIONS)}, "

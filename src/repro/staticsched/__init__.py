@@ -11,15 +11,14 @@ interface — ``run(model, requests, budget, rng)`` — and carry a
 need in the ``f(m) * I + g(m, n)`` form the Section-4 protocol sizes its
 frames with.
 
-The per-slot execution of the randomized schedulers runs through a
-pluggable run-loop backend (:mod:`repro.staticsched.runloop`): the
-fused pure-numpy backend by default (chunked Bernoulli draws, sparse
-attempter-set bookkeeping, lazy history), an optional numba-compiled
-backend when numba is importable, and the per-slot ``kernel`` path
-(:mod:`repro.staticsched.kernel`) as the benchmark baseline.
-``kernel.scalar_reference()`` pins runs to the scalar ``successes()``
-reference path for verification; every backend replays it
-bit-for-bit from one seed.
+Each randomized scheduler (kv, decay, fkv, hm, single-hop) is defined
+once, as a :class:`~repro.staticsched.runloop.FusedPolicy` driven by
+the fused slot loop in :mod:`repro.staticsched.runloop`. The ``numpy``
+backend (the default) evaluates slots with chunked Bernoulli draws,
+sparse attempter-set bookkeeping, lazy history and inline evaluators;
+:func:`scalar_reference` pins runs to the ``scalar`` backend — the same
+loop asking the model's scalar ``successes()`` once per slot — for
+verification. Both replay each other bit-for-bit from one seed.
 
 Included algorithms (paper references in each module):
 
@@ -44,13 +43,12 @@ from repro.staticsched.base import (
     RunResult,
     StaticAlgorithm,
 )
-from repro.staticsched.kernel import SlotKernel, scalar_reference
 from repro.staticsched.runloop import (
     BACKENDS,
     available_backends,
     default_backend,
-    numba_available,
     resolve_backend,
+    scalar_reference,
     set_default_backend,
     use_backend,
 )
@@ -71,12 +69,10 @@ __all__ = [
     "LazySlotHistory",
     "LengthBound",
     "LinkQueues",
-    "SlotKernel",
     "scalar_reference",
     "BACKENDS",
     "available_backends",
     "default_backend",
-    "numba_available",
     "resolve_backend",
     "set_default_backend",
     "use_backend",

@@ -59,21 +59,17 @@ class LazySlotHistory(Sequence):
     ``SlotRecord`` tuples on access (indexing, iteration, equality),
     i.e. in tests and analysis code, never in the hot loop.
 
-    Two append forms cover the two run loops:
-
-    * :meth:`append_ids` — attempted/succeeded link-id arrays
-      (ascending), as gathered by the per-slot kernel path;
-    * :meth:`append_mask` — the fused backend's zero-copy form: a
-      reference to the (immutable-by-convention) busy array of the
-      slot's compaction epoch, a private copy of the local attempt
-      mask, and the slot's popped head-request array (``None`` when
-      nothing succeeded). Succeeded link ids are recovered lazily as
-      ``request_links[heads]`` — heads pop in ascending busy order, so
-      the ids come out sorted exactly like the eager tuples did.
+    A busy slot is recorded by :meth:`append_mask` in the fused loop's
+    zero-copy form: a reference to the (immutable-by-convention) busy
+    array of the slot's compaction epoch, a private copy of the local
+    attempt mask, and the slot's popped head-request array (``None``
+    when nothing succeeded). Succeeded link ids are recovered lazily as
+    ``request_links[heads]`` — heads pop in ascending busy order, so
+    the ids come out sorted exactly like the eager tuples did.
 
     Equality compares materialised records elementwise, so histories
     recorded by different backends (or plain ``List[SlotRecord]``
-    histories from the legacy scalar loops) compare naturally;
+    histories from per-slot loops) compare naturally;
     concatenation (``+``) materialises to a plain list, which keeps
     :meth:`RunResult.merge_after` working unchanged.
     """
@@ -81,10 +77,10 @@ class LazySlotHistory(Sequence):
     __slots__ = ("_attempted", "_succeeded", "_request_links")
 
     def __init__(self, request_links: Optional[np.ndarray] = None):
-        # Per slot: entry in _attempted is None (idle slot), an int
-        # array of link ids, or a (busy_ref, mask_copy) pair; entry in
-        # _succeeded is None, an int array of link ids, or an array of
-        # head request indices to be mapped through _request_links.
+        # Per slot: entry in _attempted is None (idle slot) or a
+        # (busy_ref, mask_copy) pair; entry in _succeeded is None or an
+        # array of head request indices to be mapped through
+        # _request_links.
         self._attempted: List = []
         self._succeeded: List = []
         self._request_links = request_links
@@ -95,13 +91,6 @@ class LazySlotHistory(Sequence):
         """Record an idle slot (no attempts, no successes)."""
         self._attempted.append(None)
         self._succeeded.append(None)
-
-    def append_ids(
-        self, attempted: np.ndarray, succeeded: np.ndarray
-    ) -> None:
-        """Record a slot from attempted/succeeded link-id arrays."""
-        self._attempted.append(attempted)
-        self._succeeded.append(("ids", succeeded))
 
     def append_mask(
         self,
@@ -118,31 +107,17 @@ class LazySlotHistory(Sequence):
         self._attempted.append((busy, attempt_mask))
         self._succeeded.append(heads)
 
-    def append_ids_heads(
-        self, attempted: np.ndarray, heads: np.ndarray
-    ) -> None:
-        """Record a slot from attempted link ids plus popped heads.
-
-        The compiled backend's form: succeeded link ids resolve lazily
-        as ``request_links[heads]`` exactly like :meth:`append_mask`.
-        """
-        self._attempted.append(attempted)
-        self._succeeded.append(heads if heads.size else None)
-
     # -- materialisation ----------------------------------------------
 
     def _record(self, index: int) -> SlotRecord:
         attempted = self._attempted[index]
         if attempted is None:
             return SlotRecord((), ())
-        if isinstance(attempted, tuple):
-            busy, mask = attempted
-            attempted = busy[mask]
+        busy, mask = attempted
+        attempted = busy[mask]
         succeeded = self._succeeded[index]
         if succeeded is None:
             succeeded_ids: Tuple[int, ...] = ()
-        elif isinstance(succeeded, tuple):
-            succeeded_ids = tuple(int(e) for e in succeeded[1])
         else:
             succeeded_ids = tuple(
                 int(e) for e in self._request_links[succeeded]
@@ -202,8 +177,8 @@ class RunResult:
     remaining: List[int] = field(default_factory=list)
     slots_used: int = 0
     #: A sequence of :class:`SlotRecord` — a plain list from the
-    #: legacy scalar loops, a :class:`LazySlotHistory` from the kernel
-    #: and fused run-loop backends (records materialise on access).
+    #: per-slot loops, a :class:`LazySlotHistory` from the fused run
+    #: loop (records materialise on access).
     history: Optional[Sequence[SlotRecord]] = None
 
     @property
@@ -264,7 +239,7 @@ class LinkQueues:
     have been served. Construction is O(n log n) of C-speed sort with
     no per-request Python loop (the old dict-of-deques enqueue loop
     dominated protocol-scale runs), a pop is O(1) index arithmetic,
-    and the slot kernel pops a whole success set in one gather
+    and a whole success set pops in one validated gather
     (:meth:`pop_heads`).
     """
 
@@ -346,8 +321,7 @@ class LinkQueues:
         """Serve the head of every given link in one gather.
 
         ``links`` must be unique link ids, each with a pending request
-        (the kernel passes a slot's successful busy links, which are
-        both). Returns the request indices in the order of ``links``.
+        (a slot's successful busy links are both). Returns the request indices in the order of ``links``.
         """
         if links.size:
             if int(links.min()) < 0 or int(links.max()) >= self._num_links:

@@ -22,22 +22,12 @@ work-horse base algorithm in most experiments.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
-from repro.errors import SchedulingError
-from repro.interference.base import InterferenceModel
-from repro.staticsched.base import RunResult, StaticAlgorithm
-from repro.staticsched.kernel import make_run_state
-from repro.staticsched.runloop import (
-    DecayPolicy,
-    resolve_backend,
-    run_fused,
-)
-from repro.utils.rng import RngLike, ensure_rng
+from repro.staticsched.runloop import DecayPolicy, FusedScheduler
 from repro.utils.validation import check_positive
 
 
-class DecayScheduler(StaticAlgorithm):
+class DecayScheduler(FusedScheduler):
     """Non-adaptive random transmission with probability ``1/(4 I)``.
 
     Parameters
@@ -89,49 +79,7 @@ class DecayScheduler(StaticAlgorithm):
         )
 
     def fused_policy(self) -> DecayPolicy:
-        """A fresh fused-loop policy mirroring :meth:`run`'s dispatch
-        (the batched fleet kernel builds its per-network tasks here)."""
         return DecayPolicy(self._probability_scale, self._measure_floor)
-
-    def run(
-        self,
-        model: InterferenceModel,
-        requests: Sequence[int],
-        budget: int,
-        rng: RngLike = None,
-        record_history: bool = False,
-    ) -> RunResult:
-        if budget < 0:
-            raise SchedulingError(f"budget must be >= 0, got {budget}")
-        gen = ensure_rng(rng)
-        backend = resolve_backend()
-        if backend in ("numpy", "numba"):
-            return run_fused(
-                self.fused_policy(),
-                model, requests, budget, gen, record_history,
-                backend=backend,
-            )
-        kernel, queues, delivered, history = make_run_state(
-            model, requests, record_history
-        )
-
-        measure = max(
-            model.interference_measure(list(requests)), self._measure_floor
-        )
-        probability = min(1.0, 1.0 / (self._probability_scale * measure))
-
-        # Each pending packet tosses its own coin; the link transmits if
-        # at least one of them wants to. The kernel keeps the busy set
-        # and queue depths as aligned arrays, so a slot is one batched
-        # draw plus one batched success evaluation.
-        complement = 1.0 - probability
-        slots = 0
-        while slots < budget and kernel.pending:
-            link_probability = 1.0 - complement ** kernel.depths
-            wants = gen.random(kernel.size) < link_probability
-            kernel.transmit(wants)
-            slots += 1
-        return self._finalise(queues, delivered, slots, history)
 
 
 __all__ = ["DecayScheduler"]

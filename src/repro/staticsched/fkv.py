@@ -21,18 +21,12 @@ benchmark shows the two scaling regimes side by side.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
-from repro.errors import SchedulingError
-from repro.interference.base import InterferenceModel
-from repro.staticsched.base import RunResult, StaticAlgorithm
-from repro.staticsched.kernel import make_run_state
-from repro.staticsched.runloop import FkvPolicy, resolve_backend, run_fused
-from repro.utils.rng import RngLike, ensure_rng
+from repro.staticsched.runloop import FkvPolicy, FusedScheduler
 from repro.utils.validation import check_positive
 
 
-class FkvScheduler(StaticAlgorithm):
+class FkvScheduler(FusedScheduler):
     """Phased random transmission: ``O(I + log^2 n)`` whp.
 
     Parameters
@@ -73,59 +67,7 @@ class FkvScheduler(StaticAlgorithm):
         return max(1, math.ceil(geometric + floor_phases))
 
     def fused_policy(self) -> FkvPolicy:
-        """A fresh fused-loop policy mirroring :meth:`run`'s dispatch
-        (the batched fleet kernel builds its per-network tasks here)."""
         return FkvPolicy(self._probability_scale, self._phase_scale)
-
-    def run(
-        self,
-        model: InterferenceModel,
-        requests: Sequence[int],
-        budget: int,
-        rng: RngLike = None,
-        record_history: bool = False,
-    ) -> RunResult:
-        if budget < 0:
-            raise SchedulingError(f"budget must be >= 0, got {budget}")
-        gen = ensure_rng(rng)
-        backend = resolve_backend()
-        if backend in ("numpy", "numba"):
-            return run_fused(
-                self.fused_policy(),
-                model, requests, budget, gen, record_history,
-                backend=backend,
-            )
-        kernel, queues, delivered, history = make_run_state(
-            model, requests, record_history
-        )
-
-        n = max(1, len(list(requests)))
-        log_n = math.log(n + 2)
-        measure_estimate = max(model.interference_measure(list(requests)), 1.0)
-
-        slots = 0
-        phase = 0
-        while slots < budget and kernel.pending:
-            phase_measure = max(measure_estimate / 2.0**phase, 1.0)
-            probability = min(0.25, 1.0 / (self._probability_scale * phase_measure))
-            phase_length = max(
-                1,
-                math.ceil(
-                    self._phase_scale
-                    * self._probability_scale
-                    * max(phase_measure, log_n)
-                ),
-            )
-            complement = 1.0 - probability
-            for _ in range(phase_length):
-                if slots >= budget or not kernel.pending:
-                    break
-                link_probability = 1.0 - complement ** kernel.depths
-                wants = gen.random(kernel.size) < link_probability
-                kernel.transmit(wants)
-                slots += 1
-            phase += 1
-        return self._finalise(queues, delivered, slots, history)
 
 
 __all__ = ["FkvScheduler"]

@@ -36,20 +36,13 @@ empirically before the dynamic protocol relies on it.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
-import numpy as np
-
-from repro.errors import SchedulingError
-from repro.interference.base import InterferenceModel
-from repro.staticsched.base import LengthBound, RunResult, StaticAlgorithm
-from repro.staticsched.kernel import make_run_state
-from repro.staticsched.runloop import HmPolicy, resolve_backend, run_fused
-from repro.utils.rng import RngLike, ensure_rng
+from repro.staticsched.base import LengthBound
+from repro.staticsched.runloop import FusedScheduler, HmPolicy
 from repro.utils.validation import check_positive
 
 
-class HmScheduler(StaticAlgorithm):
+class HmScheduler(FusedScheduler):
     """Adaptive ``chi / I_rem`` random transmission (HM-style).
 
     Parameters
@@ -128,58 +121,7 @@ class HmScheduler(StaticAlgorithm):
         )
 
     def fused_policy(self) -> HmPolicy:
-        """A fresh fused-loop policy mirroring :meth:`run`'s dispatch
-        (the batched fleet kernel builds its per-network tasks here)."""
         return HmPolicy(self._chi)
-
-    def run(
-        self,
-        model: InterferenceModel,
-        requests: Sequence[int],
-        budget: int,
-        rng: RngLike = None,
-        record_history: bool = False,
-    ) -> RunResult:
-        if budget < 0:
-            raise SchedulingError(f"budget must be >= 0, got {budget}")
-        gen = ensure_rng(rng)
-        backend = resolve_backend()
-        if backend in ("numpy", "numba"):
-            # The HM recurrence divides by incrementally maintained
-            # row sums; the compiled backend keeps the transmission
-            # probabilities identical by maintaining them with a
-            # bit-exact replay of numpy's pairwise summation (see
-            # _runloop_numba._pairwise_sum and its self-check gate).
-            return run_fused(
-                self.fused_policy(),
-                model, requests, budget, gen, record_history,
-                backend=backend,
-            )
-        kernel, queues, delivered, history = make_run_state(
-            model, requests, record_history
-        )
-
-        # I_busy(e) = (W . B)(e) restricted to busy links is the row sum
-        # of the busy-set submatrix. Cache it once and update it
-        # incrementally as links drain — O(busy) per slot instead of a
-        # fresh O(busy * m) matvec.
-        sub = model.weight_matrix()[np.ix_(kernel.busy, kernel.busy)]
-        contention = sub.sum(axis=1)
-
-        slots = 0
-        while slots < budget and kernel.pending:
-            p = np.minimum(1.0, self._chi / np.maximum(contention, 1.0))
-            attempt = gen.random(kernel.size) < p
-            kernel.transmit(attempt)
-            if kernel.last_keep is not None:
-                keep = kernel.last_keep
-                gone = ~keep
-                contention = (
-                    contention[keep] - sub[np.ix_(keep, gone)].sum(axis=1)
-                )
-                sub = sub[np.ix_(keep, keep)]
-            slots += 1
-        return self._finalise(queues, delivered, slots, history)
 
 
 __all__ = ["HmScheduler"]

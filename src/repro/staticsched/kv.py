@@ -23,20 +23,13 @@ algorithms (Section 8).
 from __future__ import annotations
 
 import math
-from typing import Sequence
-
-import numpy as np
 
 from repro.errors import SchedulingError
-from repro.interference.base import InterferenceModel
-from repro.staticsched.base import RunResult, StaticAlgorithm
-from repro.staticsched.kernel import make_run_state
-from repro.staticsched.runloop import KvPolicy, resolve_backend, run_fused
-from repro.utils.rng import RngLike, ensure_rng
+from repro.staticsched.runloop import FusedScheduler, KvPolicy
 from repro.utils.validation import check_positive
 
 
-class KvScheduler(StaticAlgorithm):
+class KvScheduler(FusedScheduler):
     """Ack-feedback contention resolution with multiplicative adaptation.
 
     Parameters
@@ -94,64 +87,9 @@ class KvScheduler(StaticAlgorithm):
         )
 
     def fused_policy(self) -> KvPolicy:
-        """A fresh fused-loop policy mirroring :meth:`run`'s dispatch
-        (the batched fleet kernel builds its per-network tasks here)."""
         return KvPolicy(
             self._p0, self._p_min, self._backoff, self._recovery_slots
         )
-
-    def run(
-        self,
-        model: InterferenceModel,
-        requests: Sequence[int],
-        budget: int,
-        rng: RngLike = None,
-        record_history: bool = False,
-    ) -> RunResult:
-        if budget < 0:
-            raise SchedulingError(f"budget must be >= 0, got {budget}")
-        gen = ensure_rng(rng)
-        backend = resolve_backend()
-        if backend in ("numpy", "numba"):
-            return run_fused(
-                self.fused_policy(),
-                model, requests, budget, gen, record_history,
-                backend=backend,
-            )
-        kernel, queues, delivered, history = make_run_state(
-            model, requests, record_history
-        )
-
-        # Per-link adaptive state (the head request's state; FIFO order
-        # means each request inherits the link's learned probability,
-        # which only helps convergence). Arrays aligned with kernel.busy.
-        probability = np.full(kernel.size, self._p0)
-        idle_streak = np.zeros(kernel.size, dtype=np.int64)
-
-        slots = 0
-        while slots < budget and kernel.pending:
-            # One batched draw covers every busy link in id order — the
-            # same stream as one scalar draw per link.
-            attempt = gen.random(kernel.size) < probability
-            idle_streak += 1
-            idle_streak[attempt] = 0
-            success = kernel.transmit(attempt)
-            probability[success] = self._p0
-            # successes are a subset of attempts, so XOR == attempt & ~success
-            rebuffed = attempt ^ success
-            probability[rebuffed] = np.maximum(
-                self._p_min, probability[rebuffed] * self._backoff
-            )
-            recovered = idle_streak >= self._recovery_slots
-            probability[recovered] = np.minimum(
-                self._p0, probability[recovered] * 2.0
-            )
-            idle_streak[recovered] = 0
-            if kernel.last_keep is not None:
-                probability = probability[kernel.last_keep]
-                idle_streak = idle_streak[kernel.last_keep]
-            slots += 1
-        return self._finalise(queues, delivered, slots, history)
 
 
 __all__ = ["KvScheduler"]

@@ -1,67 +1,61 @@
-"""Pluggable run-loop backends for the static slot loop.
+"""The fused slot loop and its backend selection.
 
-The P1 slot kernel (:mod:`repro.staticsched.kernel`) vectorised the
-per-slot work, but left a fixed floor of ~40 numpy dispatches per slot
-plus per-slot Python bookkeeping (one ``Generator.random`` call per
-slot, eager ``SlotRecord`` tuples, validated ``pop_heads``). This
-module turns the slot loop into a *backend* choice:
+Every randomized static scheduler (kv, decay, fkv, hm, single-hop) is
+defined once, as a :class:`FusedPolicy`: per-link adaptive state plus
+one "who transmits" answer per slot. :func:`run_fused` drives a policy
+to completion; the *backend* only chooses how each slot's successes are
+evaluated:
 
-``kernel``
-    The P1 path: one :class:`~repro.staticsched.kernel.SlotKernel`
-    step per slot with the model's cached batch evaluator. Kept as
-    the benchmark baseline and as the fallback semantics.
-``scalar``
-    The kernel path pinned to one scalar ``successes()`` call per
-    slot — the ground-truth reference every other backend must replay
-    bit-for-bit. ``kernel.scalar_reference()`` forces this backend and
-    *wins ties* against any other selection, so verification code can
-    always trust it.
 ``numpy``
-    The fused pure-numpy backend (:func:`run_fused`): Bernoulli coins
-    pre-drawn in ~64-slot chunks from the same PCG64 stream
-    (bit-identical to per-slot draws, with the generator rewound to
-    the exact per-slot position at run end), sparse attempter-set
-    bookkeeping (full-length work only where the busy set genuinely
-    changes), head pops straight off the ``LinkQueues`` CSR arrays,
-    lazy array-backed history, and inline evaluators for the
-    affectance and conflict models.
-``numba``
-    Optional compiled backend (:mod:`repro.staticsched._runloop_numba`):
-    run-to-completion JIT loops for the kv / decay / fkv / hm /
-    single-hop recurrences over the affectance, conflict and SINR
-    gain-table evaluators (hm gated on a bit-exact pairwise-sum
-    self-check; ``python -m repro backends`` prints the live matrix). Detected
-    at import; when numba is absent — or the (scheduler, model) pair
-    is outside the compiled set — it falls back *silently* to the
-    fused numpy backend.
+    The fast lane: Bernoulli coins pre-drawn in ~64-slot chunks from
+    the same PCG64 stream (bit-identical to per-slot draws, with the
+    generator rewound to the exact per-slot position at run end),
+    sparse attempter-set bookkeeping (full-length work only where the
+    busy set genuinely changes), head pops straight off the
+    ``LinkQueues`` CSR arrays, lazy array-backed history, and inline
+    evaluators for the affectance and conflict models.
+``scalar``
+    The ground-truth reference: the same loop and the same policy, but
+    each slot's successes come from one scalar ``successes()`` call on
+    the model and no inline evaluator or fused lane is taken.
+    :func:`scalar_reference` forces this backend and *wins ties*
+    against any other selection, so verification code can always
+    trust it.
 ``auto``
-    ``numba`` when available, else ``numpy``. The default.
+    ``numpy``. The default.
 
-Every backend consumes the caller's generator stream exactly like the
-scalar loop (one uniform per busy link per slot, none on idle
+Both backends consume the caller's generator stream exactly like a
+per-slot loop (one uniform per busy link per slot, none on idle
 schedulers), so a run replays identically across backends from one
-seed — ``tests/test_kernel_parity.py`` pins ``RunResult`` equality for
-every backend × scheduler × model combination.
+seed — ``tests/test_kernel_parity.py`` pins ``RunResult`` equality
+against literal per-link transcriptions of every policy, and
+``tests/test_golden_runs.py`` pins the results themselves.
 """
 
 from __future__ import annotations
 
+from abc import abstractmethod
 from contextlib import contextmanager
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError
-from repro.interference.base import InterferenceModel
+from repro.errors import ConfigurationError, SchedulingError
+from repro.interference.base import InterferenceModel, ScalarBatchEvaluator
 from repro.interference.conflict import ConflictGraphModel
 from repro.interference.matrix_model import AffectanceThresholdModel
-from repro.staticsched.base import LazySlotHistory, LinkQueues, RunResult
+from repro.staticsched.base import (
+    LazySlotHistory,
+    LinkQueues,
+    RunResult,
+    StaticAlgorithm,
+)
+from repro.utils.rng import RngLike, ensure_rng
 
-#: User-facing backend names (the CLI's ``--backend`` choices).
-BACKENDS = ("auto", "numpy", "numba", "scalar")
-#: All accepted names; ``kernel`` (the P1 per-slot path) is kept for
-#: benchmarks and parity tests but is not a CLI choice.
-_ALL_BACKENDS = BACKENDS + ("kernel",)
+#: Backend names (the CLI's ``--backend`` choices).
+BACKENDS = ("auto", "numpy", "scalar")
+#: Names of removed lanes, rejected with a message saying so.
+_RETIRED_BACKENDS = ("numba", "kernel")
 
 _default_backend = "auto"
 #: Stack of nested ``use_backend`` overrides; the innermost wins...
@@ -71,21 +65,17 @@ _override_stack: List[str] = []
 _scalar_depth = 0
 
 
-def numba_available() -> bool:
-    """Whether the compiled backend can be used in this process."""
-    try:
-        from repro.staticsched import _runloop_numba
-
-        return _runloop_numba.NUMBA_AVAILABLE
-    except Exception:  # pragma: no cover - defensive import guard
-        return False
-
-
-def _check_backend(name: str) -> str:
-    if name not in _ALL_BACKENDS:
+def check_backend(name: str) -> str:
+    """Return ``name`` if it is a backend, else raise ConfigurationError."""
+    if name in _RETIRED_BACKENDS:
+        raise ConfigurationError(
+            f"run-loop backend '{name}' has been retired; choose from "
+            f"{', '.join(BACKENDS)}"
+        )
+    if name not in BACKENDS:
         raise ConfigurationError(
             f"unknown run-loop backend '{name}'; choose from "
-            f"{', '.join(_ALL_BACKENDS)}"
+            f"{', '.join(BACKENDS)}"
         )
     return name
 
@@ -93,7 +83,7 @@ def _check_backend(name: str) -> str:
 def set_default_backend(name: str) -> None:
     """Set the process-wide default backend (``auto`` on startup)."""
     global _default_backend
-    _default_backend = _check_backend(name)
+    _default_backend = check_backend(name)
 
 
 def default_backend() -> str:
@@ -111,7 +101,7 @@ def use_backend(name: str):
     overridden from below.
     """
     global _scalar_depth
-    _check_backend(name)
+    check_backend(name)
     _override_stack.append(name)
     if name == "scalar":
         _scalar_depth += 1
@@ -123,39 +113,37 @@ def use_backend(name: str):
             _scalar_depth -= 1
 
 
-def scalar_forced() -> bool:
-    """Whether a scalar-reference context is active (wins all ties)."""
-    return _scalar_depth > 0
+def scalar_reference():
+    """Force runs started in this context onto the scalar reference.
+
+    Used by verification: the numpy backend must reproduce the
+    reference run exactly (same RNG stream, same ``RunResult``). A
+    scalar context wins ties against every other backend selection
+    (see :func:`use_backend`).
+    """
+    return use_backend("scalar")
 
 
 def resolve_backend(name: Optional[str] = None) -> str:
     """Resolve a backend request to a concrete backend.
 
-    Resolution order: an active scalar-reference context beats
-    everything; then ``name`` if given; then the innermost
-    ``use_backend`` override; then the process default. ``auto``
-    resolves to ``numba`` when importable, else ``numpy``; a ``numba``
-    request without numba installed falls back silently to ``numpy``.
+    A given ``name`` is validated first. Resolution order: an active
+    scalar-reference context beats everything; then ``name`` if given;
+    then the innermost ``use_backend`` override; then the process
+    default. ``auto`` resolves to ``numpy``.
     """
+    if name is not None:
+        check_backend(name)
     if _scalar_depth > 0:
         return "scalar"
     if name is None:
         name = _override_stack[-1] if _override_stack else _default_backend
-    else:
-        _check_backend(name)
-    if name == "auto":
-        name = "numba" if numba_available() else "numpy"
-    if name == "numba" and not numba_available():
-        return "numpy"
-    return name
+    return "numpy" if name == "auto" else name
 
 
 def available_backends() -> Tuple[str, ...]:
     """The concrete backends runnable in this process."""
-    concrete = ["scalar", "kernel", "numpy"]
-    if numba_available():
-        concrete.append("numba")
-    return tuple(concrete)
+    return ("scalar", "numpy")
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +185,7 @@ class ChunkedUniforms:
         """Splice the unconsumed tail with a fresh chunk (no consume).
 
         Resets the cursor to 0 and returns the new buffer; callers
-        that consume straight off the buffer (the compiled backend)
+        that consume straight off the buffer (the inlined slot loops)
         must keep :attr:`_cursor`/:attr:`_consumed` in sync so
         :meth:`finalize` can rewind exactly.
         """
@@ -240,7 +228,7 @@ class ChunkedUniforms:
 
 
 # ----------------------------------------------------------------------
-# Fused slot policies (one per kernel scheduler)
+# Fused slot policies (one per randomized scheduler)
 # ----------------------------------------------------------------------
 
 
@@ -252,9 +240,10 @@ class FusedPolicy:
     question per slot — who transmits — via :meth:`attempt`, then
     observes the outcome via :meth:`update` (called every slot, in
     *pre-compaction* indexing) and shrinks its arrays in
-    :meth:`compact`. All hooks must reproduce the scheduler's kernel
-    loop arithmetic exactly: same operations on the same values, so a
-    fused run replays the kernel run bit-for-bit.
+    :meth:`compact`. A policy is its scheduler's only definition: the
+    numpy backend, the scalar reference and the batched wave engine all
+    drive the same object, so their runs agree bit-for-bit by
+    construction.
 
     The exchange format is sparse: :meth:`attempt` returns the local
     transmit mask *and* the attempter index array, and the outcome
@@ -262,9 +251,6 @@ class FusedPolicy:
     adaptive updates touch O(attempters), not O(busy), elements.
     """
 
-    #: Policy identifier, used by the numba backend to pick a
-    #: compiled recurrence ("kv", "decay", "fkv", "hm", "single-hop").
-    kind: str = ""
     #: Whether the policy consumes one uniform per busy link per slot.
     uses_rng: bool = True
 
@@ -285,8 +271,6 @@ class FusedPolicy:
 
 class KvPolicy(FusedPolicy):
     """Ack-feedback multiplicative adaptation (KV / DISC'10)."""
-
-    kind = "kv"
 
     def __init__(self, p0: float, p_min: float, backoff: float,
                  recovery_slots: int):
@@ -313,10 +297,9 @@ class KvPolicy(FusedPolicy):
         return mask, att_idx
 
     def update(self, att_idx, ok):
-        # Identical arithmetic to the kernel loop, on the attempter
-        # subset only: successes reset to p0, failures back off with
-        # the p_min clamp — the values match the full-array gather
-        # updates element for element.
+        # The per-link rule on the attempter subset only: successes
+        # reset to p0, failures back off with the p_min clamp — the
+        # values match full-array masked updates element for element.
         p = self.probability
         if att_idx.size:
             backed = np.maximum(
@@ -344,8 +327,6 @@ class KvPolicy(FusedPolicy):
 class DecayPolicy(FusedPolicy):
     """Non-adaptive ``1/(cI)`` transmission (paper Theorem 19)."""
 
-    kind = "decay"
-
     def __init__(self, probability_scale: float, measure_floor: float):
         self.probability_scale = probability_scale
         self.measure_floor = measure_floor
@@ -368,9 +349,8 @@ class DecayPolicy(FusedPolicy):
         k = self._size
         lp = self._lp[:k]
         if self._dirty:
-            # Same ufunc as the kernel loop's `1 - complement**depths`
-            # — recomputed only when depths changed, with identical
-            # inputs hence identical bits.
+            # `1 - complement**depths`, recomputed only when depths
+            # changed — identical inputs hence identical bits.
             np.power(self.complement, depths, out=lp)
             np.subtract(1.0, lp, out=lp)
             self._dirty = False
@@ -388,8 +368,6 @@ class DecayPolicy(FusedPolicy):
 
 class FkvPolicy(FusedPolicy):
     """Phased decay (FKV, TCS 2011): geometric phase schedule."""
-
-    kind = "fkv"
 
     def __init__(self, probability_scale: float, phase_scale: float):
         self.probability_scale = probability_scale
@@ -454,8 +432,6 @@ class FkvPolicy(FusedPolicy):
 class HmPolicy(FusedPolicy):
     """Contention-adaptive ``chi / I_busy`` transmission (HM-style)."""
 
-    kind = "hm"
-
     def __init__(self, chi: float):
         self.chi = chi
 
@@ -467,8 +443,7 @@ class HmPolicy(FusedPolicy):
 
     def attempt(self, u, depths):
         if self._p is None:
-            # Exactly the kernel loop's per-slot expression; cached
-            # because contention only changes on compaction.
+            # Cached: contention only changes on compaction.
             self._p = np.minimum(
                 1.0, self.chi / np.maximum(self.contention, 1.0)
             )
@@ -488,7 +463,6 @@ class HmPolicy(FusedPolicy):
 class SingleHopPolicy(FusedPolicy):
     """Every busy link transmits (the trivial packet-routing rule)."""
 
-    kind = "single-hop"
     uses_rng = False
 
     def bind(self, model, requests, busy, depths) -> None:
@@ -644,17 +618,17 @@ class _ConflictFusedEval(_FusedEval):
 
 
 class _GenericFusedEval(_FusedEval):
-    """Fallback: route slots through the model's own batch evaluator.
+    """Route slots through a :class:`BatchSuccessEvaluator`.
 
-    Used for every model without an inline fast path (SINR, MAC,
-    unreliable/jammed wrappers, packet routing, third-party models).
-    The fused loop still contributes chunked draws, raw CSR pops and
-    lazy history; success evaluation matches the kernel path exactly
-    because it *is* the kernel path's evaluator.
+    Used with the model's own batch evaluator for every model without
+    an inline fast path (SINR, MAC, unreliable/jammed wrappers, packet
+    routing, third-party models), and with a
+    :class:`ScalarBatchEvaluator` — one ``successes()`` call per slot —
+    for the scalar reference.
     """
 
-    def __init__(self, model: InterferenceModel, busy: np.ndarray):
-        self._ev = model.batch_evaluator(busy)
+    def __init__(self, evaluator):
+        self._ev = evaluator
 
     def evaluate(self, attempt, att_idx):
         return self._ev.successes_local(attempt).take(att_idx)
@@ -663,7 +637,11 @@ class _GenericFusedEval(_FusedEval):
         self._ev.drop(keep)
 
 
-def _make_fused_eval(model: InterferenceModel, busy: np.ndarray) -> _FusedEval:
+def _make_fused_eval(
+    model: InterferenceModel, busy: np.ndarray, scalar: bool = False
+) -> _FusedEval:
+    if scalar:
+        return _GenericFusedEval(ScalarBatchEvaluator(model, busy))
     # type(...) checks, not isinstance: subclasses may override the
     # success predicate, in which case the inline fast path would be
     # silently wrong — they get the generic (always-correct) adapter.
@@ -671,7 +649,7 @@ def _make_fused_eval(model: InterferenceModel, busy: np.ndarray) -> _FusedEval:
         return _AffectanceFusedEval(model, busy)
     if type(model) is ConflictGraphModel:
         return _ConflictFusedEval(model, busy)
-    return _GenericFusedEval(model, busy)
+    return _GenericFusedEval(model.batch_evaluator(busy))
 
 
 # ----------------------------------------------------------------------
@@ -706,8 +684,8 @@ def _run_kv_affectance(
 
     Everything observable (coins consumed, attempt sets, success sets,
     delivered order, remaining order, history, final generator state)
-    replays the kernel path bit-for-bit; the backend parity suite runs
-    this exact pair across backends.
+    replays the scalar reference bit-for-bit; the backend parity suite
+    runs this exact pair across backends.
     """
     queues = LinkQueues(requests, model.num_links)
     order, starts = queues.csr_arrays()
@@ -814,7 +792,7 @@ def _run_kv_affectance(
                 history.append_mask(busy, attempt.copy(), heads)
             # KV recurrence on the attempter subset: success resets to
             # p0, failure backs off with the p_min clamp — identical
-            # values to the kernel loop's masked updates.
+            # values to KvPolicy.update.
             backed = np.maximum(
                 probability.take(att_idx) * backoff, p_min
             )
@@ -874,34 +852,20 @@ def run_fused(
     budget: int,
     gen: np.random.Generator,
     record_history: bool = False,
-    backend: str = "numpy",
 ) -> RunResult:
-    """Run a policy to completion on the fused numpy backend.
+    """Run a policy to completion on the resolved backend.
 
-    One slot costs: a chunk-buffer view + one comparison for the
-    coins, one flat submatrix gather + row-sum for the evaluator, and
-    attempter-subset gathers/scatters for the CSR head pops, depth
-    bookkeeping and the policy recurrence — with zero per-slot
-    allocations beyond the sparse index arrays. ``backend="numba"``
-    first offers the run to the compiled backend and silently falls
-    back here when numba is absent or the (policy, model) pair is not
-    compiled.
+    On ``numpy`` one slot costs: a chunk-buffer view + one comparison
+    for the coins, one flat submatrix gather + row-sum for the
+    evaluator, and attempter-subset gathers/scatters for the CSR head
+    pops, depth bookkeeping and the policy recurrence — with zero
+    per-slot allocations beyond the sparse index arrays. On ``scalar``
+    the same loop asks the model's scalar ``successes()`` instead.
     """
-    if backend == "numba":
-        try:
-            from repro.staticsched import _runloop_numba
-
-            if _runloop_numba.supported(
-                policy, model, budget, record_history
-            ):
-                return _runloop_numba.run_compiled(
-                    policy, model, requests, budget, gen, record_history
-                )
-        except ImportError:  # pragma: no cover - numba genuinely absent
-            pass
-
+    scalar = resolve_backend() == "scalar"
     if (
-        type(policy) is KvPolicy
+        not scalar
+        and type(policy) is KvPolicy
         and type(model) is AffectanceThresholdModel
     ):
         return _run_kv_affectance(
@@ -916,7 +880,7 @@ def run_fused(
     pending = queues.pending
 
     policy.bind(model, requests, busy, depths)
-    evaluator = _make_fused_eval(model, busy)
+    evaluator = _make_fused_eval(model, busy, scalar)
     chunk = ChunkedUniforms(gen) if policy.uses_rng else None
 
     history: Optional[LazySlotHistory] = None
@@ -1005,21 +969,50 @@ def run_fused(
     )
 
 
+class FusedScheduler(StaticAlgorithm):
+    """A static scheduler defined by its :class:`FusedPolicy`.
+
+    Subclasses supply :meth:`fused_policy`; :meth:`run` drives a fresh
+    policy through :func:`run_fused`, and the batched fleet executor
+    builds its per-network tasks from the same factory.
+    """
+
+    @abstractmethod
+    def fused_policy(self) -> FusedPolicy:
+        """A fresh policy carrying this scheduler's configuration."""
+
+    def run(
+        self,
+        model: InterferenceModel,
+        requests: Sequence[int],
+        budget: int,
+        rng: RngLike = None,
+        record_history: bool = False,
+    ) -> RunResult:
+        if budget < 0:
+            raise SchedulingError(f"budget must be >= 0, got {budget}")
+        return run_fused(
+            self.fused_policy(), model, requests, budget,
+            ensure_rng(rng), record_history,
+        )
+
+
 __all__ = [
     "BACKENDS",
     "ChunkedUniforms",
     "DecayPolicy",
     "FkvPolicy",
     "FusedPolicy",
+    "FusedScheduler",
     "HmPolicy",
     "KvPolicy",
     "SingleHopPolicy",
     "available_backends",
+    "check_backend",
     "default_backend",
-    "numba_available",
     "resolve_backend",
     "run_fused",
-    "scalar_forced",
+    "scalar_reference",
     "set_default_backend",
     "use_backend",
 ]

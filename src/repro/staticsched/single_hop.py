@@ -16,23 +16,12 @@ results in the degenerate model.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
-import numpy as np
-
-from repro.errors import SchedulingError
-from repro.interference.base import InterferenceModel
-from repro.staticsched.base import LengthBound, RunResult, StaticAlgorithm
-from repro.staticsched.kernel import make_run_state
-from repro.staticsched.runloop import (
-    SingleHopPolicy,
-    resolve_backend,
-    run_fused,
-)
-from repro.utils.rng import RngLike, ensure_rng
+from repro.staticsched.base import LengthBound
+from repro.staticsched.runloop import FusedScheduler, SingleHopPolicy
 
 
-class SingleHopScheduler(StaticAlgorithm):
+class SingleHopScheduler(FusedScheduler):
     """Forward one packet per busy link per slot; exact length = congestion."""
 
     name = "single-hop"
@@ -50,37 +39,7 @@ class SingleHopScheduler(StaticAlgorithm):
         )
 
     def fused_policy(self) -> SingleHopPolicy:
-        """A fresh fused-loop policy mirroring :meth:`run`'s dispatch
-        (the batched fleet kernel builds its per-network tasks here)."""
         return SingleHopPolicy()
-
-    def run(
-        self,
-        model: InterferenceModel,
-        requests: Sequence[int],
-        budget: int,
-        rng: RngLike = None,
-        record_history: bool = False,
-    ) -> RunResult:
-        if budget < 0:
-            raise SchedulingError(f"budget must be >= 0, got {budget}")
-        backend = resolve_backend()
-        if backend in ("numpy", "numba"):
-            return run_fused(
-                self.fused_policy(),
-                model, requests, budget, ensure_rng(rng), record_history,
-                backend=backend,
-            )
-        kernel, queues, delivered, history = make_run_state(
-            model, requests, record_history
-        )
-        slots = 0
-        while slots < budget and kernel.pending:
-            # Every busy link forwards: the all-transmit mask hits the
-            # evaluators' incremental row-sum fast path.
-            kernel.transmit(np.ones(kernel.size, dtype=bool))
-            slots += 1
-        return self._finalise(queues, delivered, slots, history)
 
 
 __all__ = ["SingleHopScheduler"]

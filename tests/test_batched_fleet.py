@@ -238,7 +238,8 @@ def test_scalar_backend_warns_and_matches_serial():
         for seed in (0, 1)
     ]
     serial = run_scenario_fleet(specs, SerialExecutor())
-    with pytest.warns(BatchFallbackWarning, match="no fused run loop"):
+    with pytest.warns(BatchFallbackWarning,
+                      match="the scalar reference does not batch"):
         batched = run_scenario_fleet(specs, BatchedExecutor())
     assert records_equal(serial.records, batched.records)
 
@@ -250,6 +251,55 @@ def test_checkpointed_unit_warns_and_matches(tmp_path):
     with pytest.warns(BatchFallbackWarning, match="checkpointed"):
         got = BatchedExecutor().map([unit])
     assert records_equal([plain.run()], got)
+
+
+def _mixed_fleet_specs():
+    """4 units, 3 ineligible for 2 distinct reasons, 1 eligible."""
+    unbatchable = ScenarioSpec(
+        topology="mac",
+        topology_kwargs={"num_stations": 4},
+        model="mac",
+        scheduler="round-robin",
+        frames=20,
+    )
+    scalar = MATRIX_SPECS["kv-linear"].replace(backend="scalar")
+    return [
+        unbatchable.replace(seed=0),
+        scalar.replace(seed=1),
+        scalar.replace(seed=2),
+        MATRIX_SPECS["kv-linear"].replace(seed=3),
+    ]
+
+
+def test_mixed_fleet_emits_one_aggregated_warning():
+    """A fleet with several distinct fallbacks warns ONCE, with every
+    reason and its count in the message — not once per unit."""
+    specs = _mixed_fleet_specs()
+    serial = run_scenario_fleet(specs, SerialExecutor())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        batched = run_scenario_fleet(specs, BatchedExecutor())
+    fallback = [
+        w for w in caught if issubclass(w.category, BatchFallbackWarning)
+    ]
+    assert len(fallback) == 1, (
+        f"expected one aggregated warning, got {len(fallback)}"
+    )
+    message = str(fallback[0].message)
+    assert "3 of 4" in message
+    assert "no fused policy" in message and "[x1]" in message
+    assert "does not batch" in message and "[x2]" in message
+    assert records_equal(serial.records, batched.records)
+
+
+def test_mixed_fleet_strict_still_raises_per_unit():
+    """strict keeps its precise per-unit contract: the first
+    ineligible position raises immediately, reason attached."""
+    with pytest.raises(ConfigurationError,
+                       match=r"fleet unit 0 cannot batch"):
+        run_scenario_fleet(
+            _mixed_fleet_specs(), BatchedExecutor(strict=True)
+        )
 
 
 def test_strict_mode_raises_instead_of_warning():

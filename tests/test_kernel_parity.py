@@ -1,28 +1,33 @@
-"""Run-loop backends vs the scalar reference path.
+"""Run-loop backends vs literal per-slot transcriptions of each policy.
 
 Three layers of verification:
 
-1. **Full-run parity** — every scheduler is run per *backend* from
-   the same seed on the same instance: the ``kernel`` per-slot path
-   (batch evaluators, cached submatrices), the fused ``numpy``
-   backend (chunked draws, sparse bookkeeping, inline evaluators),
-   the ``numba`` backend when numba is installed, and the scalar
-   reference inside ``kernel.scalar_reference()`` (one scalar
-   ``successes()`` call per slot). All ``RunResult``\\ s — delivered
-   order, remaining set, slots used, full slot history — must be
-   identical, which also pins down that every backend consumes the
-   exact same RNG stream (the chunk-drawn backends must rewind their
-   overdraw to the per-slot generator position).
+1. **Full-run parity** — every scheduler is run per *lane* from the
+   same seed on the same instance and compared with its per-slot
+   transcription in ``reference_loops`` (one scalar ``successes()``
+   call per slot). The lanes: the fused ``numpy`` backend (chunked
+   draws, sparse bookkeeping, inline evaluators), the ``scalar``
+   backend inside ``scalar_reference()`` (the same fused loop asking
+   scalar ``successes()``), and ``kernel`` — the transcription itself
+   on the model's cached batch evaluator. All ``RunResult``\\ s —
+   delivered order, remaining set, slots used, full slot history —
+   and the generators' end states must be identical, which pins down
+   that every lane consumes the exact same RNG stream (the
+   chunk-drawn backends must rewind their overdraw to the per-slot
+   generator position).
 2. **Predicate parity** — ``successes_mask`` must agree with
    ``successes`` on random active sets for every model, including a
    hypothesis sweep over random weight matrices for the affectance
    criterion.
 3. **Boundary parity** — crafted instances whose accumulated impact
-   lands exactly on the affectance threshold, forcing the fused and
-   compiled backends through their exact-summation guard paths.
+   lands exactly on the affectance threshold, forcing the fused
+   backend through its exact-summation guard paths (in
+   ``test_runloop``).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pytest
@@ -53,9 +58,10 @@ from repro.staticsched import (
     MacBackoffScheduler,
     RoundRobinScheduler,
     SingleHopScheduler,
+    scalar_reference,
+    use_backend,
 )
-from repro.staticsched.kernel import scalar_reference
-from repro.staticsched.runloop import available_backends, use_backend
+from reference_loops import run_reference
 
 
 def _random_weights(m: int, seed: int, scale: float = 0.35) -> np.ndarray:
@@ -127,59 +133,73 @@ KERNEL_SCHEDULERS = {
 }
 
 
-def _run_once(scheduler_factory, model_factory, seed, record_history=True):
+def _run_once(scheduler_factory, model_factory, seed, record_history=True,
+              runner=None):
     """One seeded run; fresh model + scheduler so stateful wrappers
-    (loss RNG, jammer clock) replay identically in both modes."""
+    (loss RNG, jammer clock) replay identically in both modes.
+
+    ``runner`` replaces ``scheduler.run`` (same signature plus the
+    scheduler first); returns the result and the run's generator.
+    """
     model = model_factory()
     scheduler = scheduler_factory()
     rng = np.random.default_rng(seed)
     requests = list(rng.integers(0, model.num_links, size=25))
     measure = model.interference_measure(requests)
     budget = min(scheduler.budget_for(measure, len(requests)), 400)
-    return scheduler.run(
-        model,
-        requests,
-        budget,
-        rng=np.random.default_rng(seed + 1),
-        record_history=record_history,
-    )
+    gen = np.random.default_rng(seed + 1)
+    if runner is None:
+        result = scheduler.run(
+            model, requests, budget, rng=gen, record_history=record_history
+        )
+    else:
+        result = runner(
+            scheduler, model, requests, budget, rng=gen,
+            record_history=record_history,
+        )
+    return result, gen
 
 
-#: Concrete non-reference backends runnable here ("numba" only rides
-#: along when numba is importable — the CI numba lane covers it).
-PARITY_BACKENDS = tuple(
-    name for name in available_backends() if name != "scalar"
-)
+def _run_lane(lane, scheduler_factory, model_factory, seed):
+    if lane == "kernel":
+        return _run_once(
+            scheduler_factory, model_factory, seed,
+            runner=functools.partial(run_reference, batch=True),
+        )
+    context = scalar_reference() if lane == "scalar" else use_backend(lane)
+    with context:
+        return _run_once(scheduler_factory, model_factory, seed)
 
 
-@pytest.mark.parametrize("backend", PARITY_BACKENDS)
+@pytest.mark.parametrize("lane", ["kernel", "numpy", "scalar"])
 @pytest.mark.parametrize("model_name", sorted(MODEL_FACTORIES))
 @pytest.mark.parametrize("sched_name", sorted(KERNEL_SCHEDULERS))
-def test_full_run_parity(sched_name, model_name, backend):
+def test_full_run_parity(sched_name, model_name, lane):
     scheduler_factory = KERNEL_SCHEDULERS[sched_name]
     model_factory = MODEL_FACTORIES[model_name]
-    with use_backend(backend):
-        run = _run_once(scheduler_factory, model_factory, seed=5)
-    with scalar_reference():
-        reference = _run_once(scheduler_factory, model_factory, seed=5)
+    run, gen = _run_lane(lane, scheduler_factory, model_factory, seed=5)
+    reference, gen_ref = _run_once(
+        scheduler_factory, model_factory, seed=5, runner=run_reference
+    )
     assert run.delivered == reference.delivered
     assert run.remaining == reference.remaining
     assert run.slots_used == reference.slots_used
     assert run.history == reference.history
+    assert gen.bit_generator.state == gen_ref.bit_generator.state
 
 
 @pytest.mark.parametrize("sched_name", ["mac-backoff", "round-robin"])
 def test_mac_only_schedulers_unaffected_by_reference_mode(sched_name):
-    """The MAC-specialised schedulers bypass the kernel; reference mode
-    must be a no-op for them."""
+    """The MAC-specialised schedulers bypass the fused loop; reference
+    mode must be a no-op for them."""
     factory = {
         "mac-backoff": lambda: MacBackoffScheduler(),
         "round-robin": lambda: RoundRobinScheduler(),
     }[sched_name]
     model_factory = MODEL_FACTORIES["mac"]
-    vectorized = _run_once(factory, model_factory, seed=9)
+    vectorized, _ = _run_once(factory, model_factory, seed=9)
     with scalar_reference():
-        reference = _run_once(factory, model_factory, seed=9)
+        reference, _ = _run_once(factory, model_factory, seed=9)
     assert vectorized.delivered == reference.delivered
     assert vectorized.remaining == reference.remaining
     assert vectorized.slots_used == reference.slots_used

@@ -6,15 +6,14 @@ backend × scheduler × model) with the machinery-level contracts:
 * chunk-pre-drawn uniforms equal per-slot draws for arbitrary
   take/chunk interleavings, and the generator lands on the exact
   per-slot stream position afterwards (hypothesis sweep);
-* backend resolution — auto detection, silent numba fallback, the
-  scalar reference winning ties, per-cell backend pinning in sharded
-  sweeps;
-* the kernel's shared idle mask is an *enforced* read-only view;
+* backend resolution — ``auto``, retired lane names, the scalar
+  reference winning ties, per-cell backend pinning in sharded sweeps;
+* the single-hop policy's shared transmit mask is an *enforced*
+  read-only view;
 * ``LazySlotHistory`` behaves like the eager ``List[SlotRecord]`` it
   replaced (equality, concatenation, merge, feasibility consumers);
-* the compiled backend's wrapper (chunk splicing, borderline slots,
-  history growth) replays the scalar reference even when numba is
-  absent and the driver runs interpreted.
+* threshold-boundary instances and protocol-shaped generator sharing
+  replay the per-slot transcriptions in ``reference_loops``.
 """
 
 from __future__ import annotations
@@ -27,35 +26,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.interference.builders import node_constraint_conflicts
-from repro.interference.conflict import ConflictGraphModel
 from repro.interference.matrix_model import AffectanceThresholdModel
-from repro.network.topology import grid_network, mac_network
+from repro.network.topology import mac_network
 from repro.staticsched import (
     DecayScheduler,
-    FkvScheduler,
-    HmScheduler,
     KvScheduler,
     SingleHopScheduler,
 )
-from repro.staticsched import _runloop_numba
 from repro.staticsched.base import LazySlotHistory, RunResult, SlotRecord
-from repro.staticsched.kernel import make_run_state, scalar_reference
 from repro.staticsched.runloop import (
     BACKENDS,
     ChunkedUniforms,
-    DecayPolicy,
-    FkvPolicy,
-    HmPolicy,
-    KvPolicy,
     SingleHopPolicy,
     available_backends,
     default_backend,
-    numba_available,
     resolve_backend,
+    scalar_reference,
     set_default_backend,
     use_backend,
 )
+from reference_loops import run_reference
 
 
 def _random_weights(m: int, seed: int, scale: float = 0.35) -> np.ndarray:
@@ -126,18 +116,21 @@ def test_chunked_uniforms_shared_generator_across_runs():
 
 
 def test_backend_registry_names():
-    assert BACKENDS == ("auto", "numpy", "numba", "scalar")
-    concrete = available_backends()
-    assert "numpy" in concrete and "kernel" in concrete
-    assert ("numba" in concrete) == numba_available()
+    assert BACKENDS == ("auto", "numpy", "scalar")
+    assert available_backends() == ("scalar", "numpy")
 
 
-def test_resolve_auto_and_numba_fallback():
-    assert resolve_backend("auto") in ("numpy", "numba")
-    if not numba_available():
-        # Absent numba falls back silently, never errors.
-        assert resolve_backend("numba") == "numpy"
-        assert resolve_backend("auto") == "numpy"
+@pytest.mark.parametrize("name", ["numba", "kernel"])
+def test_retired_backends_rejected(name):
+    """The removed lanes fail loudly, naming themselves as retired."""
+    assert resolve_backend("auto") == "numpy"
+    with pytest.raises(ConfigurationError, match="retired"):
+        resolve_backend(name)
+    with pytest.raises(ConfigurationError, match="retired"):
+        set_default_backend(name)
+    with pytest.raises(ConfigurationError, match="retired"):
+        with use_backend(name):
+            pass
 
 
 def test_unknown_backend_rejected():
@@ -148,16 +141,20 @@ def test_unknown_backend_rejected():
     with pytest.raises(ConfigurationError):
         with use_backend("fortran"):
             pass
+    # The scalar short-circuit must not swallow the validation.
+    with scalar_reference():
+        with pytest.raises(ConfigurationError):
+            resolve_backend("fortran")
 
 
 def test_use_backend_nests_and_restores():
     assert default_backend() == "auto"
-    with use_backend("kernel"):
-        assert resolve_backend() == "kernel"
-        with use_backend("numpy"):
-            assert resolve_backend() == "numpy"
-        assert resolve_backend() == "kernel"
-    assert resolve_backend() in ("numpy", "numba")
+    with use_backend("numpy"):
+        assert resolve_backend() == "numpy"
+        with use_backend("scalar"):
+            assert resolve_backend() == "scalar"
+        assert resolve_backend() == "numpy"
+    assert resolve_backend() == "numpy"
 
 
 def test_scalar_reference_wins_ties():
@@ -167,14 +164,14 @@ def test_scalar_reference_wins_ties():
         assert resolve_backend() == "scalar"
         with use_backend("numpy"):
             assert resolve_backend() == "scalar"
-        assert resolve_backend("kernel") == "scalar"
+        assert resolve_backend("numpy") == "scalar"
     assert resolve_backend() != "scalar"
 
 
 def test_set_default_backend_round_trip():
     try:
-        set_default_backend("kernel")
-        assert resolve_backend() == "kernel"
+        set_default_backend("scalar")
+        assert resolve_backend() == "scalar"
     finally:
         set_default_backend("auto")
 
@@ -184,21 +181,23 @@ def test_set_default_backend_round_trip():
 # ----------------------------------------------------------------------
 
 
-def test_kernel_idle_mask_is_read_only():
-    """The kernel's reused no-success mask is an enforced invariant:
-    writing through it raises instead of corrupting later slots."""
+def test_single_hop_mask_is_read_only():
+    """The single-hop policy hands out views of one shared all-transmit
+    mask; writing through one raises instead of corrupting later
+    slots, before and after compaction."""
     model = _affectance_model()
-    kernel, _, _, _ = make_run_state(model, [0, 1, 2], record_history=False)
-    idle = kernel.transmit(np.zeros(kernel.size, dtype=bool))
-    assert not idle.any()
+    busy = np.arange(4)
+    policy = SingleHopPolicy()
+    policy.bind(model, [0, 1, 2, 3], busy, np.ones(4, dtype=np.int64))
+    mask, att_idx = policy.attempt(None, None)
+    assert mask.all() and att_idx.tolist() == [0, 1, 2, 3]
     with pytest.raises(ValueError):
-        idle[0] = True
-    # Compaction rebuilds the mask; the fresh one is read-only too.
-    kernel.transmit(np.ones(kernel.size, dtype=bool))
-    if kernel.last_keep is not None:
-        idle2 = kernel.transmit(np.zeros(kernel.size, dtype=bool))
-        with pytest.raises(ValueError):
-            idle2[0] = True
+        mask[0] = False
+    policy.compact(np.array([True, False, True, True]))
+    mask, att_idx = policy.attempt(None, None)
+    assert mask.size == 3 and att_idx.tolist() == [0, 1, 2]
+    with pytest.raises(ValueError):
+        mask[0] = False
 
 
 # ----------------------------------------------------------------------
@@ -242,7 +241,7 @@ def test_lazy_history_list_compatibility():
 
 def test_lazy_history_merge_after():
     a = _kv_history("numpy", seed=5)
-    b = _kv_history("kernel", seed=9)
+    b = _kv_history("scalar", seed=9)
     merged = a.merge_after(
         RunResult(
             delivered=b.delivered,
@@ -255,7 +254,7 @@ def test_lazy_history_merge_after():
     assert merged.slots_used == a.slots_used + b.slots_used
 
 
-@pytest.mark.parametrize("backend", ["kernel", "numpy"])
+@pytest.mark.parametrize("backend", ["scalar", "numpy"])
 def test_history_feasibility_consumers(backend):
     """The schedule-feasibility pattern used across the test suite —
     re-checking every recorded slot against the model's predicate —
@@ -291,9 +290,7 @@ def _boundary_model(m: int = 6, threshold: float = 1.0):
     )
 
 
-@pytest.mark.parametrize("backend", [
-    name for name in available_backends() if name != "scalar"
-])
+@pytest.mark.parametrize("backend", available_backends())
 @pytest.mark.parametrize("sched_factory", [
     lambda: KvScheduler(initial_probability=0.6),
     lambda: SingleHopScheduler(),
@@ -305,11 +302,10 @@ def test_threshold_boundary_parity(backend, sched_factory):
             _boundary_model(), requests, 200,
             rng=np.random.default_rng(3), record_history=True,
         )
-    with scalar_reference():
-        reference = sched_factory().run(
-            _boundary_model(), requests, 200,
-            rng=np.random.default_rng(3), record_history=True,
-        )
+    reference = run_reference(
+        sched_factory(), _boundary_model(), requests, 200,
+        rng=np.random.default_rng(3), record_history=True,
+    )
     assert run.delivered == reference.delivered
     assert run.remaining == reference.remaining
     assert run.history == reference.history
@@ -320,9 +316,7 @@ def test_threshold_boundary_parity(backend, sched_factory):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", [
-    name for name in available_backends() if name != "scalar"
-])
+@pytest.mark.parametrize("backend", available_backends())
 def test_generator_state_matches_reference_after_runs(backend):
     """Back-to-back runs sharing one generator (the dynamic protocol's
     exact pattern) leave the stream where the reference leaves it."""
@@ -333,10 +327,9 @@ def test_generator_state_matches_reference_after_runs(backend):
     second = list(rng.integers(0, model.num_links, size=9))
 
     gen_ref = np.random.default_rng(13)
-    with scalar_reference():
-        ref_a = KvScheduler().run(model, requests, 90, rng=gen_ref)
-        ref_mid = gen_ref.random()
-        ref_b = DecayScheduler().run(model, second, 50, rng=gen_ref)
+    ref_a = run_reference(KvScheduler(), model, requests, 90, rng=gen_ref)
+    ref_mid = gen_ref.random()
+    ref_b = run_reference(DecayScheduler(), model, second, 50, rng=gen_ref)
 
     gen = np.random.default_rng(13)
     with use_backend(backend):
@@ -347,115 +340,6 @@ def test_generator_state_matches_reference_after_runs(backend):
     assert got_mid == ref_mid
     assert got_b.delivered == ref_b.delivered
     assert gen.bit_generator.state == gen_ref.bit_generator.state
-
-
-# ----------------------------------------------------------------------
-# The compiled backend's wrapper, exercised without numba
-# ----------------------------------------------------------------------
-
-
-_COMPILED_POLICIES = {
-    "kv": (
-        KvScheduler,
-        lambda s: KvPolicy(s._p0, s._p_min, s._backoff, s._recovery_slots),
-    ),
-    "decay": (
-        DecayScheduler,
-        lambda s: DecayPolicy(s._probability_scale, s._measure_floor),
-    ),
-    "fkv": (
-        FkvScheduler,
-        lambda s: FkvPolicy(s._probability_scale, s._phase_scale),
-    ),
-    "hm": (HmScheduler, lambda s: HmPolicy(s._chi)),
-    "single-hop": (SingleHopScheduler, lambda s: SingleHopPolicy()),
-}
-
-
-def _conflict_model():
-    net = grid_network(3, 3)
-    return ConflictGraphModel(net, node_constraint_conflicts(net))
-
-
-@pytest.mark.parametrize("model_factory", [_affectance_model,
-                                           _conflict_model],
-                         ids=["affectance", "conflict"])
-@pytest.mark.parametrize("sched_name", sorted(_COMPILED_POLICIES))
-@pytest.mark.parametrize("record_history", [False, True],
-                         ids=["plain", "history"])
-def test_compiled_wrapper_replays_reference(
-    sched_name, model_factory, record_history
-):
-    """``run_compiled`` is driven through its full re-entry protocol
-    (chunk refills, borderline slots, history growth) and must replay
-    the scalar reference — with numba absent the driver runs
-    interpreted, so this covers the wrapper logic in every lane."""
-    sched_cls, policy_factory = _COMPILED_POLICIES[sched_name]
-    model = model_factory()
-    scheduler = sched_cls()
-    rng = np.random.default_rng(5)
-    requests = list(rng.integers(0, model.num_links, size=25))
-    measure = model.interference_measure(requests)
-    budget = min(scheduler.budget_for(measure, len(requests)), 300)
-
-    gen_ref = np.random.default_rng(6)
-    with scalar_reference():
-        reference = sched_cls().run(
-            model_factory(), requests, budget,
-            rng=gen_ref, record_history=record_history,
-        )
-    gen = np.random.default_rng(6)
-    got = _runloop_numba.run_compiled(
-        policy_factory(scheduler), model, requests, budget, gen,
-        record_history,
-    )
-    assert got.delivered == reference.delivered
-    assert got.remaining == reference.remaining
-    assert got.slots_used == reference.slots_used
-    if record_history:
-        assert got.history == reference.history
-    assert gen.bit_generator.state == gen_ref.bit_generator.state
-
-
-def test_compiled_supported_matrix():
-    """The compiled set is exactly {kv, decay, fkv, hm, single-hop} ×
-    {affectance, conflict, sinr} — hm additionally gated on the
-    pairwise self-check — and empty without numba (the sinr column has
-    its own suite in test_compiled_sinr.py)."""
-    kv = KvPolicy(0.125, 1e-4, 0.5, 8)
-    aff = _affectance_model()
-    assert _runloop_numba.supported(kv, aff) == numba_available()
-    assert _runloop_numba.supported(HmPolicy(0.25), aff) == (
-        numba_available() and _runloop_numba._pairwise_self_check()
-    )
-    from repro.interference.mac import MultipleAccessChannel
-
-    assert not _runloop_numba.supported(
-        kv, MultipleAccessChannel(mac_network(4))
-    )
-
-
-def test_pairwise_sum_replays_numpy_reduce():
-    """``_pairwise_sum`` must equal ``np.add.reduce`` bit for bit on
-    every size class of the algorithm (sequential, one block, blocked
-    with tail, recursive splits) under adversarial magnitude spreads —
-    the property that admits HM to the compiled lane."""
-    rng = np.random.default_rng(97)
-    for n in (0, 1, 2, 7, 8, 9, 15, 16, 17, 64, 127, 128, 129,
-              255, 256, 500, 1024, 4097):
-        for _ in range(3):
-            a = rng.random(n) * 10.0 ** rng.integers(-15, 15, size=n)
-            a *= np.where(rng.random(n) < 0.5, -1.0, 1.0)
-            assert _runloop_numba._pairwise_sum(a, 0, n) == np.add.reduce(a)
-    # Offset starts (the driver sums scratch prefixes, always lo=0,
-    # but the contract should hold for any window).
-    a = rng.random(300) * 10.0 ** rng.integers(-12, 12, size=300)
-    for lo, n in ((0, 300), (3, 128), (10, 9), (200, 100)):
-        assert (
-            _runloop_numba._pairwise_sum(a, lo, n)
-            == np.add.reduce(a[lo:lo + n])
-        )
-    assert _runloop_numba._pairwise_self_check()
 
 
 # ----------------------------------------------------------------------
@@ -476,19 +360,19 @@ def test_cellspec_backend_pins_and_pickles():
     clone = pickle.loads(pickle.dumps(specs[0]))
     assert clone.backend == "numpy"
 
-    kernel_specs = [
+    scalar_specs = [
         CellSpec(
             rate=s.rate, seed=s.seed, frames=s.frames,
             rate_index=s.rate_index, pair=s.pair,
-            requires=s.requires, backend="kernel",
+            requires=s.requires, backend="scalar",
         )
         for s in specs
     ]
     fused = SerialExecutor().map(specs)
-    kernel = SerialExecutor().map(kernel_specs)
+    scalar = SerialExecutor().map(scalar_specs)
     # Backends are bit-identical, so pinning different backends per
     # cell cannot change any record.
-    for a, b in zip(fused, kernel):
+    for a, b in zip(fused, scalar):
         assert a == b
 
 
