@@ -16,7 +16,6 @@ from _harness import once, print_experiment
 
 import repro
 from repro.core.frames import FrameParameters
-from repro.injection.packet import Packet
 
 
 def run_case(cleanup_enabled, frames=300):

@@ -9,7 +9,7 @@ Workloads:
 
 * ``stability-500link-kv`` — the headline: the same 500-link
   affectance instance and frame parameters as BENCH_p1, but with the
-  struct-of-arrays packet store (P2) carrying the protocol side, so
+  struct-of-arrays packet store carrying the protocol side, so
   the slot loop dominates wall-clock. Timed min-of-3; the run outcome
   (delivered ids, packets in system, failure count) must be identical
   across repetitions before any number is reported.

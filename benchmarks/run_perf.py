@@ -42,17 +42,6 @@ def _run_p1(quick: bool, out_dir: Path) -> dict:
     )
 
 
-def _run_p2(quick: bool, out_dir: Path) -> dict:
-    import bench_p2_packet_store
-
-    frames = 4 if quick else bench_p2_packet_store.FRAMES
-    return bench_p2_packet_store.run_experiment(
-        frames=frames,
-        out_path=out_dir / "BENCH_p2.json",
-        tags={"quick_mode": bool(quick)},
-    )
-
-
 def _run_p3(quick: bool, out_dir: Path) -> dict:
     import bench_p3_sharded_sweep
 
@@ -173,9 +162,9 @@ def _run_p9(quick: bool, out_dir: Path) -> dict:
 
 #: Registry of perf benches: id -> (runner(quick, out_dir) -> payload,
 #: headline-speedup floor or None). The floor is per-bench: P1's
-#: acceptance criterion is >= 3x, P2's is >= 2x; future benches
-#: declare their own. P3's 2x-at-4-workers floor needs real cores, so
-#: it is enforced CPU-conditionally by its pytest wrapper, not here.
+#: acceptance criterion is >= 3x; future benches declare their own.
+#: P3's 2x-at-4-workers floor needs real cores, so it is enforced
+#: CPU-conditionally by its pytest wrapper, not here.
 #: P4 records fused-loop throughput with no speedup headline; its
 #: history-overhead ceiling is enforced by the pytest wrapper.
 #: P5 (the scenario fleet) is CPU-conditional like P3.
@@ -195,7 +184,6 @@ def _run_p9(quick: bool, out_dir: Path) -> dict:
 #: container must deliver it (parity is asserted inside the bench).
 PERF_BENCHES = {
     "p1": (_run_p1, 3.0),
-    "p2": (_run_p2, 2.0),
     "p3": (_run_p3, None),
     "p4": (_run_p4, None),
     "p5": (_run_p5, None),

@@ -101,7 +101,6 @@ from repro.injection import (
     BurstyAdversary,
     InjectionProcess,
     MarkovModulatedInjection,
-    Packet,
     PacketSequence,
     PacketStore,
     PacketView,
@@ -250,7 +249,6 @@ __all__ = [
     "fading_budget_factor",
     "worst_singleton_success",
     # injection
-    "Packet",
     "PacketStore",
     "PacketView",
     "PacketSequence",

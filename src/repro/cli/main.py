@@ -549,8 +549,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         num_generators=args.generators,
         rng=args.seed + 1000,
     )
-    # Store mode: the protocol shares the injection's PacketStore, so
-    # the engine feeds index arrays (bit-identical to the object path).
     protocol = repro.DynamicProtocol(
         scenario.model,
         scenario.algorithm,

@@ -158,12 +158,6 @@ EXPERIMENTS: List[ExperimentEntry] = [
         "bench_p1_slot_kernel.py",
     ),
     ExperimentEntry(
-        "P2", "Performance",
-        "struct-of-arrays packet layer: >= 2x frames/sec over the "
-        "object-per-packet protocol path on a 1520-link grid",
-        "bench_p2_packet_store.py",
-    ),
-    ExperimentEntry(
         "P3", "Performance",
         "sharded sweep executor: process-parallel (rate, seed) cells, "
         "record-identical to serial; >= 2x throughput at 4 workers",
@@ -323,9 +317,8 @@ def compare_contender(
     t_scale: float = 0.001,
 ):
     """One ``compare`` cell: a contender on the shared linear-power SINR
-    network, store-mode protocol sharing the injection's PacketStore
-    (which is why this is a pair builder — the two must be built
-    together)."""
+    network, the protocol sharing the injection's PacketStore (which
+    is why this is a pair builder — the two are built together)."""
     net = random_sinr_network(nodes, rng=seed)
     model = linear_power_model(net, alpha=3.0, beta=1.0, noise=0.02)
     routing = build_routing_table(net)

@@ -24,15 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.core.frames import FrameParameters, compute_frame_parameters, epsilon_for_rate
 from repro.core.protocol import DynamicProtocol, FrameReport
 from repro.errors import ConfigurationError
-from repro.injection.packet import Packet
-from repro.injection.store import PacketStore
+from repro.injection.store import PacketSequence, PacketStore
 from repro.interference.base import InterferenceModel
 from repro.sim.trace import EventKind, Tracer
 from repro.staticsched.base import StaticAlgorithm
@@ -68,8 +67,9 @@ class ShiftedDynamicProtocol:
         the inner protocol's packet lifecycle.
     store:
         Optional :class:`~repro.injection.store.PacketStore`; forwarded
-        to the inner protocol. In store mode ``run_frame`` takes store
-        indices and the held buffers hold int indices.
+        to the inner protocol (``None``: bound by
+        :class:`~repro.sim.engine.FrameSimulation`). ``run_frame``
+        takes store indices and the held buffers hold int indices.
     """
 
     def __init__(
@@ -111,7 +111,6 @@ class ShiftedDynamicProtocol:
             tracer=tracer,
             store=store,
         )
-        self._store = store
         self._tracer = tracer
         depth = model.network.max_path_length
         window_frames = max(1, math.ceil(window / self._inner.frame_length))
@@ -121,7 +120,7 @@ class ShiftedDynamicProtocol:
             raise ConfigurationError(f"delta_max must be >= 1, got {delta_max}")
         self._delta_max = int(delta_max)
         self._shift_enabled = bool(shift_enabled)
-        self._held: Dict[int, List[Packet]] = {}
+        self._held: Dict[int, List[int]] = {}
         self._epsilon = eps
 
     # ------------------------------------------------------------------
@@ -133,8 +132,13 @@ class ShiftedDynamicProtocol:
 
     @property
     def store(self) -> Optional[PacketStore]:
-        """The packet store (``None`` in object mode)."""
-        return self._store
+        """The inner protocol's packet store (``None`` until bound)."""
+        return self._inner.store
+
+    def bind_store(self, store: PacketStore) -> None:
+        """Bind the inner protocol to ``store`` (see
+        :meth:`DynamicProtocol.bind_store`)."""
+        self._inner.bind_store(store)
 
     @property
     def delta_max(self) -> int:
@@ -156,7 +160,7 @@ class ShiftedDynamicProtocol:
         return self.held_count + self._inner.packets_in_system
 
     @property
-    def delivered(self) -> Sequence[Packet]:
+    def delivered(self) -> PacketSequence:
         return self._inner.delivered
 
     @property
@@ -170,40 +174,28 @@ class ShiftedDynamicProtocol:
         """
         return self._inner.delivered_total
 
-    def run_frame(self, injected: Sequence[Packet]) -> FrameReport:
+    def run_frame(self, injected) -> FrameReport:
         """Delay-shift the new packets, release the due ones, run a frame.
 
-        One body serves both modes — object mode holds Packet-like
-        objects, store mode holds int indices — so the shift semantics
-        (and the per-packet scalar ``integers`` draws the parity
-        contract depends on) cannot drift apart.
+        ``injected`` holds store indices (as for
+        :meth:`DynamicProtocol.run_frame`). Each packet draws its delay
+        with one scalar ``integers`` call, in injection order.
         """
-        store_mode = self._store is not None
+        self._inner._require_store()
         frame = self._inner.frame_index
-        if store_mode:
-            items = self._inner._coerce_indices(injected).tolist()
-        else:
-            items = injected
-        for item in items:
+        for index in self._inner._coerce_indices(injected).tolist():
             if self._shift_enabled:
                 delay = int(self._rng.integers(self._delta_max))
             else:
                 delay = 0
-            release = frame + delay
-            self._held.setdefault(release, []).append(item)
+            self._held.setdefault(frame + delay, []).append(index)
             if self._tracer is not None and delay > 0:
-                self._tracer.record(
-                    frame, EventKind.HELD, item if store_mode else item.id
-                )
+                self._tracer.record(frame, EventKind.HELD, index)
         due = self._held.pop(frame, [])
         if self._tracer is not None:
-            for item in due:
-                self._tracer.record(
-                    frame, EventKind.RELEASED, item if store_mode else item.id
-                )
-        if store_mode:
-            return self._inner.run_frame(np.asarray(due, dtype=np.int64))
-        return self._inner.run_frame(due)
+            for index in due:
+                self._tracer.record(frame, EventKind.RELEASED, index)
+        return self._inner.run_frame(np.asarray(due, dtype=np.int64))
 
 
 __all__ = ["ShiftedDynamicProtocol"]

@@ -12,10 +12,9 @@ drift is negative below capacity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.errors import SchedulingError
-from repro.injection.packet import Packet
 
 
 @dataclass
@@ -27,17 +26,9 @@ class PotentialTracker:
     total_failures: int = 0
     total_cleanup_hops: int = 0
 
-    def on_failure(self, packet: Packet) -> None:
-        """A packet just failed: its remaining hops enter the potential."""
-        if packet.remaining_hops <= 0:
-            raise SchedulingError(
-                f"packet {packet.id} failed with no remaining hops"
-            )
-        self.value += packet.remaining_hops
-        self.total_failures += 1
-
     def on_failures(self, total_remaining: int, count: int) -> None:
-        """Bulk :meth:`on_failure` for the store-mode protocol.
+        """``count`` packets just failed: their remaining hops enter the
+        potential.
 
         The caller has already verified every failed packet has
         remaining hops; ``total_remaining`` is their sum.
@@ -45,11 +36,8 @@ class PotentialTracker:
         self.value += int(total_remaining)
         self.total_failures += int(count)
 
-    def on_cleanup_hop(self, packet: Optional[Packet] = None) -> None:
-        """A clean-up transmission succeeded: one hop leaves the potential.
-
-        ``packet`` is accepted for API compatibility but unused.
-        """
+    def on_cleanup_hop(self) -> None:
+        """A clean-up transmission succeeded: one hop leaves the potential."""
         if self.value <= 0:
             raise SchedulingError("potential under-flow: cleanup hop at Phi=0")
         self.value -= 1

@@ -27,28 +27,22 @@ properties of this loop; the benchmarks validate both empirically. The
 packets simply retry in later phase-1 executions), demonstrating why
 the two-phase design exists.
 
-Two bookkeeping modes share the frame logic:
-
-* **Object mode** (default) — ``run_frame`` takes
-  :class:`~repro.injection.packet.Packet`-like objects and walks them
-  one by one, exactly the seed implementation.
-* **Store mode** (pass a
-  :class:`~repro.injection.store.PacketStore`) — ``run_frame`` takes
-  store *indices*; the phase-1 request vector is one CSR gather, hop
-  advancement / delivery detection / potential updates are array ops,
-  and failed buffers hold int indices. Both modes consume the RNG
-  stream identically and emit bit-identical :class:`FrameReport`
-  streams from one seed (``tests/test_store_parity.py`` pins this).
+Packet state lives in a :class:`~repro.injection.store.PacketStore`
+shared with the injection process: ``run_frame`` takes store
+*indices*, the phase-1 request vector is one CSR gather, hop
+advancement / delivery detection / potential updates are array ops,
+and failed buffers hold int indices. A protocol built without
+``store=`` is bound to its injection's store by
+:class:`~repro.sim.engine.FrameSimulation` before frame 0.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -56,7 +50,6 @@ from repro.core.frames import FrameParameters, compute_frame_parameters
 from repro.core.potential import PotentialTracker
 from repro.core.steps import AlgorithmCall, drive_steps
 from repro.errors import ConfigurationError, SchedulingError
-from repro.injection.packet import Packet
 from repro.injection.store import PacketSequence, PacketStore, PacketView
 from repro.interference.base import InterferenceModel
 from repro.sim.trace import EventKind, Tracer
@@ -111,12 +104,12 @@ class DynamicProtocol:
         protocol emits per-packet events (activation, hops, failures,
         clean-up, delivery). ``None`` (default) skips all tracing work.
     store:
-        Optional :class:`~repro.injection.store.PacketStore`. When
-        given the protocol runs in store mode: ``run_frame`` accepts
-        index arrays (typically straight from an injection process
-        sharing the store) and all per-packet bookkeeping is
-        vectorized. ``delivered`` then returns a lazy
-        :class:`~repro.injection.store.PacketSequence`.
+        The :class:`~repro.injection.store.PacketStore` the injection
+        process allocates into; ``run_frame`` takes indices into it.
+        ``None`` means "not given":
+        :class:`~repro.sim.engine.FrameSimulation` binds the
+        injection's store before frame 0, and ``run_frame`` on a
+        protocol that is still unbound raises.
     """
 
     def __init__(
@@ -153,13 +146,10 @@ class DynamicProtocol:
         self._store = store
 
         self._frame_index = 0
-        # Object mode: Packet-like objects. Store mode: the active set
-        # is an id-ordered int64 index array, failed buffers hold int
-        # indices, and delivery is a growing index list.
-        self._active: List[Packet] = []
+        # The active set is an int64 index array, failed buffers hold
+        # int indices, and delivery is a growing index list.
         self._active_idx = np.empty(0, dtype=np.int64)
-        self._failed_buffers: Dict[int, Deque] = {}
-        self._delivered: List[Packet] = []
+        self._failed_buffers: Dict[int, Deque[int]] = {}
         self._delivered_ids: List[int] = []
         # Summarize-and-release bookkeeping (streaming metrics): count
         # of delivered packets already handed out via take_delivered,
@@ -187,15 +177,39 @@ class DynamicProtocol:
 
     @property
     def store(self) -> Optional[PacketStore]:
-        """The packet store (``None`` in object mode)."""
+        """The packet store (``None`` until one is bound)."""
+        return self._store
+
+    def bind_store(self, store: PacketStore) -> None:
+        """Adopt ``store`` — the injection's — when built without one.
+
+        :class:`~repro.sim.engine.FrameSimulation` calls this before
+        frame 0. A protocol already holding a different store refuses:
+        fed by that injection it would crash — or worse, reinterpret
+        foreign packets — on the first non-empty frame.
+        """
+        if self._store is not None and self._store is not store:
+            raise ConfigurationError(
+                "protocol holds a PacketStore the injection process "
+                "does not share; pass store=injection.store when "
+                "building the protocol, or leave store= out"
+            )
+        self._store = store
+
+    def _require_store(self) -> PacketStore:
+        """The bound store; raises when there is none yet."""
+        if self._store is None:
+            raise ConfigurationError(
+                "protocol has no PacketStore: pass store= (the injection "
+                "process's store), or run it through FrameSimulation, "
+                "which binds one"
+            )
         return self._store
 
     @property
     def active_count(self) -> int:
         """Never-failed packets currently in flight."""
-        if self._store is not None:
-            return int(self._active_idx.size)
-        return len(self._active)
+        return int(self._active_idx.size)
 
     @property
     def failed_count(self) -> int:
@@ -208,15 +222,10 @@ class DynamicProtocol:
         return self.active_count + self.failed_count
 
     @property
-    def delivered(self) -> Sequence[Packet]:
-        """Delivered packets (shared container; treat as read-only).
-
-        A plain list in object mode; a lazy
-        :class:`~repro.injection.store.PacketSequence` in store mode.
-        """
-        if self._store is not None:
-            return PacketSequence(self._store, self._delivered_ids)
-        return self._delivered
+    def delivered(self) -> PacketSequence:
+        """Delivered packets, as a lazy
+        :class:`~repro.injection.store.PacketSequence` (read-only)."""
+        return PacketSequence(self._store, self._delivered_ids)
 
     @property
     def delivered_total(self) -> int:
@@ -226,24 +235,17 @@ class DynamicProtocol:
         Equals ``len(self.delivered)`` unless a streaming-metrics
         engine has been releasing delivered packets.
         """
-        if self._store is not None:
-            return self._released_delivered + len(self._delivered_ids)
-        return self._released_delivered + len(self._delivered)
+        return self._released_delivered + len(self._delivered_ids)
 
     def take_delivered(self) -> np.ndarray:
         """Hand out (and forget) the pending delivered packet indices.
 
-        Store mode only. The caller is expected to fold the packets'
+        The caller is expected to fold the packets'
         latency statistics into a bounded summary; afterwards
         :meth:`compact_store` may reclaim their store rows.
         ``delivered_total`` keeps counting them; ``delivered`` no
         longer contains them.
         """
-        if self._store is None:
-            raise ConfigurationError(
-                "take_delivered requires store mode; object-mode "
-                "protocols keep their delivered list"
-            )
         indices = np.asarray(self._delivered_ids, dtype=np.int64)
         self._delivered_ids = []
         self._released_delivered += int(indices.size)
@@ -263,10 +265,6 @@ class DynamicProtocol:
         one. No-op when nothing was released, or when a tracer is
         attached (trace events refer to packets by store index).
         """
-        if self._store is None:
-            raise ConfigurationError(
-                "compact_store requires store mode"
-            )
         if self._tracer is not None or self._pending_reclaim == 0:
             return
         parts = [self._active_idx]
@@ -310,24 +308,17 @@ class DynamicProtocol:
         return self._algorithm
 
     # ------------------------------------------------------------------
-    # Checkpoint support (store mode only)
+    # Checkpoint support
     # ------------------------------------------------------------------
 
     def state_dict(self, copy: bool = True) -> dict:
         """Snapshot of all mutable protocol state at a frame boundary.
 
-        Only store mode is checkpointable — object mode holds live
-        ``Packet`` objects whose identity cannot be reconstructed from
-        arrays. Failed buffers are flattened CSR-style (sorted link ids,
+        Failed buffers are flattened CSR-style (sorted link ids,
         offsets, concatenated FIFO contents) so the whole snapshot is
         arrays plus plain scalars. ``copy=False`` lets the snapshot
         alias live arrays (serialize it before the protocol runs again).
         """
-        if self._store is None:
-            raise ConfigurationError(
-                "checkpointing requires store mode; object-mode protocols "
-                "hold live Packet objects and cannot be snapshotted"
-            )
         buffers = sorted(
             (link, buffer)
             for link, buffer in self._failed_buffers.items()
@@ -370,11 +361,6 @@ class DynamicProtocol:
         """
         from repro.utils.rng import restore_generator_state
 
-        if self._store is None:
-            raise ConfigurationError(
-                "checkpointing requires store mode; object-mode protocols "
-                "cannot restore snapshots"
-            )
         try:
             frame_index = int(state["frame_index"])
             active_idx = np.asarray(state["active_idx"], dtype=np.int64)
@@ -410,7 +396,6 @@ class DynamicProtocol:
             for k, link in enumerate(links)
         }
         self._delivered_ids = [int(p) for p in delivered]
-        self._delivered = []
         self._released_delivered = released
         # Compaction is a memory optimisation with no physics effect;
         # the next release cycle reclaims whatever is pending.
@@ -421,112 +406,43 @@ class DynamicProtocol:
     # The frame loop
     # ------------------------------------------------------------------
 
-    def run_frame(
-        self, injected: Union[Sequence[Packet], np.ndarray]
-    ) -> FrameReport:
+    def run_frame(self, injected) -> FrameReport:
         """Execute one frame; ``injected`` arrived during this frame.
 
-        Object mode takes Packet-like objects; store mode takes store
-        indices (an int array, or views over the protocol's store).
+        ``injected`` holds store indices: an integer array, a list of
+        ints, or views over the protocol's store.
         """
-        if self._store is not None:
-            return drive_steps(self._run_frame_store_steps(injected))
-        frame = self._frame_index
-        frame_end_slot = (frame + 1) * self._params.frame_length
-
-        phase1_hops, newly_failed = self._phase1(frame, frame_end_slot)
-        if self._cleanup_enabled:
-            offered, cleanup_hops = self._cleanup(frame, frame_end_slot)
-        else:
-            offered, cleanup_hops = 0, 0
-
-        # Packets injected during this frame activate at the next boundary.
-        for packet in injected:
-            self._validate_packet(packet)
-            self._active.append(packet)
-            if self._tracer is not None:
-                self._tracer.record(
-                    frame, EventKind.ACTIVATED, packet.id, packet.current_link
-                )
-
-        self.potential.sample()
-        self._frame_index += 1
-        return FrameReport(
-            frame=frame,
-            injected=len(injected),
-            phase1_requests=phase1_hops + newly_failed,
-            phase1_hops=phase1_hops,
-            newly_failed=newly_failed,
-            cleanup_offered=offered,
-            cleanup_hops=cleanup_hops,
-            delivered_packets=self._released_delivered + len(self._delivered),
-            active_in_system=self.active_count,
-            failed_in_system=self.failed_count,
-            potential=self.potential.value,
-        )
-
-    # ------------------------------------------------------------------
-    # Store mode: index-array bookkeeping
-    # ------------------------------------------------------------------
-
-    def _coerce_indices(self, injected) -> np.ndarray:
-        if isinstance(injected, np.ndarray):
-            indices = injected.astype(np.int64, copy=False)
-        elif len(injected) == 0:
-            return np.empty(0, dtype=np.int64)
-        elif isinstance(injected[0], PacketView):
-            for packet in injected:
-                if packet.store is not self._store:
-                    raise SchedulingError(
-                        f"packet {packet.id} belongs to a different "
-                        "PacketStore than the protocol's"
-                    )
-            indices = np.asarray([p.index for p in injected], dtype=np.int64)
-        else:
-            indices = np.asarray(injected, dtype=np.int64)
-        if indices.size and (
-            int(indices.min()) < 0 or int(indices.max()) >= len(self._store)
-        ):
-            raise SchedulingError(
-                "injected indices fall outside the protocol's PacketStore "
-                f"(size {len(self._store)})"
-            )
-        return indices
+        return drive_steps(self.run_frame_steps(injected))
 
     def run_frame_steps(self, injected):
         """Generator form of :meth:`run_frame` (see :mod:`repro.core.steps`).
 
-        Store mode yields the frame's algorithm invocations (phase 1,
-        then — after the clean-up lottery draws — the clean-up run) as
+        Yields the frame's algorithm invocations (phase 1, then — after
+        the clean-up lottery draws — the clean-up run) as
         :class:`~repro.core.steps.AlgorithmCall` items, receiving each
         ``RunResult`` back via ``send``; the generator's return value
         is the :class:`FrameReport`. All protocol-level randomness (the
         lottery) stays in here, in the exact stream position the
-        synchronous path draws it. Object mode has no batchable calls
-        and runs the frame synchronously.
+        synchronous path draws it.
         """
-        if self._store is None:
-            # Object mode: per-packet bookkeeping, nothing to intercept.
-            return self.run_frame(injected)
-        return (yield from self._run_frame_store_steps(injected))
-
-    def _run_frame_store_steps(self, injected):
+        self._require_store()
         frame = self._frame_index
         frame_end_slot = (frame + 1) * self._params.frame_length
 
-        phase1_hops, newly_failed = yield from self._phase1_store(
+        phase1_hops, newly_failed = yield from self._phase1_steps(
             frame, frame_end_slot
         )
         if self._cleanup_enabled:
-            offered, cleanup_hops = yield from self._cleanup_store(
+            offered, cleanup_hops = yield from self._cleanup_steps(
                 frame, frame_end_slot
             )
         else:
             offered, cleanup_hops = 0, 0
 
+        # Packets injected during this frame activate at the next boundary.
         indices = self._coerce_indices(injected)
         if indices.size:
-            self._validate_store_links()
+            self._validate_links()
             if self._active_idx.size:
                 self._active_idx = np.concatenate([self._active_idx, indices])
             else:
@@ -551,15 +467,55 @@ class DynamicProtocol:
             newly_failed=newly_failed,
             cleanup_offered=offered,
             cleanup_hops=cleanup_hops,
-            delivered_packets=(
-                self._released_delivered + len(self._delivered_ids)
-            ),
+            delivered_packets=self.delivered_total,
             active_in_system=self.active_count,
             failed_in_system=self.failed_count,
             potential=self.potential.value,
         )
 
-    def _phase1_store(self, frame: int, frame_end_slot: int):
+    def _coerce_indices(self, injected) -> np.ndarray:
+        if not isinstance(injected, np.ndarray):
+            if len(injected) == 0:
+                return np.empty(0, dtype=np.int64)
+            if isinstance(injected[0], PacketView):
+                for packet in injected:
+                    if packet.store is not self._store:
+                        raise SchedulingError(
+                            f"packet {packet.id} belongs to a different "
+                            "PacketStore than the protocol's"
+                        )
+                injected = [packet.index for packet in injected]
+            injected = np.asarray(injected)
+        if injected.size and injected.dtype.kind not in "iu":
+            # A cast would truncate floats and read a boolean mask as
+            # the indices 0/1, activating packets twice.
+            raise SchedulingError(
+                "injected packets must be integer store indices, got an "
+                f"array of dtype {injected.dtype}"
+            )
+        indices = injected.astype(np.int64, copy=False)
+        if indices.size and (
+            int(indices.min()) < 0 or int(indices.max()) >= len(self._store)
+        ):
+            raise SchedulingError(
+                "injected indices fall outside the protocol's PacketStore "
+                f"(size {len(self._store)})"
+            )
+        return indices
+
+    def _validate_links(self) -> None:
+        bounds = self._store.link_id_bounds()
+        if bounds is None:
+            return
+        low, high = bounds
+        if low < 0 or high >= self._model.num_links:
+            raise SchedulingError(
+                "packet store references unknown link "
+                f"{low if low < 0 else high} (links are "
+                f"0..{self._model.num_links - 1})"
+            )
+
+    def _phase1_steps(self, frame: int, frame_end_slot: int):
         active = self._active_idx
         if active.size == 0:
             return 0, 0
@@ -596,8 +552,7 @@ class DynamicProtocol:
             # (their hop did not advance, so it is their request link).
             # File in id order: every same-frame key (frame, id) then
             # lands behind the buffer tail (frames ascend across
-            # calls), so filing is pure O(1) appends — the same order
-            # the object path's sorted insert produces. The active set
+            # calls), so filing is pure O(1) appends. The active set
             # itself is NOT id-ordered (frame batches sort by
             # (injected_at, id)), hence the explicit argsort.
             failed_links = requests[~served_mask]
@@ -624,7 +579,7 @@ class DynamicProtocol:
     def _emit_phase1_events(
         self, frame, active, requests, served_mask, served, done
     ):
-        """Per-packet trace events in the object path's order."""
+        """Per-packet trace events, in active-set order."""
         delivered_full = np.zeros(active.size, dtype=bool)
         delivered_full[np.flatnonzero(served_mask)[done]] = True
         record = self._tracer.record
@@ -638,7 +593,7 @@ class DynamicProtocol:
             else:
                 record(frame, EventKind.FAILED, index, link)
 
-    def _cleanup_store(self, frame: int, frame_end_slot: int):
+    def _cleanup_steps(self, frame: int, frame_end_slot: int):
         store = self._store
         offered: List[int] = []
         for link_id in sorted(self._failed_buffers):
@@ -660,7 +615,9 @@ class DynamicProtocol:
             self._rng,
         )
         served = [(offered[k], int(requests[k])) for k in result.delivered]
-        # Pop every served packet before any advances (see _cleanup).
+        # Pop every served packet before any advances: a packet whose
+        # next hop lands on another offered link must not displace that
+        # link's (already-served) head between its pop and ours.
         for index, link in served:
             buffer = self._failed_buffers.get(link)
             if not buffer or buffer[0] != index:
@@ -681,12 +638,19 @@ class DynamicProtocol:
                         frame, EventKind.DELIVERED, index, link
                     )
             else:
-                self._push_failed_index(index)
+                self._push_failed(index)
         return len(offered), hops
 
-    def _push_failed_index(self, index: int) -> None:
-        """Store-mode :meth:`_push_failed`: file an int index by
-        (failure frame, id), oldest first."""
+    def _push_failed(self, index: int) -> None:
+        """File a clean-up survivor in its next link's failed buffer,
+        ordered by (failure frame, id) so the head stays the
+        longest-failed packet.
+
+        The survivor keeps its *original* failure frame, so it can be
+        older than everything queued on its new link (prepend) or fall
+        among mixed failure frames (one ordered insert; ids make keys
+        unique, so the order is total).
+        """
         store = self._store
         link = store.current_link_of(index)
         buffer = self._failed_buffers.setdefault(link, deque())
@@ -701,160 +665,6 @@ class DynamicProtocol:
             buffer.appendleft(index)
         else:
             bisect.insort(buffer, index, key=key)
-
-    def _validate_store_links(self) -> None:
-        bounds = self._store.link_id_bounds()
-        if bounds is None:
-            return
-        low, high = bounds
-        if low < 0 or high >= self._model.num_links:
-            raise SchedulingError(
-                f"packet store references link {low if low < 0 else high}, "
-                f"outside 0..{self._model.num_links - 1}"
-            )
-
-    def _phase1(self, frame: int, frame_end_slot: int):
-        if not self._active:
-            return 0, 0
-        requests = [packet.current_link for packet in self._active]
-        result = self._algorithm.run(
-            self._model,
-            requests,
-            self._params.phase1_budget,
-            rng=self._rng,
-        )
-        served = set(result.delivered)
-        still_active: List[Packet] = []
-        newly_failed: List[Packet] = []
-        hops = 0
-        for index, packet in enumerate(self._active):
-            if index in served:
-                hops += 1
-                hop_link = packet.current_link
-                if self._tracer is not None:
-                    self._tracer.record(
-                        frame, EventKind.PHASE1_HOP, packet.id, hop_link
-                    )
-                if packet.advance(frame_end_slot):
-                    self._delivered.append(packet)
-                    if self._tracer is not None:
-                        self._tracer.record(
-                            frame, EventKind.DELIVERED, packet.id, hop_link
-                        )
-                else:
-                    still_active.append(packet)
-            else:
-                packet.failed = True
-                packet.failed_at_frame = frame
-                self.potential.on_failure(packet)
-                newly_failed.append(packet)
-                if self._tracer is not None:
-                    self._tracer.record(
-                        frame, EventKind.FAILED, packet.id, packet.current_link
-                    )
-        # Push in id order: every same-frame key (frame, id) then lands
-        # behind the buffer tail, so filing is pure O(1) appends — and
-        # the resulting buffer order equals the sorted-insert order.
-        newly_failed.sort(key=lambda p: p.id)
-        for packet in newly_failed:
-            self._push_failed(packet)
-        self._active = still_active
-        return hops, len(newly_failed)
-
-    def _cleanup(self, frame: int, frame_end_slot: int):
-        offered_packets: List[Packet] = []
-        for link_id in sorted(self._failed_buffers):
-            buffer = self._failed_buffers[link_id]
-            if buffer and self._rng.random() < self._cleanup_probability:
-                offered_packets.append(buffer[0])
-                if self._tracer is not None:
-                    self._tracer.record(
-                        frame,
-                        EventKind.CLEANUP_OFFERED,
-                        buffer[0].id,
-                        link_id,
-                    )
-        if not offered_packets:
-            return 0, 0
-        requests = [packet.current_link for packet in offered_packets]
-        result = self._algorithm.run(
-            self._model,
-            requests,
-            self._params.cleanup_budget,
-            rng=self._rng,
-        )
-        # Pop every served packet before any advances: a packet whose
-        # next hop lands on another offered link must not displace that
-        # link's (already-served) head between its pop and ours.
-        served_packets = [offered_packets[index] for index in result.delivered]
-        for packet in served_packets:
-            self._pop_failed(packet)
-        hops = 0
-        for packet in served_packets:
-            self.potential.on_cleanup_hop(packet)
-            hops += 1
-            hop_link = packet.current_link
-            if self._tracer is not None:
-                self._tracer.record(
-                    frame, EventKind.CLEANUP_HOP, packet.id, hop_link
-                )
-            if packet.advance(frame_end_slot):
-                self._delivered.append(packet)
-                if self._tracer is not None:
-                    self._tracer.record(
-                        frame, EventKind.DELIVERED, packet.id, hop_link
-                    )
-            else:
-                self._push_failed(packet)
-        return len(offered_packets), hops
-
-    # ------------------------------------------------------------------
-    # Failed-buffer bookkeeping (ordered by failure age, then id)
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _failure_key(packet: Packet) -> Tuple[int, int]:
-        return (packet.failed_at_frame, packet.id)
-
-    def _push_failed(self, packet: Packet) -> None:
-        """File a packet in its link's failed buffer, oldest failure first.
-
-        Phase-1 failures arrive in (frame, id) order — frames ascend
-        across calls and ``_active`` is id-ordered within a frame — so
-        the overwhelmingly common case is a plain O(1) append (the old
-        ``bisect.insort`` into a list was an O(n) append in disguise).
-        The one exception is a clean-up hop re-filing a packet under its
-        *original* failure frame into a buffer that already holds
-        younger failures; that rare case restores sorted order
-        explicitly so the head stays the longest-failed packet.
-        """
-        buffer = self._failed_buffers.setdefault(packet.current_link, deque())
-        key = self._failure_key(packet)
-        if not buffer or key > self._failure_key(buffer[-1]):
-            buffer.append(packet)
-        elif key < self._failure_key(buffer[0]):
-            # A clean-up survivor older than everything queued here.
-            buffer.appendleft(packet)
-        else:
-            # Rare interleaved age (a clean-up survivor among mixed
-            # failure frames): one ordered insert. Keys are unique (ids
-            # are), so ordering is total.
-            bisect.insort(buffer, packet, key=self._failure_key)
-
-    def _pop_failed(self, packet: Packet) -> None:
-        buffer = self._failed_buffers.get(packet.current_link)
-        if not buffer or buffer[0] is not packet:
-            raise SchedulingError(
-                f"packet {packet.id} is not at the head of its failed buffer"
-            )
-        buffer.popleft()
-
-    def _validate_packet(self, packet: Packet) -> None:
-        for link_id in packet.path:
-            if not 0 <= link_id < self._model.num_links:
-                raise SchedulingError(
-                    f"packet {packet.id} path references unknown link {link_id}"
-                )
 
 
 __all__ = ["DynamicProtocol", "FrameReport"]

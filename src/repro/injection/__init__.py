@@ -9,9 +9,10 @@
   window of ``w`` consecutive slots, the interference measure of
   everything injected is at most ``w * lambda``.
 
-Both produce :class:`~repro.injection.packet.Packet` objects carrying a
-fixed link path. :class:`~repro.injection.adversarial.WindowAudit`
-verifies the window constraint of any adversary empirically — used both
+Both allocate packets, each carrying a fixed link path, into a
+:class:`~repro.injection.store.PacketStore`.
+:class:`~repro.injection.adversarial.WindowAudit` verifies the window
+constraint of any adversary empirically — used both
 in tests and to certify hand-written adversaries before experiments.
 
 Beyond the paper, :mod:`repro.injection.markov` adds bursty-but-
@@ -20,7 +21,6 @@ arrivals) that each relax exactly one property of the stochastic model
 — controlled stress tests between the two paper models.
 """
 
-from repro.injection.packet import Packet
 from repro.injection.store import PacketSequence, PacketStore, PacketView
 from repro.injection.base import InjectionProcess
 from repro.injection.stochastic import (
@@ -44,7 +44,6 @@ from repro.injection.markov import (
 from repro.injection.rates import injection_rate_of_distribution, scale_to_rate
 
 __all__ = [
-    "Packet",
     "PacketStore",
     "PacketView",
     "PacketSequence",

@@ -34,8 +34,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, InjectionError
 from repro.injection.base import InjectionProcess
-from repro.injection.packet import Packet
-from repro.injection.store import PacketStore
+from repro.injection.store import PacketStore, PacketView
 from repro.interference.base import InterferenceModel
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -340,7 +339,7 @@ class WindowAudit:
         """Largest sliding-window measure observed so far."""
         return self._worst
 
-    def observe(self, slot: int, packets: Sequence[Packet]) -> None:
+    def observe(self, slot: int, packets: Sequence[PacketView]) -> None:
         """Record a slot's injections and check the current window."""
         links = [link for p in packets for link in p.path]
         self._recent.append(links)

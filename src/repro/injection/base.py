@@ -1,27 +1,20 @@
 """The injection-process interface.
 
-An injection process is an iterator over slots: ``packets_for_slot(t)``
-returns the packets injected in slot ``t`` (possibly empty). Processes
+An injection process is an iterator over slots: ``indices_for_slot(t)``
+returns the packets injected in slot ``t`` (possibly none). Processes
 are deterministic functions of their seed, and slots must be queried in
 increasing order (the engine does), though repeated queries for the
 same slot are allowed and cached for the adversaries that precompute
 windows.
 
 Every process emits into a :class:`~repro.injection.store.PacketStore`
-(its own by default, or a shared one passed at construction): the
-built-in processes implement :meth:`indices_for_slot`, allocating
-struct-of-arrays rows and returning store indices, and the
-``packets_for_*`` methods wrap those indices as lazy
-:class:`~repro.injection.store.PacketView` objects. The store index
-*is* the packet id — allocation order matches the old per-process
-``itertools.count`` stream exactly. The frame engine feeds index
-arrays straight to a store-mode protocol and never materialises views;
-object-mode callers see the same ``List[Packet]``-shaped API as before.
-
-Subclasses outside this package may still override
-``packets_for_slot`` directly (object mode only); the engine falls
-back to object batches whenever protocol and injection do not share a
-store.
+(its own by default, or a shared one passed at construction):
+:meth:`~InjectionProcess.indices_for_slot` allocates struct-of-arrays
+rows and returns their store indices, which *are* the packet ids. The
+frame engine feeds index arrays straight to the protocol and never
+materialises packet objects; the ``packets_for_*`` methods wrap the
+same indices as lazy :class:`~repro.injection.store.PacketView`
+objects for callers that want to inspect packets one by one.
 """
 
 from __future__ import annotations
@@ -38,24 +31,14 @@ class InjectionProcess(ABC):
     """Produces the packets injected at each slot."""
 
     def __init__(self, store: Optional[PacketStore] = None):
-        if self._is_legacy() and type(self).packets_for_slot is (
-            InjectionProcess.packets_for_slot
-        ):
-            # Neither emission hook is overridden: fail at construction
-            # (the old ABC's abstract packets_for_slot did the same).
-            raise TypeError(
-                f"{type(self).__name__} must implement indices_for_slot "
-                "or packets_for_slot"
-            )
-        self._store = store if store is not None else PacketStore()
-
-    @classmethod
-    def _is_legacy(cls) -> bool:
-        """Whether only ``packets_for_slot`` is overridden (object mode)."""
-        return (
+        cls = type(self)
+        if (
             cls.indices_for_slot is InjectionProcess.indices_for_slot
             and cls.indices_for_range is InjectionProcess.indices_for_range
-        )
+        ):
+            # No emission hook is overridden: fail at construction.
+            raise TypeError(f"{cls.__name__} must implement indices_for_slot")
+        self._store = store if store is not None else PacketStore()
 
     @property
     def store(self) -> PacketStore:
@@ -63,11 +46,7 @@ class InjectionProcess(ABC):
         return self._store
 
     def indices_for_slot(self, slot: int) -> Sequence[int]:
-        """Store indices of the packets injected in slot ``slot``.
-
-        Built-in processes implement this; legacy subclasses that only
-        override :meth:`packets_for_slot` never reach it.
-        """
+        """Store indices of the packets injected in slot ``slot``."""
         raise NotImplementedError(
             f"{type(self).__name__} does not implement indices_for_slot"
         )
@@ -89,36 +68,15 @@ class InjectionProcess(ABC):
         """Packets injected in slot ``slot`` (fresh list, caller owns it)."""
         return self._store.views(self.indices_for_slot(slot))
 
-    def packets_for_range(self, start_slot: int, end_slot: int) -> List:
-        """Packets injected in slots ``[start_slot, end_slot)``.
-
-        Index-emitting processes materialise one batch of views; legacy
-        subclasses that only override :meth:`packets_for_slot` get the
-        old slot-iterating fallback.
-        """
-        if self._is_legacy():
-            packets: List = []
-            for slot in range(start_slot, end_slot):
-                packets.extend(self.packets_for_slot(slot))
-            return packets
+    def packets_for_range(
+        self, start_slot: int, end_slot: int
+    ) -> List[PacketView]:
+        """Packets injected in slots ``[start_slot, end_slot)``, as views."""
         return self._store.views(self.indices_for_range(start_slot, end_slot))
 
     def _allocate(self, path, slot: int) -> int:
-        """Allocate a packet with the next sequential id; returns its index.
-
-        The built-in index-emitting processes use this in
-        ``indices_for_slot``/``indices_for_range``.
-        """
+        """Allocate a packet with the next sequential id; returns its index."""
         return self._store.allocate(path, slot)
-
-    def _new_packet(self, path, slot: int) -> PacketView:
-        """Allocate a packet and return it as a Packet-compatible view.
-
-        Kept for legacy subclasses that build ``packets_for_slot``
-        batches with this helper — it must keep returning an object
-        with the ``Packet`` surface, not a bare index.
-        """
-        return self._store.view(self._allocate(path, slot))
 
     def stream(self, horizon: int) -> Iterator[List[PacketView]]:
         """Iterate packet batches for slots ``0 .. horizon-1``."""

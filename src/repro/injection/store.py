@@ -1,11 +1,9 @@
 """Struct-of-arrays packet state — the vectorized packet layer.
 
-The object-per-packet design (:class:`~repro.injection.packet.Packet`)
-is fine for tens of thousands of packets; protocol-level bookkeeping
-(request gathering, hop advancement, failure filing) then costs one
-Python attribute walk per packet per frame and dominates large dynamic
-runs now that the slot kernel is vectorized. :class:`PacketStore` keeps
-the same state as parallel numpy arrays instead:
+Every packet of a simulation is one row of a :class:`PacketStore`, so
+protocol-level bookkeeping (request gathering, hop advancement,
+failure filing) is array work instead of a Python attribute walk per
+packet per frame. The store keeps parallel numpy arrays:
 
 * ``injected_at`` / ``delivered_at`` / ``hops_done`` /
   ``failed_at_frame`` — one int64 entry per packet (``-1`` marks "not
@@ -15,17 +13,15 @@ the same state as parallel numpy arrays instead:
   ``path_links[offsets[i] : offsets[i + 1]]``.
 
 Store indices double as packet ids (injection processes allocate
-sequentially, exactly like the old per-process ``itertools.count``), so
-the id stream is unchanged. The protocol's hot loops operate on index
-arrays; everything a :class:`Packet` used to answer is one gather, e.g.
-the phase-1 request vector is ``path_links[offsets[idx] + hops_done[idx]]``.
+sequentially). The protocol's hot loops operate on index arrays; every
+per-packet query is one gather, e.g. the phase-1 request vector is
+``path_links[offsets[idx] + hops_done[idx]]``.
 
-For API compatibility every packet remains addressable as an object:
+For inspection every packet remains addressable as an object:
 :meth:`PacketStore.view` returns a :class:`PacketView`, a lazy
-read-write proxy with the full :class:`Packet` surface (mutations write
-through to the arrays), and :class:`PacketSequence` wraps an index list
-as a lazy ``Sequence[PacketView]`` (what ``protocol.delivered``
-returns in store mode).
+read-only proxy (id, path, stamps, hop progress, latency), and
+:class:`PacketSequence` wraps an index list as a lazy
+``Sequence[PacketView]`` (what ``protocol.delivered`` returns).
 """
 
 from __future__ import annotations
@@ -425,7 +421,7 @@ class PacketStore:
         return delivered - self._injected_at[indices]
 
     # ------------------------------------------------------------------
-    # Scalar / object compatibility
+    # Per-packet views
     # ------------------------------------------------------------------
 
     def path_of(self, index: int) -> Tuple[int, ...]:
@@ -434,7 +430,7 @@ class PacketStore:
         return tuple(int(e) for e in self._path_links[start:end])
 
     def view(self, index: int) -> "PacketView":
-        """A lazy read-write :class:`Packet`-compatible proxy."""
+        """A lazy read-only :class:`PacketView` of one row."""
         return PacketView(self, int(index))
 
     def views(self, indices: Sequence[int]) -> List["PacketView"]:
@@ -445,12 +441,11 @@ class PacketStore:
 
 
 class PacketView:
-    """Lazy :class:`Packet`-API proxy over one :class:`PacketStore` row.
+    """Lazy read-only proxy over one :class:`PacketStore` row.
 
-    Attribute reads gather from the arrays; mutations (``advance``,
-    ``failed = True``, ...) write through, so object-path code
-    (the compatibility :class:`~repro.core.protocol.DynamicProtocol`
-    mode, metrics, analyses) runs unchanged on store-backed packets.
+    Attribute reads gather from the arrays, so a view always shows the
+    packet's current state; only the protocol mutates packets, through
+    the store's array methods.
     """
 
     __slots__ = ("_store", "index")
@@ -478,47 +473,27 @@ class PacketView:
     def injected_at(self) -> int:
         return int(self._store._injected_at[self.index])
 
-    # Mutable state ------------------------------------------------------
+    # Progress -----------------------------------------------------------
 
     @property
     def hops_done(self) -> int:
         return int(self._store._hops_done[self.index])
-
-    @hops_done.setter
-    def hops_done(self, value: int) -> None:
-        self._store._hops_done[self.index] = value
 
     @property
     def delivered_at(self) -> Optional[int]:
         value = int(self._store._delivered_at[self.index])
         return None if value == _NOT_YET else value
 
-    @delivered_at.setter
-    def delivered_at(self, value: Optional[int]) -> None:
-        self._store._delivered_at[self.index] = (
-            _NOT_YET if value is None else value
-        )
-
     @property
     def failed(self) -> bool:
         return bool(self._store._failed[self.index])
-
-    @failed.setter
-    def failed(self, value: bool) -> None:
-        self._store._failed[self.index] = bool(value)
 
     @property
     def failed_at_frame(self) -> Optional[int]:
         value = int(self._store._failed_at_frame[self.index])
         return None if value == _NOT_YET else value
 
-    @failed_at_frame.setter
-    def failed_at_frame(self, value: Optional[int]) -> None:
-        self._store._failed_at_frame[self.index] = (
-            _NOT_YET if value is None else value
-        )
-
-    # Derived queries (the Packet API) -----------------------------------
+    # Derived queries ----------------------------------------------------
 
     @property
     def path_length(self) -> int:
@@ -544,15 +519,6 @@ class PacketView:
     def is_delivered(self) -> bool:
         return self.hops_done >= self.path_length
 
-    def advance(self, slot: int) -> bool:
-        if self.is_delivered:
-            raise TopologyError(f"packet {self.index} advanced past delivery")
-        self._store._hops_done[self.index] += 1
-        if self.is_delivered:
-            self._store._delivered_at[self.index] = slot
-            return True
-        return False
-
     def latency(self) -> int:
         delivered = self.delivered_at
         if delivered is None:
@@ -569,7 +535,7 @@ class PacketView:
 class PacketSequence(Sequence):
     """Lazy ``Sequence[PacketView]`` over store indices.
 
-    ``protocol.delivered`` returns one of these in store mode: ``len``
+    ``protocol.delivered`` returns one of these: ``len``
     is O(1), iteration materialises views on demand, and vector
     consumers (:class:`~repro.sim.metrics.LatencySummary`) read
     :attr:`indices` / :attr:`store` directly instead of looping.

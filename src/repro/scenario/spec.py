@@ -267,8 +267,8 @@ class ScenarioSpec:
         e.g. a dotted-path third-party callable — takes no ``seed``
         parameter at all); deterministic generators ignore it. With
         ``with_protocol`` the injection process is built first and the
-        protocol shares its ``PacketStore`` (store mode), exactly like
-        the CLI commands.
+        protocol shares its ``PacketStore``, exactly like the CLI
+        commands.
         """
         for module in self.requires:
             importlib.import_module(module)
@@ -309,7 +309,7 @@ class ScenarioSpec:
                 min(rate, certified),
                 t_scale=self.t_scale,
                 rng=self.seed,
-                store=getattr(injection, "store", None),
+                store=injection.store,
             )
         return BuiltScenario(
             spec=self,

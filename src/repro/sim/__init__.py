@@ -2,7 +2,8 @@
 
 :class:`~repro.sim.engine.FrameSimulation` couples an injection process
 with any frame-protocol object (duck-typed: ``run_frame``,
-``frame_length``, ``packets_in_system``, ``delivered``) and records a
+``frame_length``, ``store``, ``packets_in_system``,
+``delivered_total``) and records a
 :class:`~repro.sim.metrics.MetricsRecorder` time series. The
 :mod:`repro.sim.stability` detector turns a queue series into a
 stable/unstable verdict; :mod:`repro.sim.runner` sweeps rates and seeds

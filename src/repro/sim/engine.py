@@ -10,23 +10,23 @@ stamps only feed latency bookkeeping).
 The protocol is duck-typed; anything exposing
 
 * ``frame_length`` (int),
-* ``run_frame(packets) -> FrameReport``-like (with ``injected``,
+* ``store`` / ``bind_store(store)``,
+* ``run_frame(indices) -> FrameReport``-like (with ``injected``,
   ``active_in_system``, ``failed_in_system``, ``potential`` fields),
-* ``packets_in_system`` and ``delivered``
+* ``packets_in_system`` and ``delivered_total``
 
 works — both :class:`~repro.core.protocol.DynamicProtocol` and
 :class:`~repro.core.adversarial.ShiftedDynamicProtocol` qualify.
 
-When the protocol and the injection process share one
-:class:`~repro.injection.store.PacketStore`, the engine feeds the
-protocol raw index arrays (``indices_for_range``) and no packet
-objects are materialised anywhere in the loop; otherwise it falls back
-to object batches, byte-compatible with the seed engine.
+The protocol and the injection process share one
+:class:`~repro.injection.store.PacketStore`: construction calls
+``protocol.bind_store(injection.store)``, which adopts the store for a
+protocol built without ``store=`` and refuses a different one. The
+engine feeds the protocol raw index arrays (``indices_for_range``) and
+no packet objects are materialised anywhere in the loop.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.core.steps import drive_steps
 from repro.errors import ConfigurationError
@@ -40,11 +40,10 @@ class FrameSimulation:
     ``metrics`` selects the retention policy — ``"full"`` (default,
     whole-history series, byte-identical to the historical engine) or
     ``"streaming"`` (bounded memory: series fold into O(1) accumulators
-    and, for store-mode protocols, delivered packets are summarised and
-    released every ``release_interval`` frames so the store stays
-    bounded too). A pre-built :class:`MetricsRecorder` may be passed
-    instead of a policy name to control window / interval / sketch
-    parameters.
+    and delivered packets are summarised and released every
+    ``release_interval`` frames so the store stays bounded too). A
+    pre-built :class:`MetricsRecorder` may be passed instead of a
+    policy name to control window / interval / sketch parameters.
     """
 
     def __init__(
@@ -71,24 +70,7 @@ class FrameSimulation:
                 f"MetricsRecorder, got {metrics!r}"
             )
         self._frame = 0
-        protocol_store = getattr(protocol, "store", None)
-        if (
-            protocol_store is not None
-            and getattr(injection, "store", None) is not protocol_store
-        ):
-            # A store-mode protocol fed by an injection process with a
-            # different (or no) store would crash — or worse,
-            # reinterpret foreign packets — on the first non-empty
-            # frame; fail at construction instead.
-            raise ConfigurationError(
-                "protocol runs in store mode but the injection process "
-                "does not share its PacketStore; pass "
-                "store=injection.store when building the protocol"
-            )
-        self._use_indices = (
-            protocol_store is not None
-            and not getattr(injection, "_is_legacy", lambda: True)()
-        )
+        protocol.bind_store(injection.store)
 
     @property
     def protocol(self):
@@ -117,20 +99,15 @@ class FrameSimulation:
         every layer is quiescent and the boundary is a natural
         checkpoint: restoring this snapshot and continuing is
         bit-identical to never having stopped, on every backend.
-        Requires a store-mode protocol sharing the injection's store
-        and an injection process with checkpoint support. ``copy=False``
-        lets the big array leaves alias live buffers — only for callers
-        that serialize the snapshot before the simulation runs again.
+        Requires a protocol and an injection process with checkpoint
+        support. ``copy=False`` lets the big array leaves alias live
+        buffers — only for callers that serialize the snapshot before
+        the simulation runs again.
         """
-        store = getattr(self._protocol, "store", None)
-        if store is None:
-            raise ConfigurationError(
-                "checkpointing requires a store-mode protocol"
-            )
         state = {
             "frame": self._frame,
-            "protocol": self._protocol.state_dict(copy=copy),
-            "store": store.state_dict(copy=copy),
+            "protocol": self._checkpoint_hook("state_dict")(copy=copy),
+            "store": self._injection.store.state_dict(copy=copy),
             "injection": self._injection.state_dict(),
             "metrics": self._metrics.state_dict(),
         }
@@ -146,11 +123,7 @@ class FrameSimulation:
         configuration (topology, scheduler, injection, seed) that
         produced the snapshot; only mutable state is restored.
         """
-        store = getattr(self._protocol, "store", None)
-        if store is None:
-            raise ConfigurationError(
-                "checkpointing requires a store-mode protocol"
-            )
+        load_protocol = self._checkpoint_hook("load_state_dict")
         for key in ("frame", "protocol", "store", "injection", "metrics"):
             if key not in state:
                 raise ConfigurationError(
@@ -169,13 +142,22 @@ class FrameSimulation:
                 f"checkpoint has no model state but {type(model).__name__} "
                 "is stateful"
             )
-        self._protocol.load_state_dict(state["protocol"])
-        store.load_state_dict(state["store"])
+        load_protocol(state["protocol"])
+        self._injection.store.load_state_dict(state["store"])
         self._injection.load_state_dict(state["injection"])
         self._metrics.load_state_dict(state["metrics"])
         if model_state is not None:
             loader(model_state)
         self._frame = int(state["frame"])
+
+    def _checkpoint_hook(self, name: str):
+        hook = getattr(self._protocol, name, None)
+        if hook is None:
+            raise ConfigurationError(
+                f"{type(self._protocol).__name__} does not support "
+                f"checkpointing (no {name})"
+            )
+        return hook
 
     def run(self, frames: int) -> MetricsRecorder:
         """Advance the simulation by ``frames`` frames."""
@@ -194,25 +176,19 @@ class FrameSimulation:
             raise ConfigurationError(f"frames must be >= 0, got {frames}")
         frame_length = int(self._protocol.frame_length)
         frame_steps = getattr(self._protocol, "run_frame_steps", None)
+        store = self._injection.store
         no_packets: tuple = ()
         # Cadence is a pure function of the frame number, so a resumed
         # run releases at exactly the frames the uninterrupted run did.
         release_every = (
             self._metrics.release_interval if self._metrics.streaming else 0
         )
-        has_total = hasattr(self._protocol, "delivered_total")
         for _ in range(frames):
             start = self._frame * frame_length
-            if self._use_indices:
-                packets = self._injection.indices_for_range(
-                    start, start + frame_length
-                )
-                injected = int(packets.size)
-            else:
-                packets = self._injection.packets_for_range(
-                    start, start + frame_length
-                )
-                injected = len(packets)
+            packets = self._injection.indices_for_range(
+                start, start + frame_length
+            )
+            injected = int(packets.size)
             if self._audit is not None:
                 # The audit is sliding-window over slots; feeding whole
                 # frames is conservative only if the window is a
@@ -221,20 +197,9 @@ class FrameSimulation:
                 # still sees every slot so its window keeps sliding.
                 by_slot: dict = {}
                 if injected:
-                    if self._use_indices:
-                        store = self._injection.store
-                        stamps = store.injected_at[packets]
-                        for index, slot in zip(
-                            packets.tolist(), stamps.tolist()
-                        ):
-                            by_slot.setdefault(slot, []).append(
-                                store.view(index)
-                            )
-                    else:
-                        for packet in packets:
-                            by_slot.setdefault(packet.injected_at, []).append(
-                                packet
-                            )
+                    stamps = store.injected_at[packets]
+                    for index, slot in zip(packets.tolist(), stamps.tolist()):
+                        by_slot.setdefault(slot, []).append(store.view(index))
                 for slot in range(start, start + frame_length):
                     self._audit.observe(slot, by_slot.get(slot, no_packets))
             if frame_steps is not None:
@@ -247,11 +212,7 @@ class FrameSimulation:
                 active=report.active_in_system,
                 failed=report.failed_in_system,
                 potential=report.potential,
-                delivered_total=(
-                    self._protocol.delivered_total
-                    if has_total
-                    else len(self._protocol.delivered)
-                ),
+                delivered_total=self._protocol.delivered_total,
             )
             self._frame += 1
             if release_every and self._frame % release_every == 0:
@@ -262,17 +223,16 @@ class FrameSimulation:
         """Fold pending delivered packets into the latency accumulators
         and reclaim their store rows.
 
-        Only store-mode protocols expose ``take_delivered`` /
-        ``compact_store``; object-mode protocols keep their delivered
-        list (the recorder is still bounded, the packet objects are
-        not — documented in PERFORMANCE.md).
+        Protocols without ``take_delivered`` / ``compact_store`` (the
+        shifted wrapper holds indices that compaction would invalidate)
+        keep their delivered set.
         """
         take = getattr(self._protocol, "take_delivered", None)
-        if take is None or getattr(self._protocol, "store", None) is None:
+        if take is None:
             return
         indices = take()
         if indices.size:
-            store = self._protocol.store
+            store = self._injection.store
             self._metrics.absorb_latencies(
                 store.latencies(indices), store.path_lengths(indices)
             )

@@ -22,12 +22,11 @@ a single, consistent schema. Two retention policies:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.injection.packet import Packet
 from repro.injection.store import PacketSequence
 from repro.sim.streaming import (
     DEFAULT_SKETCH_ALPHA,
@@ -80,19 +79,12 @@ class LatencySummary:
         )
 
     @staticmethod
-    def from_packets(packets: Sequence[Packet]) -> "LatencySummary":
-        if isinstance(packets, PacketSequence):
-            # Store-backed delivery sets: one vectorized gather instead
-            # of a Python loop over views.
-            if len(packets) == 0:
-                return LatencySummary.empty()
-            return LatencySummary.from_latencies(
-                packets.store.latencies(packets.indices)
-            )
-        if not packets:
+    def from_packets(packets: PacketSequence) -> "LatencySummary":
+        """Summary of a delivered set: one vectorized gather."""
+        if len(packets) == 0:
             return LatencySummary.empty()
         return LatencySummary.from_latencies(
-            np.asarray([p.latency() for p in packets], dtype=float)
+            packets.store.latencies(packets.indices)
         )
 
 
@@ -438,23 +430,19 @@ class MetricsRecorder:
             self.queue_series, load_per_frame=load_per_frame, **kwargs
         )
 
+    @staticmethod
     def _pending_latencies(
-        self, delivered: Sequence[Packet]
+        delivered: PacketSequence,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """(latencies, path lengths) of not-yet-released delivered."""
-        if isinstance(delivered, PacketSequence):
-            if len(delivered) == 0:
-                empty = np.empty(0, dtype=np.int64)
-                return empty, empty
-            indices = delivered.indices
-            store = delivered.store
-            return store.latencies(indices), store.path_lengths(indices)
-        return (
-            np.asarray([p.latency() for p in delivered], dtype=np.int64),
-            np.asarray([p.path_length for p in delivered], dtype=np.int64),
-        )
+        if len(delivered) == 0:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty
+        indices = delivered.indices
+        store = delivered.store
+        return store.latencies(indices), store.path_lengths(indices)
 
-    def latency_summary(self, delivered: Sequence[Packet]) -> LatencySummary:
+    def latency_summary(self, delivered: PacketSequence) -> LatencySummary:
         """Latency statistics over every delivered packet of the run.
 
         Full retention summarises ``delivered`` directly. Streaming
@@ -474,7 +462,7 @@ class MetricsRecorder:
         return LatencySummary.from_packets(delivered)
 
     def latency_by_path_length(
-        self, delivered: Sequence[Packet]
+        self, delivered: PacketSequence
     ) -> Dict[int, LatencySummary]:
         """Latency statistics grouped by path length (for Theorem 8)."""
         if self._latency is not None:
@@ -485,22 +473,10 @@ class MetricsRecorder:
                     pending, lengths
                 ).items()
             }
-        if isinstance(delivered, PacketSequence):
-            if len(delivered) == 0:
-                return {}
-            store, indices = delivered.store, delivered.indices
-            lengths = store.path_lengths(indices)
-            latencies = store.latencies(indices)
-            return {
-                int(d): LatencySummary.from_latencies(latencies[lengths == d])
-                for d in np.unique(lengths)
-            }
-        groups: Dict[int, List[Packet]] = {}
-        for packet in delivered:
-            groups.setdefault(packet.path_length, []).append(packet)
+        latencies, lengths = self._pending_latencies(delivered)
         return {
-            d: LatencySummary.from_packets(group)
-            for d, group in sorted(groups.items())
+            int(d): LatencySummary.from_latencies(latencies[lengths == d])
+            for d in np.unique(lengths)
         }
 
 

@@ -29,12 +29,14 @@ Builders::
     def my_injection(rate, seed, protocol, **kwargs): ...  # -> injection
 
     @register_pair_builder("my-pair")                   # when the two
-    def my_pair(rate, seed, **kwargs): ...              # must share
-        return protocol, injection                      # state (stores)
+    def my_pair(rate, seed, **kwargs): ...              # are built
+        return protocol, injection                      # together
 
-Pair builders exist for store-mode protocols, where the protocol is
-constructed *from* the injection's ``PacketStore`` and the two must be
-built together.
+A protocol from a separate protocol builder is built without
+``store=``; the cell's :class:`~repro.sim.engine.FrameSimulation`
+binds it to the injection's ``PacketStore``. Pair builders exist for
+cells whose protocol and injection are built together from shared
+pieces (one network, one store).
 
 All three registries are views into the unified component registry
 (:mod:`repro.scenario.registry`), the same table the declarative

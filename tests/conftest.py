@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.injection.store import PacketStore
 from repro.interference.builders import node_constraint_conflicts
 from repro.interference.conflict import ConflictGraphModel
 from repro.interference.mac import MultipleAccessChannel
@@ -77,3 +78,34 @@ def packet_routing_model(grid_net):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(42)
+
+
+class PacketMaker:
+    """Hand-built packets for protocol tests.
+
+    Every packet is allocated into one shared :class:`PacketStore`, so
+    its id is its allocation order. Build the protocol with
+    ``store=maker.store`` and feed the returned indices to
+    ``run_frame``.
+    """
+
+    def __init__(self):
+        self.store = PacketStore()
+
+    def __call__(self, path, slot: int = 0) -> int:
+        """Allocate one packet on ``path``, injected at ``slot``."""
+        return self.store.allocate(tuple(path), slot)
+
+    def many(self, count: int, path, slot: int = 0) -> list:
+        """Allocate ``count`` packets on the same path."""
+        return [self(path, slot) for _ in range(count)]
+
+    def views(self, indices):
+        """Read-only views of allocated packets (e.g. for audits)."""
+        return self.store.views(indices)
+
+
+@pytest.fixture()
+def packets():
+    """A fresh :class:`PacketMaker`."""
+    return PacketMaker()

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.adversarial import ShiftedDynamicProtocol
 from repro.errors import ConfigurationError
-from repro.injection.packet import Packet
 from repro.interference.packet_routing import PacketRoutingModel
 from repro.network.topology import line_network
 from repro.staticsched.single_hop import SingleHopScheduler
@@ -22,10 +21,6 @@ def make_shifted(**kwargs):
         ShiftedDynamicProtocol(model, SingleHopScheduler(), **defaults),
         model,
     )
-
-
-def packet(pid, path=(0, 1), slot=0):
-    return Packet(id=pid, path=tuple(path), injected_at=slot)
 
 
 def test_delta_max_default_positive():
@@ -50,9 +45,9 @@ def test_rate_at_capacity_rejected():
         make_shifted(rate=1.0)
 
 
-def test_packets_held_until_delay_elapses():
-    protocol, _ = make_shifted(delta_max=3)
-    batch = [packet(i) for i in range(50)]
+def test_packets_held_until_delay_elapses(packets):
+    protocol, _ = make_shifted(delta_max=3, store=packets.store)
+    batch = packets.many(50, (0, 1))
     protocol.run_frame(batch)
     # With delta_max=3 and 50 packets, some are held (delay > 0) whp.
     assert protocol.held_count > 0
@@ -63,19 +58,21 @@ def test_packets_held_until_delay_elapses():
     assert protocol.held_count == 0
 
 
-def test_shift_disabled_forwards_immediately():
-    protocol, _ = make_shifted(shift_enabled=False, delta_max=10)
-    batch = [packet(i) for i in range(20)]
+def test_shift_disabled_forwards_immediately(packets):
+    protocol, _ = make_shifted(
+        shift_enabled=False, delta_max=10, store=packets.store
+    )
+    batch = packets.many(20, (0, 1))
     protocol.run_frame(batch)
     assert protocol.held_count == 0
     # They entered the inner protocol as frame-0 injections.
     assert protocol.inner.packets_in_system == 20
 
 
-def test_eventual_delivery_of_all_packets():
-    protocol, _ = make_shifted(delta_max=4)
+def test_eventual_delivery_of_all_packets(packets):
+    protocol, _ = make_shifted(delta_max=4, store=packets.store)
     total = 30
-    protocol.run_frame([packet(i, path=(0, 1, 2)) for i in range(total)])
+    protocol.run_frame(packets.many(total, (0, 1, 2)))
     for _ in range(protocol.delta_max + 10):
         protocol.run_frame([])
     assert len(protocol.delivered) == total
@@ -88,10 +85,10 @@ def test_inner_rate_is_higher_than_outer():
     assert protocol.inner.params.rate == pytest.approx(0.75)
 
 
-def test_shift_spreads_bursts():
+def test_shift_spreads_bursts(packets):
     """A one-frame burst must be released over ~delta_max frames."""
-    protocol, _ = make_shifted(delta_max=8, rng=3)
-    burst = [packet(i) for i in range(200)]
+    protocol, _ = make_shifted(delta_max=8, rng=3, store=packets.store)
+    burst = packets.many(200, (0, 1))
     protocol.run_frame(burst)
     releases = []
     for _ in range(protocol.delta_max):

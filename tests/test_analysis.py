@@ -125,7 +125,7 @@ def test_empirical_drain_beats_lemma6():
 
     from repro.core.frames import FrameParameters
     from repro.core.protocol import DynamicProtocol
-    from repro.injection.packet import Packet
+    from repro.injection.store import PacketStore
     from repro.interference.packet_routing import PacketRoutingModel
     from repro.network.topology import line_network
     from repro.staticsched.single_hop import SingleHopScheduler
@@ -136,13 +136,13 @@ def test_empirical_drain_beats_lemma6():
         frame_length=10, phase1_budget=0, cleanup_budget=5,
         measure_budget=1.0, epsilon=0.5, rate=0.1, f_m=1.0, m=net.size_m,
     )
+    store = PacketStore()
     protocol = DynamicProtocol(
-        model, SingleHopScheduler(), rate=0.1, params=params, rng=0
+        model, SingleHopScheduler(), rate=0.1, params=params, rng=0,
+        store=store,
     )
     # Load 30 one-hop packets; phase 1 always fails them into buffers.
-    protocol.run_frame([
-        Packet(id=i, path=(0,), injected_at=0) for i in range(30)
-    ])
+    protocol.run_frame([store.allocate((0,), 0) for _ in range(30)])
     frames = 400
     for _ in range(frames):
         protocol.run_frame([])

@@ -291,6 +291,110 @@ def test_resume_parity_streaming_mid_window_interrupt(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# Protocols built without store= (bound by FrameSimulation)
+# ----------------------------------------------------------------------
+
+
+def _unbound_sim(metrics="full", seed=4):
+    """A protocol built without ``store=``, so the simulation binds it
+    to the injection's store; a tight phase-1 budget keeps failed
+    buffers busy across the checkpoint."""
+    import repro
+    from repro.core.frames import FrameParameters
+
+    net = repro.grid_network(3, 3)
+    model = repro.PacketRoutingModel(net)
+    injection = repro.uniform_pair_injection(
+        repro.build_routing_table(net), model, 0.25, num_generators=5,
+        rng=seed + 1000,
+    )
+    params = FrameParameters(
+        frame_length=60, phase1_budget=8, cleanup_budget=12,
+        measure_budget=8.0, epsilon=0.5, rate=0.2, f_m=1.0, m=net.size_m,
+    )
+    protocol = repro.DynamicProtocol(
+        model, repro.SingleHopScheduler(), 0.2, params=params,
+        cleanup_probability=0.5, rng=seed,
+    )
+    assert protocol.store is None
+    return FrameSimulation(protocol, injection, metrics=metrics)
+
+
+def test_unbound_protocol_adopts_injection_store():
+    sim = _unbound_sim()
+    assert sim.protocol.store is sim.injection.store
+
+
+def test_unbound_protocol_resumes_bit_identically(tmp_path):
+    frames, interrupt = 24, 11
+    uninterrupted = _unbound_sim()
+    uninterrupted.run(frames)
+    assert uninterrupted.protocol.failed_count > 0
+
+    partial = _unbound_sim()
+    partial.run(interrupt)
+    path = str(tmp_path / "unbound.ckpt")
+    save_checkpoint(path, partial)
+
+    resumed = _unbound_sim()
+    load_checkpoint_into(resumed, path)
+    resumed.run(frames - interrupt)
+
+    _same_tree(resumed.state_dict(), uninterrupted.state_dict())
+    assert resumed.metrics.queue_series == uninterrupted.metrics.queue_series
+
+
+def test_unbound_protocol_releases_under_streaming():
+    """Streaming metrics release and compact an unbound protocol's
+    delivered packets, and its records match full retention."""
+    from repro.sim.metrics import MetricsRecorder
+
+    frames = 40
+    full = _unbound_sim()
+    full.run(frames)
+    streaming = _unbound_sim(
+        metrics=MetricsRecorder(retention="streaming", release_interval=5)
+    )
+    streaming.run(frames)
+
+    assert streaming.metrics.released_count > 0
+    # Compaction dropped the released rows from the shared store.
+    assert len(streaming.injection.store) < streaming.metrics.injected_total
+    assert len(full.injection.store) == full.metrics.injected_total
+    assert streaming.metrics.delivered_count() == full.metrics.delivered_count()
+    assert streaming.metrics.final_queue == full.metrics.final_queue
+    full_latency = full.metrics.latency_summary(full.protocol.delivered)
+    streaming_latency = streaming.metrics.latency_summary(
+        streaming.protocol.delivered
+    )
+    assert streaming_latency.count == full_latency.count
+    assert streaming_latency.mean == pytest.approx(full_latency.mean)
+    assert streaming_latency.maximum == full_latency.maximum
+
+
+def test_shifted_protocol_checkpoint_is_a_configuration_error():
+    """The shifted wrapper has no snapshot support; saying so must not
+    surface as a bare AttributeError."""
+    import repro
+
+    net = repro.grid_network(3, 3)
+    model = repro.PacketRoutingModel(net)
+    routing = repro.build_routing_table(net)
+    paths = [routing.path(s, d) for s, d in routing.pairs() if s == 0]
+    adversary = repro.BurstyAdversary(model, paths, window=120, rate=0.2, rng=5)
+    protocol = repro.ShiftedDynamicProtocol(
+        model, repro.SingleHopScheduler(), 0.2, window=120, t_scale=0.01,
+        rng=4,
+    )
+    sim = FrameSimulation(protocol, adversary)
+    sim.run(2)
+    with pytest.raises(ConfigurationError, match="ShiftedDynamicProtocol"):
+        sim.state_dict()
+    with pytest.raises(ConfigurationError, match="ShiftedDynamicProtocol"):
+        sim.load_state_dict({})
+
+
+# ----------------------------------------------------------------------
 # File format validation
 # ----------------------------------------------------------------------
 

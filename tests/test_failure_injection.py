@@ -15,7 +15,6 @@ from repro.core.frames import FrameParameters
 from repro.core.protocol import DynamicProtocol
 from repro.errors import InjectionError, SchedulingError
 from repro.injection.adversarial import WindowAudit
-from repro.injection.packet import Packet
 from repro.interference.mac import MultipleAccessChannel
 from repro.interference.packet_routing import PacketRoutingModel
 from repro.interference.unreliable import UnreliableModel
@@ -80,7 +79,7 @@ def tight_params(m, frame_length=20, phase1=10, cleanup=6):
 
 
 class TestNeverServingAlgorithm:
-    def make(self, cleanup_enabled=True):
+    def make(self, store, cleanup_enabled=True):
         net = line_network(4)
         model = PacketRoutingModel(net)
         return DynamicProtocol(
@@ -91,12 +90,12 @@ class TestNeverServingAlgorithm:
             cleanup_enabled=cleanup_enabled,
             cleanup_probability=1.0,
             rng=0,
+            store=store,
         )
 
-    def test_everything_fails_once_then_sticks(self):
-        protocol = self.make()
-        packets = [Packet(id=i, path=(0,), injected_at=0) for i in range(5)]
-        protocol.run_frame(packets)
+    def test_everything_fails_once_then_sticks(self, packets):
+        protocol = self.make(packets.store)
+        protocol.run_frame(packets.many(5, (0,)))
         report = protocol.run_frame([])
         # Phase 1 fails all 5; the clean-up offers 1 but the algorithm
         # fails it too, so nothing ever leaves the failed buffers.
@@ -108,23 +107,19 @@ class TestNeverServingAlgorithm:
         assert protocol.potential.value == 5
         assert len(protocol.delivered) == 0
 
-    def test_potential_grows_linearly_under_sustained_injection(self):
-        protocol = self.make()
+    def test_potential_grows_linearly_under_sustained_injection(self, packets):
+        protocol = self.make(packets.store)
         series = []
         for frame in range(12):
-            protocol.run_frame(
-                [Packet(id=frame, path=(0,), injected_at=0)]
-            )
+            protocol.run_frame([packets((0,))])
             series.append(protocol.potential.value)
         # One new failure per frame after the pipeline fills.
         deltas = [b - a for a, b in zip(series, series[1:])]
         assert deltas[2:] == [1] * len(deltas[2:])
 
-    def test_frame_reports_stay_consistent(self):
-        protocol = self.make()
-        protocol.run_frame(
-            [Packet(id=i, path=(0, 1), injected_at=0) for i in range(3)]
-        )
+    def test_frame_reports_stay_consistent(self, packets):
+        protocol = self.make(packets.store)
+        protocol.run_frame(packets.many(3, (0, 1)))
         report = protocol.run_frame([])
         assert report.phase1_hops == 0
         assert report.failed_in_system == 3
@@ -171,40 +166,34 @@ class TestNearTotalLoss:
 
 
 class TestLyingAdversary:
-    def test_audit_catches_over_injection(self):
+    def test_audit_catches_over_injection(self, packets):
         net = line_network(4)
         model = PacketRoutingModel(net)
         audit = WindowAudit(model, window=10, rate=0.5)  # budget 5
-        packets = [Packet(id=i, path=(0,), injected_at=0) for i in range(6)]
         with pytest.raises(InjectionError):
-            audit.observe(0, packets)
+            audit.observe(0, packets.views(packets.many(6, (0,))))
 
-    def test_audit_accepts_exactly_at_budget(self):
+    def test_audit_accepts_exactly_at_budget(self, packets):
         net = line_network(4)
         model = PacketRoutingModel(net)
         audit = WindowAudit(model, window=10, rate=0.5)
-        packets = [Packet(id=i, path=(0,), injected_at=0) for i in range(5)]
-        audit.observe(0, packets)
+        audit.observe(0, packets.views(packets.many(5, (0,))))
         assert audit.worst_window_measure == pytest.approx(5.0)
 
-    def test_sliding_eviction_frees_budget(self):
+    def test_sliding_eviction_frees_budget(self, packets):
         net = line_network(4)
         model = PacketRoutingModel(net)
         audit = WindowAudit(model, window=3, rate=1.0)  # budget 3
-        audit.observe(0, [Packet(id=0, path=(0,), injected_at=0)] * 0)
+        audit.observe(0, [])
         # 3 packets in slot 1 fill the budget.
-        audit.observe(
-            1, [Packet(id=i, path=(0,), injected_at=1) for i in range(3)]
-        )
+        audit.observe(1, packets.views(packets.many(3, (0,), slot=1)))
         audit.observe(2, [])
         audit.observe(3, [])
         # Slot 4: the slot-1 burst has left the window; 3 more are legal.
-        audit.observe(
-            4, [Packet(id=10 + i, path=(0,), injected_at=4) for i in range(3)]
-        )
+        audit.observe(4, packets.views(packets.many(3, (0,), slot=4)))
         assert audit.worst_window_measure == pytest.approx(3.0)
 
-    def test_incremental_vector_matches_rebuild(self):
+    def test_incremental_vector_matches_rebuild(self, packets):
         """The incremental audit equals a from-scratch recomputation."""
         import numpy as np
 
@@ -216,13 +205,14 @@ class TestLyingAdversary:
         history = []
         for slot in range(60):
             count = int(rng.integers(0, 4))
-            packets = [
-                Packet(id=slot * 10 + i, path=(int(rng.integers(0, 3)),),
-                       injected_at=slot)
-                for i in range(count)
-            ]
-            history.append(packets)
-            audit.observe(slot, packets)
+            batch = packets.views(
+                [
+                    packets((int(rng.integers(0, 3)),), slot)
+                    for _ in range(count)
+                ]
+            )
+            history.append(batch)
+            audit.observe(slot, batch)
             recent = history[-window:]
             links = [l for batch in recent for p in batch for l in p.path]
             expected = model.interference_measure(links)
@@ -230,7 +220,7 @@ class TestLyingAdversary:
 
 
 class TestBadInputsToProtocol:
-    def test_packet_with_unknown_link_rejected(self):
+    def test_packet_with_unknown_link_rejected(self, packets):
         net = line_network(3)
         protocol = DynamicProtocol(
             PacketRoutingModel(net),
@@ -238,11 +228,12 @@ class TestBadInputsToProtocol:
             rate=0.1,
             params=tight_params(net.size_m),
             rng=0,
+            store=packets.store,
         )
         with pytest.raises(SchedulingError):
-            protocol.run_frame([Packet(id=0, path=(99,), injected_at=0)])
+            protocol.run_frame([packets((99,))])
 
-    def test_algorithm_budget_zero_means_all_fail(self):
+    def test_algorithm_budget_zero_means_all_fail(self, packets):
         net = line_network(3)
         protocol = DynamicProtocol(
             PacketRoutingModel(net),
@@ -252,8 +243,9 @@ class TestBadInputsToProtocol:
                                 cleanup=6),
             cleanup_enabled=False,
             rng=0,
+            store=packets.store,
         )
-        protocol.run_frame([Packet(id=0, path=(0,), injected_at=0)])
+        protocol.run_frame([packets((0,))])
         report = protocol.run_frame([])
         assert report.newly_failed == 1
         assert len(protocol.delivered) == 0

@@ -11,7 +11,6 @@ from repro.injection.adversarial import (
     TargetedAdversary,
     WindowAudit,
 )
-from repro.injection.packet import Packet
 
 
 def paths_for(model, routing):
@@ -84,21 +83,19 @@ def test_targeted_adversary_hits_victim(sinr_model, sinr_routing):
     assert all(adversary.victim in p.path for p in packets)
 
 
-def test_window_audit_rejects_violation(sinr_model):
+def test_window_audit_rejects_violation(sinr_model, packets):
     audit = WindowAudit(sinr_model, window=4, rate=0.01)
-    heavy = [
-        Packet(id=i, path=(0,), injected_at=0) for i in range(50)
-    ]
+    heavy = packets.views(packets.many(50, (0,)))
     with pytest.raises(InjectionError, match="bounded"):
         audit.observe(0, heavy)
 
 
-def test_window_audit_sliding(sinr_model):
+def test_window_audit_sliding(sinr_model, packets):
     """Two half-budget batches within one sliding window must trip it."""
     audit = WindowAudit(sinr_model, window=4, rate=1.0)
-    batch = [Packet(id=i, path=(0,), injected_at=0) for i in range(3)]
+    batch = packets.views(packets.many(3, (0,)))
     audit.observe(0, batch)  # measure 3 <= 4: fine
-    more = [Packet(id=10 + i, path=(0,), injected_at=2) for i in range(3)]
+    more = packets.views(packets.many(3, (0,), slot=2))
     with pytest.raises(InjectionError):
         audit.observe(2, more)  # window now holds 6 > 4
 

@@ -194,6 +194,10 @@ def test_packet_conservation(seed, phase1):
         f_m=1.0,
         m=net.size_m,
     )
+    routing = build_routing_table(net)
+    injection = repro.uniform_pair_injection(
+        routing, model, 0.1, num_generators=4, rng=seed + 500
+    )
     protocol = DynamicProtocol(
         model,
         SingleHopScheduler(),
@@ -201,10 +205,7 @@ def test_packet_conservation(seed, phase1):
         params=params,
         cleanup_probability=0.5,
         rng=seed,
-    )
-    routing = build_routing_table(net)
-    injection = repro.uniform_pair_injection(
-        routing, model, 0.1, num_generators=4, rng=seed + 500
+        store=injection.store,
     )
     total_injected = 0
     for frame in range(25):
@@ -219,9 +220,10 @@ def test_packet_conservation(seed, phase1):
             == total_injected
         )
     # Potential equals the summed remaining hops of failed packets.
+    store = injection.store
     remaining = sum(
-        len(p.path) - p.hops_done
+        len(store.path_of(index)) - int(store.hops_done[index])
         for buffer in protocol._failed_buffers.values()
-        for p in buffer
+        for index in buffer
     )
     assert protocol.potential.value == remaining

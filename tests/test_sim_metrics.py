@@ -5,21 +5,23 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.injection.packet import Packet
 from repro.injection.store import PacketStore
 from repro.sim.metrics import LatencySummary, MetricsRecorder
 
 
-def delivered_packet(pid, injected, delivered, hops=1):
-    packet = Packet(id=pid, path=tuple(range(hops)), injected_at=injected)
-    for k in range(hops):
-        packet.advance(delivered if k == hops - 1 else injected + k)
-    return packet
+def delivered_packets(*rows):
+    """Delivered packets from ``(injected, delivered, hops)`` rows."""
+    store = PacketStore()
+    for injected, delivered, hops in rows:
+        index = store.allocate(tuple(range(hops)), injected)
+        for k in range(hops):
+            store.advance_one(index, delivered if k == hops - 1 else injected + k)
+    return store.sequence(list(range(len(rows))))
 
 
 def test_latency_summary_empty_is_nan_not_zero():
     """No delivered packets must not masquerade as zero latency."""
-    summary = LatencySummary.from_packets([])
+    summary = LatencySummary.from_packets(PacketStore().sequence([]))
     assert summary.count == 0
     assert math.isnan(summary.mean)
     assert math.isnan(summary.median)
@@ -28,11 +30,7 @@ def test_latency_summary_empty_is_nan_not_zero():
 
 
 def test_latency_summary_values():
-    packets = [
-        delivered_packet(0, 0, 10),
-        delivered_packet(1, 5, 25),
-        delivered_packet(2, 0, 30),
-    ]
+    packets = delivered_packets((0, 10, 1), (5, 25, 1), (0, 30, 1))
     summary = LatencySummary.from_packets(packets)
     assert summary.count == 3
     assert summary.mean == pytest.approx((10 + 20 + 30) / 3)
@@ -86,8 +84,10 @@ def test_latency_summary_from_store_sequence_matches_object_path():
         store.advance_one(index, delivered)
     sequence = store.sequence([0, 1, 2])
     summary = LatencySummary.from_packets(sequence)
-    object_summary = LatencySummary.from_packets(list(sequence))
-    assert summary == object_summary
+    per_packet = LatencySummary.from_latencies(
+        [packet.latency() for packet in sequence]
+    )
+    assert summary == per_packet
     assert summary.count == 3
     assert summary.mean == pytest.approx((10 + 20 + 30) / 3)
 
@@ -102,11 +102,7 @@ def test_empty_recorder_defaults():
 
 def test_latency_by_path_length():
     recorder = MetricsRecorder()
-    packets = [
-        delivered_packet(0, 0, 10, hops=1),
-        delivered_packet(1, 0, 30, hops=2),
-        delivered_packet(2, 0, 20, hops=1),
-    ]
+    packets = delivered_packets((0, 10, 1), (0, 30, 2), (0, 20, 1))
     groups = recorder.latency_by_path_length(packets)
     assert set(groups) == {1, 2}
     assert groups[1].count == 2
@@ -264,7 +260,7 @@ def test_streaming_latency_summary_merges_pending_and_released():
         np.asarray([10, 30], dtype=np.int64),
         np.asarray([1, 2], dtype=np.int64),
     )
-    pending = [delivered_packet(2, 0, 20, hops=1)]
+    pending = delivered_packets((0, 20, 1))
     summary = stream.latency_summary(pending)
     assert summary.count == 3
     assert summary.mean == pytest.approx(20.0)

@@ -216,7 +216,7 @@ def test_simulate_protocol_latency_bookkeeping():
         make_protocol(0.3, 0), make_injection(0.3, 0, None), frames=60
     )
     protocol = simulation.protocol
-    summary = simulation.metrics.latency_summary(list(protocol.delivered))
+    summary = simulation.metrics.latency_summary(protocol.delivered)
     # Two-hop path, one hop per frame: every delivered packet spans at
     # least one full frame from injection to delivery.
     if protocol.delivered:

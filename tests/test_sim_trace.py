@@ -8,7 +8,6 @@ from repro.core.adversarial import ShiftedDynamicProtocol
 from repro.core.frames import FrameParameters
 from repro.core.protocol import DynamicProtocol
 from repro.errors import ConfigurationError
-from repro.injection.packet import Packet
 from repro.interference.packet_routing import PacketRoutingModel
 from repro.network.topology import line_network
 from repro.sim.trace import (
@@ -159,7 +158,7 @@ def tight_params(m, frame_length=10, phase1=6, cleanup=3):
 
 
 class TestProtocolIntegration:
-    def test_untraced_protocol_has_no_tracer_cost(self):
+    def test_untraced_protocol_has_no_tracer_cost(self, packets):
         net = line_network(4)
         protocol = DynamicProtocol(
             PacketRoutingModel(net),
@@ -167,11 +166,12 @@ class TestProtocolIntegration:
             rate=0.1,
             params=tight_params(net.size_m),
             rng=0,
+            store=packets.store,
         )
-        protocol.run_frame([Packet(id=0, path=(0,), injected_at=0)])
+        protocol.run_frame([packets((0,))])
         protocol.run_frame([])  # no tracer: nothing to assert, must not crash
 
-    def test_full_lifecycle_events(self):
+    def test_full_lifecycle_events(self, packets):
         net = line_network(4)
         tracer = Tracer()
         protocol = DynamicProtocol(
@@ -181,8 +181,9 @@ class TestProtocolIntegration:
             params=tight_params(net.size_m, phase1=6),
             rng=0,
             tracer=tracer,
+            store=packets.store,
         )
-        protocol.run_frame([Packet(id=0, path=(0, 1), injected_at=0)])
+        protocol.run_frame([packets((0, 1))])
         protocol.run_frame([])
         protocol.run_frame([])
         journey = packet_journey(tracer, 0)
@@ -197,7 +198,7 @@ class TestProtocolIntegration:
         assert journey[1].link == 0
         assert journey[2].link == 1
 
-    def test_failure_and_cleanup_events(self):
+    def test_failure_and_cleanup_events(self, packets):
         net = line_network(4)
         tracer = Tracer()
         protocol = DynamicProtocol(
@@ -208,8 +209,9 @@ class TestProtocolIntegration:
             cleanup_probability=1.0,
             rng=0,
             tracer=tracer,
+            store=packets.store,
         )
-        protocol.run_frame([Packet(id=0, path=(0,), injected_at=0)])
+        protocol.run_frame([packets((0,))])
         protocol.run_frame([])
         kinds = [event.kind for event in packet_journey(tracer, 0)]
         assert kinds == [
@@ -220,7 +222,7 @@ class TestProtocolIntegration:
             EventKind.DELIVERED,
         ]
 
-    def test_shifted_protocol_emits_held_released(self):
+    def test_shifted_protocol_emits_held_released(self, packets):
         net = line_network(4)
         tracer = Tracer()
         protocol = ShiftedDynamicProtocol(
@@ -231,11 +233,10 @@ class TestProtocolIntegration:
             t_scale=0.01,
             rng=3,
             tracer=tracer,
+            store=packets.store,
         )
         for frame in range(protocol.delta_max + 5):
-            injected = (
-                [Packet(id=0, path=(0,), injected_at=0)] if frame == 0 else []
-            )
+            injected = [packets((0,))] if frame == 0 else []
             protocol.run_frame(injected)
         kinds = [event.kind for event in packet_journey(tracer, 0)]
         assert EventKind.RELEASED in kinds
@@ -243,7 +244,7 @@ class TestProtocolIntegration:
         assert kinds.index(EventKind.RELEASED) <= 1
         assert kinds[-1] == EventKind.DELIVERED
 
-    def test_counts_track_delivery_totals(self):
+    def test_counts_track_delivery_totals(self, packets):
         net = line_network(4)
         tracer = Tracer()
         protocol = DynamicProtocol(
@@ -253,11 +254,9 @@ class TestProtocolIntegration:
             params=tight_params(net.size_m, frame_length=12, phase1=8),
             rng=0,
             tracer=tracer,
+            store=packets.store,
         )
-        packets = [
-            Packet(id=i, path=(i % 3,), injected_at=0) for i in range(6)
-        ]
-        protocol.run_frame(packets)
+        protocol.run_frame([packets((i % 3,)) for i in range(6)])
         protocol.run_frame([])
         counts = tracer.counts()
         assert counts[EventKind.ACTIVATED] == 6

@@ -1,18 +1,30 @@
-"""Store-path vs object-path protocol parity.
+"""Store-path protocol runs against golden digests.
 
-One layer above ``test_kernel_parity.py``: the struct-of-arrays packet
-layer (:class:`~repro.injection.store.PacketStore` + the store-mode
-:class:`~repro.core.protocol.DynamicProtocol`) must replay the
-object-per-packet path bit-for-bit. Every run here is executed twice
-from one seed — once with ``run_frame`` fed ``Packet`` views (object
-mode) and once fed store index arrays (store mode) — and the two
-:class:`~repro.core.protocol.FrameReport` streams, delivery records,
-failed-buffer layouts, and potential series must be identical, across
-scheduler × model pairs, both injection models, the shifted wrapper,
-and the tracer event stream.
+The protocol once had two bookkeeping modes: an object-per-packet path
+and the struct-of-arrays :class:`~repro.injection.store.PacketStore`
+path. Before the object path was deleted, every case below was run
+through it and its outcome hashed into ``golden_runs.json`` (keys
+under ``protocol/``): the :class:`~repro.core.protocol.FrameReport`
+stream, delivery ids and stamps, failed-buffer layout and potential
+counters across scheduler × model pairs, the tracer event stream, the
+shifted wrapper, Markov injection, and the stdout of
+``repro sweep --model packet-routing --nodes 12``. The store path must
+reproduce each digest bit for bit.
+
+Re-record (only when a behaviour change is intended)::
+
+    PYTHONPATH=src python tests/test_store_parity.py --record
 """
 
 from __future__ import annotations
+
+import contextlib
+import dataclasses
+import hashlib
+import io
+import json
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +37,11 @@ from repro.interference.matrix_model import AffectanceThresholdModel
 from repro.interference.packet_routing import PacketRoutingModel
 from repro.network.topology import grid_network, random_sinr_network
 from repro.sinr.weights import linear_power_model
+
+GOLDEN_PATH = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "golden_runs.json"
+)
+GOLDEN_PREFIX = "protocol/"
 
 
 def _random_weights(m: int, seed: int, scale: float = 0.3) -> np.ndarray:
@@ -87,14 +104,7 @@ def _params(m: int) -> FrameParameters:
     )
 
 
-def _run(
-    store_mode: bool,
-    model_factory,
-    scheduler_factory,
-    frames: int = 25,
-    seed: int = 3,
-    tracer=None,
-):
+def _run(model_factory, scheduler_factory, frames=25, seed=3, tracer=None):
     model = model_factory()
     routing = repro.build_routing_table(model.network)
     injection = repro.uniform_pair_injection(
@@ -108,75 +118,163 @@ def _run(
         cleanup_probability=0.5,
         rng=seed,
         tracer=tracer,
-        store=injection.store if store_mode else None,
+        store=injection.store,
     )
     frame_length = protocol.frame_length
     reports = []
     for frame in range(frames):
         start = frame * frame_length
-        if store_mode:
-            batch = injection.indices_for_range(start, start + frame_length)
-        else:
-            batch = injection.packets_for_range(start, start + frame_length)
+        batch = injection.indices_for_range(start, start + frame_length)
         reports.append(protocol.run_frame(batch))
     return reports, protocol
 
 
-def _assert_same_outcome(object_run, store_run):
-    object_reports, object_protocol = object_run
-    store_reports, store_protocol = store_run
-    assert object_reports == store_reports
-    assert (
-        [p.id for p in object_protocol.delivered]
-        == [p.id for p in store_protocol.delivered]
+def _hash(payload) -> str:
+    blob = json.dumps(payload, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def _frame_report_digest(sched_name: str, model_name: str) -> str:
+    reports, protocol = _run(
+        MODEL_FACTORIES[model_name], SCHEDULER_FACTORIES[sched_name]
     )
-    assert (
-        [p.delivered_at for p in object_protocol.delivered]
-        == [p.delivered_at for p in store_protocol.delivered]
+    return _hash(
+        {
+            "reports": [dataclasses.asdict(report) for report in reports],
+            "delivered": [p.id for p in protocol.delivered],
+            "delivered_at": [p.delivered_at for p in protocol.delivered],
+            "failed_buffers": sorted(protocol.failed_buffer_sizes().items()),
+            "potential": protocol.potential.series,
+            "total_failures": protocol.potential.total_failures,
+            "total_cleanup_hops": protocol.potential.total_cleanup_hops,
+        }
     )
-    assert (
-        object_protocol.failed_buffer_sizes()
-        == store_protocol.failed_buffer_sizes()
+
+
+def _tracer_digest() -> str:
+    tracer = repro.Tracer()
+    _run(
+        _grid_routing_model, SCHEDULER_FACTORIES["single-hop"], tracer=tracer
     )
-    assert object_protocol.potential.series == store_protocol.potential.series
-    assert (
-        object_protocol.potential.total_failures
-        == store_protocol.potential.total_failures
+    return _hash(tracer.to_dicts())
+
+
+def _shifted_digest() -> str:
+    net = grid_network(3, 3)
+    model = PacketRoutingModel(net)
+    routing = repro.build_routing_table(net)
+    paths = [routing.path(s, d) for s, d in routing.pairs() if s == 0]
+    adversary = repro.BurstyAdversary(model, paths, window=120, rate=0.2, rng=5)
+    tracer = repro.Tracer()
+    protocol = repro.ShiftedDynamicProtocol(
+        model,
+        repro.SingleHopScheduler(),
+        0.2,
+        window=120,
+        params=_params(net.size_m),
+        rng=4,
+        tracer=tracer,
     )
-    assert (
-        object_protocol.potential.total_cleanup_hops
-        == store_protocol.potential.total_cleanup_hops
+    simulation = repro.FrameSimulation(protocol, adversary)
+    simulation.run(50)
+    return _hash(
+        {
+            "queue": list(simulation.metrics.queue_series),
+            "total_failures": protocol.inner.potential.total_failures,
+            "delivered": [p.id for p in protocol.delivered],
+            "held": protocol.held_count,
+            "trace": tracer.to_dicts(),
+        }
     )
+
+
+def _markov_digest() -> str:
+    net = grid_network(3, 3)
+    model = PacketRoutingModel(net)
+    routing = repro.build_routing_table(net)
+    paths = [routing.path(s, d) for s, d in routing.pairs()[:8]]
+    generators = [repro.PathGenerator([(path, 0.25)]) for path in paths[:4]]
+    injection = repro.MarkovModulatedInjection(generators, 0.3, 0.3, rng=21)
+    protocol = repro.DynamicProtocol(
+        model,
+        repro.SingleHopScheduler(),
+        0.2,
+        params=_params(net.size_m),
+        cleanup_probability=0.5,
+        rng=8,
+    )
+    simulation = repro.FrameSimulation(protocol, injection)
+    simulation.run(40)
+    return _hash(
+        {
+            "queue": list(simulation.metrics.queue_series),
+            "delivered_series": list(simulation.metrics.delivered_series),
+            "delivered": [p.id for p in protocol.delivered],
+            "potential": protocol.potential.series,
+        }
+    )
+
+
+def _sweep_digest() -> str:
+    from repro.cli.main import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["sweep", "--model", "packet-routing", "--nodes", "12"])
+    assert code == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def _golden_cases():
+    """Golden key -> zero-argument digest function."""
+    cases = {}
+    for sched_name in sorted(SCHEDULER_FACTORIES):
+        for model_name in sorted(MODEL_FACTORIES):
+            cases[f"{GOLDEN_PREFIX}frame-report/{sched_name}/{model_name}"] = (
+                lambda s=sched_name, m=model_name: _frame_report_digest(s, m)
+            )
+    cases[GOLDEN_PREFIX + "tracer"] = _tracer_digest
+    cases[GOLDEN_PREFIX + "shifted"] = _shifted_digest
+    cases[GOLDEN_PREFIX + "markov"] = _markov_digest
+    cases[GOLDEN_PREFIX + "sweep-packet-routing-12"] = _sweep_digest
+    return cases
+
+
+def _golden(key: str) -> str:
+    with open(GOLDEN_PATH) as handle:
+        return json.load(handle)[key]
 
 
 @pytest.mark.parametrize("model_name", sorted(MODEL_FACTORIES))
 @pytest.mark.parametrize("sched_name", sorted(SCHEDULER_FACTORIES))
 def test_frame_report_parity(sched_name, model_name):
-    model_factory = MODEL_FACTORIES[model_name]
-    scheduler_factory = SCHEDULER_FACTORIES[sched_name]
-    object_run = _run(False, model_factory, scheduler_factory)
-    store_run = _run(True, model_factory, scheduler_factory)
-    _assert_same_outcome(object_run, store_run)
+    key = f"{GOLDEN_PREFIX}frame-report/{sched_name}/{model_name}"
+    assert _frame_report_digest(sched_name, model_name) == _golden(key)
 
 
 def test_tracer_stream_parity():
-    """Per-packet event streams must also match, event for event."""
-    object_tracer = repro.Tracer()
-    store_tracer = repro.Tracer()
-    _run(
-        False,
-        _grid_routing_model,
-        SCHEDULER_FACTORIES["single-hop"],
-        tracer=object_tracer,
-    )
-    _run(
-        True,
-        _grid_routing_model,
-        SCHEDULER_FACTORIES["single-hop"],
-        tracer=store_tracer,
-    )
-    assert len(object_tracer) == len(store_tracer)
-    assert object_tracer.to_dicts() == store_tracer.to_dicts()
+    """Per-packet event streams match the recorded stream, event for event."""
+    assert _tracer_digest() == _golden(GOLDEN_PREFIX + "tracer")
+
+
+def test_shifted_protocol_store_parity():
+    """A shifted wrapper built without ``store=`` adopts the adversary's
+    store and replays the recorded run, trace included."""
+    assert _shifted_digest() == _golden(GOLDEN_PREFIX + "shifted")
+
+
+def test_markov_injection_store_parity():
+    assert _markov_digest() == _golden(GOLDEN_PREFIX + "markov")
+
+
+def test_sweep_stdout_parity():
+    assert _sweep_digest() == _golden(GOLDEN_PREFIX + "sweep-packet-routing-12")
+
+
+def test_golden_file_covers_the_protocol_cases():
+    with open(GOLDEN_PATH) as handle:
+        recorded = [k for k in json.load(handle) if k.startswith(GOLDEN_PREFIX)]
+    assert sorted(recorded) == sorted(_golden_cases())
 
 
 def test_store_mode_accepts_views_and_index_lists():
@@ -207,104 +305,6 @@ def test_store_mode_accepts_views_and_index_lists():
     assert reports[0] == reports[1] == reports[2]
 
 
-def test_shifted_protocol_store_parity():
-    net = grid_network(3, 3)
-
-    def run(store_mode: bool):
-        model = PacketRoutingModel(net)
-        routing = repro.build_routing_table(net)
-        paths = [routing.path(s, d) for s, d in routing.pairs() if s == 0]
-        adversary = repro.BurstyAdversary(
-            model, paths, window=120, rate=0.2, rng=5
-        )
-        protocol = repro.ShiftedDynamicProtocol(
-            model,
-            repro.SingleHopScheduler(),
-            0.2,
-            window=120,
-            params=_params(net.size_m),
-            rng=4,
-            store=adversary.store if store_mode else None,
-        )
-        simulation = repro.FrameSimulation(protocol, adversary)
-        simulation.run(50)
-        return (
-            tuple(simulation.metrics.queue_series),
-            protocol.inner.potential.total_failures,
-            [p.id for p in protocol.delivered],
-            protocol.held_count,
-        )
-
-    assert run(False) == run(True)
-
-
-def test_markov_injection_store_parity():
-    net = grid_network(3, 3)
-
-    def run(store_mode: bool):
-        model = PacketRoutingModel(net)
-        routing = repro.build_routing_table(net)
-        paths = [routing.path(s, d) for s, d in routing.pairs()[:8]]
-        generators = [
-            repro.PathGenerator([(path, 0.25)]) for path in paths[:4]
-        ]
-        injection = repro.MarkovModulatedInjection(
-            generators, 0.3, 0.3, rng=21
-        )
-        protocol = repro.DynamicProtocol(
-            model,
-            repro.SingleHopScheduler(),
-            0.2,
-            params=_params(net.size_m),
-            cleanup_probability=0.5,
-            rng=8,
-            store=injection.store if store_mode else None,
-        )
-        simulation = repro.FrameSimulation(protocol, injection)
-        simulation.run(40)
-        return (
-            tuple(simulation.metrics.queue_series),
-            tuple(simulation.metrics.delivered_series),
-            [p.id for p in protocol.delivered],
-            protocol.potential.series,
-        )
-
-    assert run(False) == run(True)
-
-
-def test_legacy_packets_for_slot_subclass_still_works():
-    """Object-mode subclasses overriding only packets_for_slot keep the
-    old fallback chain (packets_for_range iterates slots) and drive the
-    engine in object mode."""
-    from repro.injection.base import InjectionProcess
-    from repro.injection.packet import Packet
-
-    class Legacy(InjectionProcess):
-        def packets_for_slot(self, slot):
-            if slot % 7:
-                return []
-            return [Packet(id=slot, path=(0, 1), injected_at=slot)]
-
-    legacy = Legacy()
-    batch = legacy.packets_for_range(0, 15)
-    assert [p.id for p in batch] == [0, 7, 14]
-    assert all(isinstance(p, Packet) for p in batch)
-
-    model = _grid_routing_model()
-    protocol = repro.DynamicProtocol(
-        model,
-        repro.SingleHopScheduler(),
-        0.2,
-        params=_params(model.network.size_m),
-        rng=4,
-    )
-    simulation = repro.FrameSimulation(protocol, Legacy())
-    simulation.run(5)
-    assert simulation.metrics.injected_total == len(
-        [s for s in range(5 * protocol.frame_length) if s % 7 == 0]
-    )
-
-
 def test_store_mode_rejects_foreign_packets():
     """Views from another store, or out-of-store indices, fail loudly
     instead of being reinterpreted against the protocol's arrays."""
@@ -326,6 +326,39 @@ def test_store_mode_rejects_foreign_packets():
         protocol.run_frame(foreign.views([0]))
     with pytest.raises(SchedulingError, match="outside"):
         protocol.run_frame([3])  # own_store is empty
+    for _ in range(3):
+        own_store.allocate((0, 1), 0)
+    # Non-integer arrays must not be cast into (wrong or repeated)
+    # packet indices: 0.9/1.7 would truncate to 0/1, and a boolean
+    # mask would name packet 1 twice.
+    with pytest.raises(SchedulingError, match="integer"):
+        protocol.run_frame(np.array([0.9, 1.7]))
+    with pytest.raises(SchedulingError, match="integer"):
+        protocol.run_frame(np.array([True, False, True]))
+    assert protocol.packets_in_system == 0
+
+
+def test_store_packets_keep_the_packet_contract():
+    """What the deleted ``Packet`` class checked, on store rows: paths
+    must be non-empty, views read hop progress and delivery, and a
+    latency needs a delivery stamp."""
+    from repro.errors import TopologyError
+
+    store = repro.PacketStore()
+    with pytest.raises(TopologyError, match="empty path"):
+        store.allocate((), 0)
+    index = store.allocate((0, 1), 3)
+    view = store.view(index)
+    assert (view.id, view.path, view.injected_at) == (0, (0, 1), 3)
+    assert view.current_link == 0 and view.remaining_hops == 2
+    with pytest.raises(TopologyError, match="not delivered"):
+        view.latency()
+    assert not store.advance_one(index, 10)
+    assert view.current_link == 1
+    assert store.advance_one(index, 11)
+    assert view.is_delivered and view.latency() == 8
+    with pytest.raises(TopologyError, match="already delivered"):
+        view.current_link
 
 
 def test_injection_subclass_without_emission_hook_fails_at_construction():
@@ -339,60 +372,65 @@ def test_injection_subclass_without_emission_hook_fails_at_construction():
 
 
 def test_engine_auto_detects_shared_store():
-    """FrameSimulation must feed indices exactly when the stores match."""
+    """FrameSimulation binds a protocol built without ``store=`` to the
+    injection's store, keeps a matching one, and rejects a foreign one."""
+    from repro.errors import ConfigurationError
+
     model = _grid_routing_model()
     routing = repro.build_routing_table(model.network)
     injection = repro.uniform_pair_injection(
         routing, model, 0.25, num_generators=5, rng=11
     )
-    store_protocol = repro.DynamicProtocol(
-        model,
-        repro.SingleHopScheduler(),
-        0.2,
-        params=_params(model.network.size_m),
-        rng=4,
-        store=injection.store,
-    )
-    object_protocol = repro.DynamicProtocol(
-        model,
-        repro.SingleHopScheduler(),
-        0.2,
-        params=_params(model.network.size_m),
-        rng=4,
-    )
-    assert repro.FrameSimulation(store_protocol, injection)._use_indices
-    assert not repro.FrameSimulation(object_protocol, injection)._use_indices
 
-    # A store-mode protocol with a non-matching injection store is a
-    # configuration error, caught at construction rather than mid-run.
+    def protocol(store=None):
+        return repro.DynamicProtocol(
+            model,
+            repro.SingleHopScheduler(),
+            0.2,
+            params=_params(model.network.size_m),
+            rng=4,
+            store=store,
+        )
+
+    sharing = protocol(injection.store)
+    repro.FrameSimulation(sharing, injection)
+    assert sharing.store is injection.store
+
+    unbound = protocol()
+    assert unbound.store is None
+    repro.FrameSimulation(unbound, injection)
+    assert unbound.store is injection.store
+
+    # A protocol holding a different store is a configuration error,
+    # caught at construction rather than mid-run.
+    with pytest.raises(ConfigurationError, match="share"):
+        repro.FrameSimulation(protocol(repro.PacketStore()), injection)
+
+
+def test_unbound_protocol_refuses_to_run_a_frame():
     from repro.errors import ConfigurationError
 
-    mismatched = repro.DynamicProtocol(
+    model = _grid_routing_model()
+    protocol = repro.DynamicProtocol(
         model,
         repro.SingleHopScheduler(),
         0.2,
         params=_params(model.network.size_m),
         rng=4,
-        store=repro.PacketStore(),
     )
-    with pytest.raises(ConfigurationError, match="share"):
-        repro.FrameSimulation(mismatched, injection)
+    with pytest.raises(ConfigurationError, match="store="):
+        protocol.run_frame(np.empty(0, dtype=np.int64))
 
 
-def test_new_packet_helper_returns_packet_view():
-    """The legacy _new_packet helper keeps the Packet surface."""
-    from repro.injection.base import InjectionProcess
-
-    class Legacy(InjectionProcess):
-        def packets_for_slot(self, slot):
-            return [self._new_packet((0, 1), slot)]
-
-    legacy = Legacy()
-    (packet,) = legacy.packets_for_slot(3)
-    assert packet.id == 0
-    assert packet.path == (0, 1)
-    assert packet.injected_at == 3
-    assert packet.current_link == 0
-    assert not packet.advance(10)
-    assert packet.advance(11)
-    assert packet.latency() == 8
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        raise SystemExit("usage: test_store_parity.py --record")
+    with open(GOLDEN_PATH) as handle:
+        golden = json.load(handle)
+    golden = {k: v for k, v in golden.items() if not k.startswith(GOLDEN_PREFIX)}
+    cases = _golden_cases()
+    golden.update({key: digest() for key, digest in cases.items()})
+    with open(GOLDEN_PATH, "w") as handle:
+        json.dump(golden, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {len(cases)} protocol digests to {GOLDEN_PATH}")
