@@ -1,20 +1,26 @@
 """The injection-process interface.
 
-An injection process is an iterator over slots: ``indices_for_slot(t)``
-returns the packets injected in slot ``t`` (possibly none). Processes
-are deterministic functions of their seed, and slots must be queried in
-increasing order (the engine does), though repeated queries for the
-same slot are allowed and cached for the adversaries that precompute
-windows.
+An injection process emits the packets injected in each slot: the
+frame engine asks for a whole frame at once with
+``indices_for_range(start, end)``, and ``indices_for_slot(t)`` returns
+one slot's packets (possibly none). Processes are deterministic
+functions of their seed, and slots must be queried in increasing order
+(the engine does), though repeated queries for the same slot are
+allowed and cached for the adversaries that precompute windows.
+
+A process implements either hook. The default ``indices_for_range``
+loops over ``indices_for_slot``; processes that sample a range
+directly (the stochastic model, Markov ON/OFF injection) override it,
+and Markov injection answers a single slot as a range of length one.
 
 Every process emits into a :class:`~repro.injection.store.PacketStore`
-(its own by default, or a shared one passed at construction):
-:meth:`~InjectionProcess.indices_for_slot` allocates struct-of-arrays
-rows and returns their store indices, which *are* the packet ids. The
-frame engine feeds index arrays straight to the protocol and never
-materialises packet objects; the ``packets_for_*`` methods wrap the
-same indices as lazy :class:`~repro.injection.store.PacketView`
-objects for callers that want to inspect packets one by one.
+(its own by default, or a shared one passed at construction): emission
+allocates struct-of-arrays rows and returns their store indices, which
+*are* the packet ids. The frame engine feeds index arrays straight to
+the protocol and never materialises packet objects; the
+``packets_for_*`` methods wrap the same indices as lazy
+:class:`~repro.injection.store.PacketView` objects for callers that
+want to inspect packets one by one.
 """
 
 from __future__ import annotations
@@ -54,10 +60,11 @@ class InjectionProcess(ABC):
     def indices_for_range(self, start_slot: int, end_slot: int) -> np.ndarray:
         """Store indices injected in ``[start_slot, end_slot)`` as int64.
 
-        The default iterates slots; processes with cheap batch sampling
-        (e.g. the stochastic model, where only the per-frame multiset
-        matters to the protocol) override this with an equivalent
-        distribution sampled in one shot.
+        The default iterates slots. Processes with cheap batch
+        sampling override it: the stochastic model samples an
+        equivalent distribution in one shot (only the per-frame
+        multiset matters to the protocol), and Markov ON/OFF injection
+        samples the exact per-slot draws.
         """
         out: List[int] = []
         for slot in range(start_slot, end_slot):

@@ -12,7 +12,10 @@ model and the window adversary:
   stationary distribution), so a long-run injection rate
   ``lambda = ||W . F||_inf`` is still exact and the protocol's
   provisioning story applies — but arrivals cluster into ON bursts
-  whose mean length is ``1 / p_off``.
+  whose mean length is ``1 / p_on_off``. It emits range-first:
+  :meth:`~MarkovModulatedInjection.indices_for_range` samples a whole
+  frame in whole-array passes, bit-identical to drawing slot by slot,
+  and a single slot is a range of length one.
 * :class:`PoissonBatchInjection` keeps (b) but drops (c): a single
   infinite-user population injects a Poisson-distributed *batch* each
   slot. This is the classical multiple-access arrival model (ALOHA
@@ -23,7 +26,7 @@ Both expose the same ``mean_usage`` / ``injection_rate`` interface as
 :class:`~repro.injection.stochastic.StochasticInjection`, so frame
 provisioning and the stability experiments treat them uniformly.
 :func:`empirical_usage` closes the loop by measuring the realised mean
-usage of *any* process over a horizon.
+usage of *any* process over a horizon, from one range sample.
 """
 
 from __future__ import annotations
@@ -34,10 +37,19 @@ import numpy as np
 
 from repro.errors import ConfigurationError, InjectionError
 from repro.injection.base import InjectionProcess
-from repro.injection.stochastic import PathDist, PathGenerator
+from repro.injection.stochastic import (
+    PathDist,
+    PathGenerator,
+    PathPool,
+    csr_gather,
+)
 from repro.injection.store import PacketStore
 from repro.interference.base import InterferenceModel
 from repro.utils.rng import RngLike, spawn_rngs
+
+#: Most slots :meth:`MarkovModulatedInjection.indices_for_range` samples
+#: at once; its tables peak at about 200 bytes per generator per slot.
+_BLOCK_SLOTS = 1 << 12
 
 
 class MarkovModulatedInjection(InjectionProcess):
@@ -54,6 +66,14 @@ class MarkovModulatedInjection(InjectionProcess):
     exactly ``pi_on`` times the always-on usage — property (a) of the
     paper's model holds, property (b) (independence across slots) is
     deliberately violated. Mean burst length is ``1 / p_on_off`` slots.
+
+    Every generator reads its own uniform stream, one slot after the
+    other. An OFF slot reads one uniform ``u`` and turns ON iff
+    ``u < p_off_on``. An ON slot reads two: the path draw (the first
+    path whose cumulative probability exceeds it; none if it exceeds
+    the total mass) and the transition draw ``u``, staying ON iff
+    ``u >= p_on_off``. :meth:`indices_for_range` samples a whole range
+    of that layout in whole-array passes; see :meth:`_sample_block`.
 
     Parameters
     ----------
@@ -91,11 +111,23 @@ class MarkovModulatedInjection(InjectionProcess):
         streams = spawn_rngs(rng, len(self._generators) + 1)
         self._rngs = streams[: len(self._generators)]
         state_rng = streams[-1]
-        pi_on = self.stationary_on_probability
-        self._states = [
-            bool(state_rng.random() < pi_on) for _ in self._generators
-        ]
+        self._states = (
+            state_rng.random(len(self._generators))
+            < self.stationary_on_probability
+        )
         self._next_slot = 0
+        # np.cumsum accumulates left to right, exactly like a running
+        # ``cumulative += p``, so searchsorted(side="right") over it
+        # picks the path a sequential "draw < cumulative" scan would.
+        self._cumulative = [
+            np.cumsum([p for _, p in generator.distribution])
+            for generator in self._generators
+        ]
+        self._pool = PathPool(self._generators)
+        self._path_counts = np.asarray(
+            [len(generator.distribution) for generator in self._generators],
+            dtype=np.int64,
+        )
 
     @property
     def stationary_on_probability(self) -> float:
@@ -124,6 +156,7 @@ class MarkovModulatedInjection(InjectionProcess):
 
         states = state.get("rngs")
         chain = state.get("states")
+        next_slot = state.get("next_slot")
         if not isinstance(states, list) or len(states) != len(self._rngs):
             raise ConfigurationError(
                 "Markov injection state does not match the generator count"
@@ -132,10 +165,24 @@ class MarkovModulatedInjection(InjectionProcess):
             raise ConfigurationError(
                 "Markov injection state has a mismatched chain-state vector"
             )
+        if not all(isinstance(s, (bool, np.bool_)) for s in chain):
+            raise ConfigurationError(
+                "Markov injection chain states must be booleans, "
+                f"got {chain!r}"
+            )
+        if (
+            isinstance(next_slot, bool)
+            or not isinstance(next_slot, (int, np.integer))
+            or next_slot < 0
+        ):
+            raise ConfigurationError(
+                "Markov injection state needs a non-negative integer "
+                f"next_slot, got {next_slot!r}"
+            )
         for rng, rng_state in zip(self._rngs, states):
             restore_generator_state(rng, rng_state)
-        self._states = [bool(s) for s in chain]
-        self._next_slot = int(state["next_slot"])
+        self._states = np.asarray(chain, dtype=bool)
+        self._next_slot = int(next_slot)
 
     def mean_usage(self, num_links: int) -> np.ndarray:
         """Stationary mean per-slot usage: ``pi_on`` times the ON usage."""
@@ -149,30 +196,110 @@ class MarkovModulatedInjection(InjectionProcess):
         return model.injection_norm(self.mean_usage(model.num_links))
 
     def indices_for_slot(self, slot: int) -> List[int]:
-        if slot != self._next_slot:
+        return self.indices_for_range(slot, slot + 1).tolist()
+
+    def indices_for_range(self, start_slot: int, end_slot: int) -> np.ndarray:
+        """Sample ``[start_slot, end_slot)``, bit-identical to slot by slot.
+
+        The packets, their store rows, the chain states and every RNG
+        end where a per-slot loop over the stream layout (see the class
+        docstring) would leave them. Ranges are taken in blocks of at
+        most ``_BLOCK_SLOTS`` slots to bound the sampler's tables.
+        """
+        start_slot, end_slot = int(start_slot), int(end_slot)
+        if end_slot <= start_slot:
+            return np.empty(0, dtype=np.int64)
+        if start_slot != self._next_slot:
             raise InjectionError(
                 f"Markov-modulated injection must be queried in slot order; "
-                f"expected slot {self._next_slot}, got {slot}"
+                f"expected slot {self._next_slot}, got {start_slot}"
             )
-        self._next_slot += 1
-        indices: List[int] = []
-        for index, (generator, rng) in enumerate(
-            zip(self._generators, self._rngs)
+        blocks = [
+            self._sample_block(low, min(low + _BLOCK_SLOTS, end_slot))
+            for low in range(start_slot, end_slot, _BLOCK_SLOTS)
+        ]
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+    def _sample_block(self, start_slot: int, end_slot: int) -> np.ndarray:
+        """One block of :meth:`indices_for_range`.
+
+        Every generator draws ``2L + 1`` uniforms for ``L`` slots (at
+        most two per slot), after a snapshot of its RNG state. Node
+        ``2 * (row * width + i) + on`` is generator ``row`` reaching
+        stream position ``i`` in chain state ``on``; ``table`` maps each
+        node to the node of the next slot, or to a sink when that slot
+        would read past the drawn uniforms. Pointer doubling (each pass
+        appends ``jump[walk]`` to the walk, then squares ``jump``) runs
+        until the walk is ``s ~ sqrt(L)`` slots long and ``jump`` is
+        ``table`` to the power ``s``; hops of ``s`` slots then list
+        every generator's ``L + 1`` nodes: the ``L`` slots plus the
+        state after the block. The RNGs rewind to their snapshots and
+        re-draw exactly the uniforms the walk consumed.
+        """
+        length = end_slot - start_slot
+        count = len(self._rngs)
+        width = 2 * length + 1
+        uniforms = np.empty((count, width))
+        snapshots = []
+        for row, rng in enumerate(self._rngs):
+            snapshots.append(rng.bit_generator.state)
+            rng.random(out=uniforms[row])
+
+        first = 2 * width * np.arange(count, dtype=np.int64)
+        off_nodes = first[:, None] + 2 * np.arange(width, dtype=np.int64)
+        sink = 2 * width * count
+        table = np.full(sink + 1, sink, dtype=np.int64)
+        successors = table[:sink].reshape(count, width, 2)
+        # OFF at i reads u[i] and moves to i + 1.
+        successors[:, :-1, 0] = off_nodes[:, 1:] + (
+            uniforms[:, :-1] < self._p_off_on
+        )
+        # ON at i reads the path draw u[i], the transition draw u[i + 1],
+        # and moves to i + 2.
+        successors[:, :-2, 1] = off_nodes[:, 2:] + (
+            uniforms[:, 1:-1] >= self._p_on_off
+        )
+
+        # Double up to a stride of about sqrt(L) slots, then hop by it:
+        # each doubling pass gathers the whole table, each hop only
+        # the walk's last stride.
+        walk = (first + self._states)[:, None]
+        jump = table
+        for _ in range((length.bit_length() + 1) // 2):
+            walk = np.concatenate([walk, jump[walk]], axis=1)
+            jump = jump[jump]
+        hops = [walk]
+        for _ in range(length // walk.shape[1]):
+            hops.append(jump[hops[-1]])
+        walk = np.concatenate(hops, axis=1)[:, : length + 1]
+        relative = walk - first[:, None]
+        positions = relative >> 1
+        on = (relative & 1).astype(bool)
+
+        for rng, snapshot, used in zip(
+            self._rngs, snapshots, positions[:, length]
         ):
-            if self._states[index]:
-                draw = rng.random()
-                cumulative = 0.0
-                for path, probability in generator.distribution:
-                    cumulative += probability
-                    if draw < cumulative:
-                        indices.append(self._allocate(path, slot))
-                        break
-                if rng.random() < self._p_on_off:
-                    self._states[index] = False
-            else:
-                if rng.random() < self._p_off_on:
-                    self._states[index] = True
-        return indices
+            rng.bit_generator.state = snapshot
+            rng.random(int(used))
+        self._states = on[:, length].copy()
+        self._next_slot = end_slot
+
+        # ON slots in (slot, generator) order, the per-slot allocation order.
+        slots, rows = np.nonzero(on[:, :length].T)
+        draws = uniforms[rows, positions[rows, slots]]
+        choices = np.empty(draws.size, dtype=np.int64)
+        for row, cumulative in enumerate(self._cumulative):
+            mine = rows == row
+            choices[mine] = np.searchsorted(
+                cumulative, draws[mine], side="right"
+            )
+        # A draw past the total mass injects nothing.
+        hit = choices < self._path_counts[rows]
+        if not hit.any():
+            return np.empty(0, dtype=np.int64)
+        rows, slots, choices = rows[hit], slots[hit], choices[hit]
+        links, lengths = self._pool.gather(self._pool.first[rows] + choices)
+        return self._store.allocate_flat(links, lengths, start_slot + slots)
 
 
 class PoissonBatchInjection(InjectionProcess):
@@ -264,17 +391,22 @@ def empirical_usage(
 ) -> np.ndarray:
     """Measured mean per-slot usage of ``process`` over ``horizon`` slots.
 
-    Consumes the process (stateful processes advance); use a freshly
-    seeded instance when comparing against :meth:`mean_usage`.
+    Samples ``indices_for_range(0, horizon)`` once and counts the
+    sampled packets' path links. Consumes the process (stateful
+    processes advance); use a freshly seeded instance when comparing
+    against :meth:`mean_usage`.
     """
     if horizon <= 0:
         raise ConfigurationError(f"horizon must be positive, got {horizon}")
-    usage = np.zeros(num_links, dtype=float)
-    for slot in range(horizon):
-        for packet in process.packets_for_slot(slot):
-            for link_id in packet.path:
-                usage[link_id] += 1.0
-    return usage / horizon
+    store = process.store
+    indices = process.indices_for_range(0, horizon)
+    links, _ = csr_gather(store.path_links, store.offsets, indices)
+    if links.size and int(links.max()) >= num_links:
+        raise ConfigurationError(
+            f"process injected link {int(links.max())} but num_links is "
+            f"{num_links}"
+        )
+    return np.bincount(links, minlength=num_links) / horizon
 
 
 __all__ = [

@@ -99,6 +99,54 @@ class PathGenerator:
         return usage
 
 
+def csr_gather(
+    links: np.ndarray, offsets: np.ndarray, ids: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Concatenated CSR rows ``ids`` (in order) and their lengths.
+
+    Row ``i`` is ``links[offsets[i] : offsets[i + 1]]``; the gather is
+    one repeat-indexing pass, whatever the rows' lengths.
+    """
+    starts = offsets[ids]
+    lengths = offsets[ids + 1] - starts
+    ends = np.cumsum(lengths)
+    within = np.arange(int(ends[-1]) if ends.size else 0, dtype=np.int64)
+    within -= np.repeat(ends - lengths, lengths)
+    return links[np.repeat(starts, lengths) + within], lengths
+
+
+class PathPool:
+    """Every generator's paths as one CSR pool, for batch allocation.
+
+    Generator ``g``'s ``j``-th path is pool row ``first[g] + j``;
+    :meth:`gather` turns an array of pool rows into the
+    ``(links_flat, lengths)`` pair :meth:`PacketStore.allocate_flat`
+    takes, so a whole frame's packets allocate in one call.
+    """
+
+    def __init__(self, generators: Sequence[PathGenerator]):
+        paths = [path for g in generators for path, _ in g.distribution]
+        sizes = np.asarray(
+            [len(g.distribution) for g in generators], dtype=np.int64
+        )
+        self.first = np.zeros(sizes.size, dtype=np.int64)
+        np.cumsum(sizes[:-1], out=self.first[1:])
+        self.offsets = np.zeros(len(paths) + 1, dtype=np.int64)
+        np.cumsum(
+            np.asarray([len(path) for path in paths], dtype=np.int64),
+            out=self.offsets[1:],
+        )
+        self.links = np.fromiter(
+            (link for path in paths for link in path),
+            dtype=np.int64,
+            count=int(self.offsets[-1]),
+        )
+
+    def gather(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(links_flat, lengths)`` of the pool rows ``rows``, in order."""
+        return csr_gather(self.links, self.offsets, rows)
+
+
 class StochasticInjection(InjectionProcess):
     """Aggregate of independent :class:`PathGenerator` s."""
 
@@ -113,38 +161,17 @@ class StochasticInjection(InjectionProcess):
             raise InjectionError("at least one generator is required")
         self._generators = list(generators)
         self._rngs = spawn_rngs(rng, len(self._generators))
-        # Per-generator batch-sampling state, built once (rebuilding it
-        # per frame costs O(paths) and dominated all-pairs pools):
-        # multinomial pvals (path probabilities + idle remainder) and a
-        # CSR view of the path pool, so a frame's packets flatten into
-        # one PacketStore.allocate_flat call.
+        # Batch-sampling state, built once (rebuilding it per frame
+        # costs O(paths) and dominated all-pairs pools): per-generator
+        # multinomial pvals (path probabilities + idle remainder) and
+        # one path pool over every generator's paths, so a frame's
+        # packets flatten into one PacketStore.allocate_flat call.
         self._pvals = []
-        self._pool_links = []
-        self._pool_offsets = []
-        self._pool_lengths = []
         for generator in self._generators:
             probabilities = [p for _, p in generator.distribution]
             idle = max(0.0, 1.0 - sum(probabilities))
             self._pvals.append(probabilities + [idle])
-            lengths = np.asarray(
-                [len(path) for path, _ in generator.distribution],
-                dtype=np.int64,
-            )
-            offsets = np.zeros(lengths.size + 1, dtype=np.int64)
-            np.cumsum(lengths, out=offsets[1:])
-            flat = (
-                np.concatenate(
-                    [
-                        np.asarray(path, dtype=np.int64)
-                        for path, _ in generator.distribution
-                    ]
-                )
-                if lengths.size
-                else np.empty(0, dtype=np.int64)
-            )
-            self._pool_links.append(flat)
-            self._pool_offsets.append(offsets)
-            self._pool_lengths.append(lengths)
+        self._pool = PathPool(self._generators)
 
     @property
     def generators(self) -> List[PathGenerator]:
@@ -205,11 +232,8 @@ class StochasticInjection(InjectionProcess):
         length = end_slot - start_slot
         if length <= 0:
             return np.empty(0, dtype=np.int64)
-        store = self._store
-        path_id_runs: List[np.ndarray] = []
-        count_runs: List[np.ndarray] = []
         slot_runs: List[np.ndarray] = []
-        pool_rows: List[int] = []
+        path_id_runs: List[np.ndarray] = []
         for row, (pvals, rng) in enumerate(zip(self._pvals, self._rngs)):
             counts = rng.multinomial(length, pvals)
             # Only the drawn paths are visited (the idle count is the
@@ -225,35 +249,15 @@ class StochasticInjection(InjectionProcess):
             slot_runs.append(
                 rng.integers(length, size=int(drawn_counts.sum()))
             )
-            path_id_runs.append(drawn)
-            count_runs.append(drawn_counts)
-            pool_rows.append(row)
+            # Per-packet pool ids repeat each drawn path `count` times.
+            path_id_runs.append(
+                np.repeat(self._pool.first[row] + drawn, drawn_counts)
+            )
         if not slot_runs:
             return np.empty(0, dtype=np.int64)
-        # Flatten the whole frame into one CSR allocation: per-packet
-        # path ids repeat each drawn path `count` times, and the link
-        # gather is one repeat-indexing pass over the pool CSR.
-        flat_runs: List[np.ndarray] = []
-        length_runs: List[np.ndarray] = []
-        for row, drawn, drawn_counts in zip(
-            pool_rows, path_id_runs, count_runs
-        ):
-            path_ids = np.repeat(drawn, drawn_counts)
-            lengths = self._pool_lengths[row][path_ids]
-            starts = self._pool_offsets[row][path_ids]
-            total = int(lengths.sum())
-            ends = np.cumsum(lengths)
-            within = np.arange(total, dtype=np.int64) - np.repeat(
-                ends - lengths, lengths
-            )
-            flat_runs.append(
-                self._pool_links[row][np.repeat(starts, lengths) + within]
-            )
-            length_runs.append(lengths)
+        links, lengths = self._pool.gather(np.concatenate(path_id_runs))
         stamps = start_slot + np.concatenate(slot_runs)
-        indices = store.allocate_flat(
-            np.concatenate(flat_runs), np.concatenate(length_runs), stamps
-        )
+        indices = self._store.allocate_flat(links, lengths, stamps)
         # Stable (injected_at, id) order, matching the per-slot stream.
         order = np.lexsort((indices, stamps))
         return indices[order]

@@ -1,4 +1,4 @@
-"""Literal per-slot transcriptions of the fused schedulers, for tests.
+"""Literal per-slot transcriptions of vectorised library code, for tests.
 
 The library defines each randomized static scheduler once, as a
 :class:`~repro.staticsched.runloop.FusedPolicy` driven by
@@ -16,6 +16,11 @@ loop but :class:`~repro.staticsched.base.LinkQueues`. ``batch=True``
 swaps the scalar ``successes()`` call for the model's cached
 :meth:`~repro.interference.base.InterferenceModel.batch_evaluator`,
 which puts those evaluators through whole runs too.
+
+:class:`MarkovReference` is the same kind of oracle for
+:class:`~repro.injection.markov.MarkovModulatedInjection`'s range
+sampler: the per-slot ON/OFF loop it replaced, with its own RNG
+streams and its own packet store.
 """
 
 from __future__ import annotations
@@ -25,9 +30,10 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.injection.store import PacketStore
 from repro.interference.base import ScalarBatchEvaluator
 from repro.staticsched.base import LinkQueues, RunResult, SlotRecord
-from repro.utils.rng import ensure_rng
+from repro.utils.rng import ensure_rng, spawn_rngs
 
 
 class _Slots:
@@ -223,3 +229,61 @@ def run_reference(
         slots_used=slots,
         history=run.history,
     )
+
+
+class MarkovReference:
+    """Per-slot Markov ON/OFF injection, one scalar draw at a time.
+
+    Built from the same arguments as
+    :class:`~repro.injection.markov.MarkovModulatedInjection`, it splits
+    ``rng`` the same way, allocates into its own :class:`PacketStore`
+    and reports the same :meth:`state_dict`.
+    """
+
+    def __init__(self, generators, p_on_off, p_off_on, rng=None):
+        self.generators = list(generators)
+        self.p_on_off = float(p_on_off)
+        self.p_off_on = float(p_off_on)
+        streams = spawn_rngs(rng, len(self.generators) + 1)
+        self.rngs = streams[:-1]
+        pi_on = self.p_off_on / (self.p_on_off + self.p_off_on)
+        self.states = [
+            bool(streams[-1].random() < pi_on) for _ in self.generators
+        ]
+        self.next_slot = 0
+        self.store = PacketStore()
+
+    def indices_for_slot(self, slot: int) -> List[int]:
+        assert slot == self.next_slot, (slot, self.next_slot)
+        self.next_slot += 1
+        indices: List[int] = []
+        for index, (generator, rng) in enumerate(
+            zip(self.generators, self.rngs)
+        ):
+            if self.states[index]:
+                draw = rng.random()
+                cumulative = 0.0
+                for path, probability in generator.distribution:
+                    cumulative += probability
+                    if draw < cumulative:
+                        indices.append(self.store.allocate(path, slot))
+                        break
+                if rng.random() < self.p_on_off:
+                    self.states[index] = False
+            else:
+                if rng.random() < self.p_off_on:
+                    self.states[index] = True
+        return indices
+
+    def indices_for_range(self, start_slot: int, end_slot: int) -> List[int]:
+        out: List[int] = []
+        for slot in range(start_slot, end_slot):
+            out.extend(self.indices_for_slot(slot))
+        return out
+
+    def state_dict(self) -> dict:
+        return {
+            "rngs": [rng.bit_generator.state for rng in self.rngs],
+            "states": list(self.states),
+            "next_slot": self.next_slot,
+        }

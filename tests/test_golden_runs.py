@@ -32,6 +32,9 @@ GOLDEN_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "golden_runs.json"
 )
 BACKENDS = ("numpy", "scalar")
+# Keys other test modules own: "protocol/" is tests/test_store_parity.py,
+# "injection/" is tests/test_injection_golden.py.
+FOREIGN_PREFIXES = ("protocol/", "injection/")
 SEEDS = (5, 17)
 
 
@@ -93,8 +96,7 @@ def test_runs_match_golden_digests(sched_name, model_name):
 
 
 def test_golden_file_covers_the_matrix():
-    # Keys under "protocol/" belong to tests/test_store_parity.py.
-    static = [k for k in _load() if not k.startswith("protocol/")]
+    static = [k for k in _load() if not k.startswith(FOREIGN_PREFIXES)]
     assert sorted(static) == sorted(_key(*k) for k in _keys())
 
 
@@ -102,8 +104,10 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         raise SystemExit("usage: test_golden_runs.py --record")
     digests = {_key(*k): _digest(*k) for k in _keys()}
-    protocol = {k: v for k, v in _load().items() if k.startswith("protocol/")}
+    foreign = {
+        k: v for k, v in _load().items() if k.startswith(FOREIGN_PREFIXES)
+    }
     with open(GOLDEN_PATH, "w") as handle:
-        json.dump({**digests, **protocol}, handle, indent=1, sort_keys=True)
+        json.dump({**digests, **foreign}, handle, indent=1, sort_keys=True)
         handle.write("\n")
     print(f"wrote {len(digests)} digests to {GOLDEN_PATH}")
