@@ -2,11 +2,12 @@
 
 The scaling tentpole after P1/P2: a single (rate, seed) cell is now
 fast, but every paper table is a *sweep* — dozens of cells — and the
-serial path runs them one after another in one process. The sharded
-executor (``repro.sim.sharding``) describes the same sweep as picklable
-``CellSpec`` work units, maps them over a ``multiprocessing`` pool, and
-folds the results through the identical aggregation code, so the only
-thing that changes is wall-clock.
+serial path runs them one after another in one process. A sweep is a
+list of picklable ``FleetUnit`` work units, one ``ScenarioSpec`` per
+(rate, seed) cell (``repro.scenario.sweep_units``); the process
+executor (``repro.sim.sharding``) maps them over a ``multiprocessing``
+pool and the results fold through the identical aggregation code, so
+the only thing that changes is wall-clock.
 
 Workload: the CLI's packet-routing scenario (8x8 grid) swept across the
 stability boundary — rate fractions from well below to well above the
@@ -15,7 +16,7 @@ times more than cells below it (queues grow without bound), which is
 exactly the imbalance the executor's dynamic ``chunksize=1`` scheduling
 has to absorb.
 
-The benchmark runs the same spec list serially and at 1, 2, and 4
+The benchmark runs the same unit list serially and at 1, 2, and 4
 process workers, asserts every configuration produces record-identical
 sweeps, and reports cells/sec per configuration. The headline is the
 4-worker speedup over serial; the acceptance floor is 2x, which needs
@@ -39,13 +40,12 @@ import pytest
 
 from _harness import once, print_experiment
 
-import repro
-from repro.cli.builders import build_scenario
+from repro.scenario import preset_spec, sweep_units
+from repro.sim.runner import aggregate_rate_sweep
 from repro.sim.sharding import (
     ProcessExecutor,
     SerialExecutor,
     default_worker_count,
-    sweep_specs,
 )
 
 SCENARIO = "packet-routing"
@@ -58,22 +58,19 @@ HEADLINE_WORKERS = 4
 TIMING_REPEATS = 2
 
 
-def build_specs(frames: int, fractions=RATE_FRACTIONS, seeds=SEEDS):
-    scenario = build_scenario(SCENARIO, NODES, 0)
-    rates = [fraction * scenario.certified for fraction in fractions]
-    return sweep_specs(
-        rates,
-        seeds,
+def build_units(frames: int, fractions=RATE_FRACTIONS, seeds=SEEDS):
+    spec = preset_spec(
+        SCENARIO,
+        nodes=NODES,
         frames=frames,
-        protocol="scenario-protocol",
-        injection="scenario-injection",
-        protocol_kwargs={"model": SCENARIO, "nodes": NODES},
         # Enough generators that the 1.4x-certified overload cell stays
         # injectable (per-generator probability must be <= 1).
-        injection_kwargs={
-            "model": SCENARIO, "nodes": NODES, "num_generators": 16,
-        },
-        requires=("repro.cli.registry",),
+        injection_kwargs={"num_generators": 16},
+    )
+    spec = spec.replace(topology_kwargs={**spec.topology_kwargs, "seed": 0})
+    certified = spec.build(with_protocol=False).certified
+    return sweep_units(
+        spec, [fraction * certified for fraction in fractions], seeds
     )
 
 
@@ -105,8 +102,8 @@ def run_experiment(
     out_path=None,
     tags=None,
 ):
-    specs = build_specs(frames, fractions, seeds)
-    cells = len(specs)
+    units = build_units(frames, fractions, seeds)
+    cells = len(units)
     executors = [("serial", SerialExecutor())] + [
         (f"process-{count}", ProcessExecutor(workers=count))
         for count in worker_counts
@@ -118,7 +115,7 @@ def run_experiment(
     for _ in range(repeats):
         for name, executor in executors:
             start = time.perf_counter()
-            result = repro.run_sharded_sweep(specs, executor)
+            result = aggregate_rate_sweep(executor.map(units))
             seconds[name] = min(seconds[name], time.perf_counter() - start)
             assert name not in records or records_identical(
                 records[name], result

@@ -144,7 +144,6 @@ from repro.core import (
 )
 from repro.sim import (
     CellResult,
-    CellSpec,
     EventKind,
     FrameSimulation,
     MetricsRecorder,
@@ -160,9 +159,6 @@ from repro.sim import (
     make_executor,
     measure_cell,
     packet_journey,
-    run_rate_sweep,
-    run_sharded_sweep,
-    sweep_specs,
 )
 from repro.scenario import (
     FleetResult,
@@ -295,17 +291,13 @@ __all__ = [
     "MetricsRecorder",
     "StabilityVerdict",
     "assess_stability",
-    "run_rate_sweep",
     "RateSweepRecord",
     "CellResult",
-    "CellSpec",
     "SerialExecutor",
     "ProcessExecutor",
     "make_executor",
     "measure_cell",
     "aggregate_rate_sweep",
-    "run_sharded_sweep",
-    "sweep_specs",
     # scenario layer
     "ScenarioSpec",
     "FleetResult",

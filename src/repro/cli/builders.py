@@ -1,9 +1,9 @@
-"""Scenario presets shared by the CLI commands — thin adapters.
+"""Preset and topology names for the CLI, and its topology builder.
 
-A *scenario* bundles what every simulation needs: a network, the
-interference model over it, a static algorithm with a usable
-``f(m) I + g(m, n)`` bound, the routing table, and the certified
-injection rate. The presets mirror the benchmark families:
+The model presets are :class:`~repro.scenario.spec.ScenarioSpec`
+templates (:mod:`repro.scenario.presets`); the commands build them with
+``preset_spec(name, nodes, seed).build(...)``. The presets mirror the
+benchmark families:
 
 ===============  ====================================================
 ``packet-routing``  grid network, identity ``W``, single-hop scheduler
@@ -13,86 +13,24 @@ injection rate. The presets mirror the benchmark families:
 ``conflict``        grid disk graph, node-constraint conflicts
 ===============  ====================================================
 
-Since the declarative scenario layer landed, this module *describes*
-nothing itself: presets are :class:`~repro.scenario.spec.ScenarioSpec`
-templates (:mod:`repro.scenario.presets`), topologies resolve through
-the unified component registry (:mod:`repro.scenario.registry`), and
-the functions here only adapt both to the CLI's historical
-``(name, nodes, seed)`` call shape — construction is bit-compatible
-with the old imperative path.
+Topologies resolve through the unified component registry
+(:mod:`repro.scenario.registry`); this module only maps the CLI's
+``(kind, nodes, seed)`` call shape onto each component's parameters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List
 
 from repro.errors import ConfigurationError
-from repro.interference.base import InterferenceModel
 from repro.network.network import Network
-from repro.network.routing import RoutingTable
-from repro.scenario.presets import PRESETS, preset_names, preset_spec
+from repro.scenario.presets import _grid_side, preset_names
 from repro.scenario.registry import resolve as resolve_component
-from repro.staticsched.base import StaticAlgorithm
-
-
-@dataclass
-class Scenario:
-    """Everything a CLI simulation needs, pre-wired."""
-
-    name: str
-    network: Network
-    model: InterferenceModel
-    algorithm: StaticAlgorithm
-    routing: RoutingTable
-    certified: float
-
-    @property
-    def m(self) -> int:
-        return self.network.size_m
-
-
-def _build_preset(name: str, nodes: int, seed: int) -> Scenario:
-    built = preset_spec(name, nodes=nodes, seed=seed).build(
-        with_protocol=False
-    )
-    return Scenario(
-        name=name,
-        network=built.network,
-        model=built.model,
-        algorithm=built.algorithm,
-        routing=built.routing,
-        certified=built.certified,
-    )
-
-
-#: Preset name -> ``(nodes, seed) -> Scenario`` adapter (kept for
-#: callers that iterate the table; new code should prefer
-#: ``repro.scenario.preset_spec``).
-SCENARIOS: Dict[str, Callable[[int, int], Scenario]] = {
-    name: (lambda nodes, seed, _name=name: _build_preset(_name, nodes, seed))
-    for name in PRESETS
-}
 
 
 def scenario_names() -> List[str]:
     """The preset names, in presentation order."""
     return preset_names()
-
-
-def build_scenario(name: str, nodes: int, seed: int) -> Scenario:
-    """Build one preset; raises on unknown names or bad sizes."""
-    if name not in SCENARIOS:
-        raise ConfigurationError(
-            f"unknown scenario '{name}'; choose from {', '.join(SCENARIOS)}"
-        )
-    return _build_preset(name, nodes, seed)
-
-
-def _grid_side(nodes: int) -> int:
-    from repro.scenario.presets import _grid_side as side
-
-    return side(nodes)
 
 
 #: CLI topology kind -> registry component name + ``nodes`` mapping.
@@ -105,13 +43,6 @@ _TOPOLOGY_ARGS: Dict[str, Callable[[int, int], tuple]] = {
     "star": lambda nodes, seed: ("star", {"leaves": max(1, nodes - 1)}),
     "mac": lambda nodes, seed: ("mac", {"num_stations": max(2, nodes)}),
     "figure1": lambda nodes, seed: ("figure1", {"m": max(2, nodes)}),
-}
-
-#: Kept for callers that iterate the table; resolves through the
-#: unified registry like everything else.
-TOPOLOGIES: Dict[str, Callable[[int, int], Network]] = {
-    name: (lambda nodes, seed, _name=name: build_topology(_name, nodes, seed))
-    for name in _TOPOLOGY_ARGS
 }
 
 
@@ -133,10 +64,6 @@ def build_topology(kind: str, nodes: int, seed: int) -> Network:
 
 
 __all__ = [
-    "Scenario",
-    "SCENARIOS",
-    "TOPOLOGIES",
-    "build_scenario",
     "build_topology",
     "scenario_names",
     "topology_names",

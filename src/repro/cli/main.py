@@ -25,22 +25,20 @@ import sys
 from typing import List, Optional, Sequence
 
 import repro
-from repro.cli.builders import (
-    build_scenario,
-    build_topology,
-    scenario_names,
-    topology_names,
-)
-from repro.cli.registry import (
-    COMPARE_CONTENDERS,
-    EXPERIMENTS,
-    compare_certified,
-)
+from repro.cli.builders import build_topology, scenario_names, topology_names
+from repro.cli.registry import EXPERIMENTS
 from repro.errors import ReproError
 from repro.scenario import registry as component_registry
-from repro.scenario.fleet import load_specs, run_scenario_fleet
+from repro.scenario.fleet import (
+    FleetUnit,
+    load_specs,
+    run_scenario_fleet,
+    sweep_units,
+)
 from repro.scenario.presets import preset_spec
-from repro.sim.sharding import CellSpec, executor_names, make_executor
+from repro.scenario.spec import ScenarioSpec
+from repro.sim.runner import aggregate_rate_sweep
+from repro.sim.sharding import executor_names, make_executor
 from repro.staticsched.runloop import (
     BACKENDS,
     available_backends,
@@ -539,7 +537,9 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = build_scenario(args.model, args.nodes, args.seed)
+    scenario = preset_spec(args.model, nodes=args.nodes, seed=args.seed).build(
+        with_protocol=False
+    )
     rate = args.rate_fraction * scenario.certified
     tracer = repro.Tracer() if args.trace else None
     injection = repro.uniform_pair_injection(
@@ -571,8 +571,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         simulation.run(args.frames)
     metrics = simulation.metrics
 
-    print(f"scenario '{scenario.name}': {scenario.network.num_nodes} nodes, "
-          f"m = {scenario.m}, frame length {protocol.frame_length}")
+    print(f"scenario '{args.model}': {scenario.network.num_nodes} nodes, "
+          f"m = {scenario.network.size_m}, "
+          f"frame length {protocol.frame_length}")
     print(f"certified rate {scenario.certified:.4g}, "
           f"running at {args.rate_fraction:.2f}x = {rate:.4g}")
     print()
@@ -645,33 +646,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print("error: empty --fractions or --seeds", file=sys.stderr)
         return 2
 
-    scenario = build_scenario(args.model, args.nodes, 0)
-
-    # The cells are registry-named specs (no closures), so the same
-    # list runs in-process or across worker processes — with identical
-    # records, which is why the printed table does not say which.
-    rates = [fraction * scenario.certified for fraction in fractions]
-    specs = repro.sweep_specs(
-        rates,
-        seeds,
+    # Every cell shares the seed-0 network; the cell seed varies only
+    # the protocol and injection streams.
+    spec = preset_spec(
+        args.model,
+        nodes=args.nodes,
         frames=args.frames,
-        protocol="scenario-protocol",
-        injection="scenario-injection",
-        protocol_kwargs={
-            "model": args.model,
-            "nodes": args.nodes,
-            "t_scale": args.t_scale,
-        },
-        injection_kwargs={"model": args.model, "nodes": args.nodes},
-        requires=("repro.cli.registry",),
+        t_scale=args.t_scale,
         backend=args.backend,
         metrics=args.metrics,
     )
-    records = repro.run_sharded_sweep(
-        specs, make_executor(args.executor, args.workers)
+    spec = spec.replace(topology_kwargs={**spec.topology_kwargs, "seed": 0})
+    certified = spec.build(with_protocol=False).certified
+    units = sweep_units(
+        spec, [fraction * certified for fraction in fractions], seeds
     )
-    print(f"scenario '{scenario.name}': certified rate "
-          f"{scenario.certified:.4g}, {len(seeds)} seed(s)")
+    records = aggregate_rate_sweep(
+        make_executor(args.executor, args.workers).map(units)
+    )
+    print(f"scenario '{args.model}': certified rate "
+          f"{certified:.4g}, {len(seeds)} seed(s)")
     rows = []
     for fraction, record in zip(fractions, records):
         rows.append(
@@ -692,43 +686,50 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The ``compare`` command's contenders: table label -> scheduler fields.
+COMPARE_CONTENDERS = (
+    ("decay [Thm 19] + transform", {"scheduler": "decay", "transform": True}),
+    ("KV [33] + transform", {"scheduler": "kv", "transform": True}),
+    ("HM-style [26] (native)", {"scheduler": "hm"}),
+)
+
+
 def cmd_compare(args: argparse.Namespace) -> int:
     """Certified rates and short stability runs, one network, all algorithms."""
-    net = repro.random_sinr_network(args.nodes, rng=args.seed)
-    m = net.size_m
-    # One cell per contender; each cell rebuilds the (deterministic)
-    # network from the seed inside its worker and shares its injection's
-    # PacketStore with the protocol, so the executor choice cannot
-    # change any number in the table.
-    specs = []
-    certified_rates = []
-    for index, (key, _) in enumerate(COMPARE_CONTENDERS):
-        certified = compare_certified(m, key)
-        certified_rates.append(certified)
-        specs.append(
-            CellSpec(
-                rate=args.rate_fraction * certified,
-                seed=args.seed,
-                frames=args.frames,
-                rate_index=index,
-                pair="compare-contender",
-                pair_kwargs={"nodes": args.nodes, "algorithm": key},
-                load_from_injected=True,
-                requires=("repro.cli.registry",),
-                backend=args.backend,
-            )
+    specs = [
+        ScenarioSpec(
+            topology="random",
+            topology_kwargs={"num_nodes": args.nodes},
+            model="linear-power",
+            injection_kwargs={"num_generators": 8},
+            rate=args.rate_fraction,
+            frames=args.frames,
+            seed=args.seed,
+            backend=args.backend,
+            load_from_injected=True,
+            **contender,
         )
-    results = make_executor(args.executor, args.workers).map(specs)
-    print(f"network: {net.num_nodes} nodes, m = {m}, linear-power SINR; "
+        for _, contender in COMPARE_CONTENDERS
+    ]
+    built = [spec.build(with_protocol=False) for spec in specs]
+    # Each unit rebuilds the (seeded) network inside its worker and
+    # shares its injection's PacketStore with the protocol, so the
+    # executor choice cannot change any number in the table.
+    results = make_executor(args.executor, args.workers).map(
+        [FleetUnit(spec=spec, index=index) for index, spec in enumerate(specs)]
+    )
+    net = built[0].network
+    print(f"network: {net.num_nodes} nodes, m = {net.size_m}, "
+          "linear-power SINR; "
           f"each protocol at {args.rate_fraction:.2f}x its certified rate")
     rows = []
-    for (_, label), certified, result in zip(
-        COMPARE_CONTENDERS, certified_rates, results
+    for (label, _), scenario, result in zip(
+        COMPARE_CONTENDERS, built, results
     ):
         rows.append(
             [
                 label,
-                f"{certified:.4g}",
+                f"{scenario.certified:.4g}",
                 result.frame_length,
                 result.injected,
                 result.failures,

@@ -1,41 +1,14 @@
-"""The experiment inventory — and the CLI's named sweep-cell builders.
+"""The experiment inventory.
 
 One row per experiment in EXPERIMENTS.md. The CLI prints this table;
 tests assert that every listed bench file exists so the registry cannot
 drift from the benchmark suite.
-
-This module also registers the CLI's protocol/injection builders with
-:mod:`repro.sim.sharding` under stable names, so a sweep or compare run
-can be described as picklable :class:`~repro.sim.sharding.CellSpec`
-work units (no closures) and executed serially or across worker
-processes with identical results. Cells carry
-``requires=("repro.cli.registry",)`` so spawn-style workers import this
-module (and thereby register the builders) before resolving names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List
-
-from repro.cli.builders import build_scenario
-from repro.core.competitive import certified_rate
-from repro.core.protocol import DynamicProtocol
-from repro.core.transform import TransformedAlgorithm
-from repro.errors import ConfigurationError
-from repro.injection.stochastic import uniform_pair_injection
-from repro.network.routing import build_routing_table
-from repro.network.topology import random_sinr_network
-from repro.sim.sharding import (
-    register_injection_builder,
-    register_pair_builder,
-    register_protocol_builder,
-)
-from repro.sinr.weights import linear_power_model
-from repro.staticsched.decay import DecayScheduler
-from repro.staticsched.hm import HmScheduler
-from repro.staticsched.kv import KvScheduler
 
 
 @dataclass(frozen=True)
@@ -211,140 +184,9 @@ def experiment_ids() -> List[str]:
     return [entry.id for entry in EXPERIMENTS]
 
 
-# ----------------------------------------------------------------------
-# Named sweep-cell builders (see repro.sim.sharding)
-# ----------------------------------------------------------------------
-#
-# Every builder derives all of its randomness from the cell's own seed
-# (child-seeded per cell), so a cell's outcome is a pure function of
-# (builder kwargs, rate, seed) — independent of which process runs it
-# or what ran before it. Scenario construction is deterministic in
-# (model, nodes) and scenario objects hold no per-run state (scheduler
-# state lives in run locals), so cells in one process share a cached
-# build instead of re-running BFS routing per cell.
-
-
-@lru_cache(maxsize=16)
-def _scenario(model: str, nodes: int):
-    return build_scenario(model, nodes, 0)
-
-
-@register_protocol_builder("scenario-protocol")
-def scenario_protocol(
-    rate: float,
-    seed: int,
-    *,
-    model: str,
-    nodes: int,
-    t_scale: float = 0.001,
-):
-    """The ``sweep`` command's protocol: a scenario preset, rate-capped
-    at the scenario's certified rate (sweeps deliberately push the
-    injection rate past what the protocol is provisioned for)."""
-    scenario = _scenario(model, nodes)
-    return DynamicProtocol(
-        scenario.model,
-        scenario.algorithm,
-        min(rate, scenario.certified),
-        t_scale=t_scale,
-        rng=seed,
-    )
-
-
-@register_injection_builder("scenario-injection")
-def scenario_injection(
-    rate: float,
-    seed: int,
-    protocol,
-    *,
-    model: str,
-    nodes: int,
-    num_generators: int = 6,
-):
-    """The ``sweep`` command's injection: uniform over routed pairs of
-    the same scenario preset, at the uncapped sweep rate."""
-    scenario = _scenario(model, nodes)
-    return uniform_pair_injection(
-        scenario.routing,
-        scenario.model,
-        rate,
-        num_generators=num_generators,
-        rng=seed + 1000,
-    )
-
-
-#: The ``compare`` command's contenders: key -> (label, algorithm factory
-#: over m). Keys name the algorithm inside compare-contender cells.
-COMPARE_CONTENDERS = [
-    ("decay", "decay [Thm 19] + transform"),
-    ("kv", "KV [33] + transform"),
-    ("hm", "HM-style [26] (native)"),
-]
-
-_COMPARE_ALGORITHMS = {
-    "decay": lambda m: TransformedAlgorithm(
-        DecayScheduler(), m=m, chi_scale=0.05
-    ),
-    "kv": lambda m: TransformedAlgorithm(KvScheduler(), m=m, chi_scale=0.05),
-    "hm": lambda m: HmScheduler(),
-}
-
-
-def compare_algorithm(key: str, m: int):
-    """Build one compare contender's static algorithm for network size m."""
-    if key not in _COMPARE_ALGORITHMS:
-        raise ConfigurationError(
-            f"unknown compare algorithm '{key}'; choose from "
-            f"{', '.join(sorted(_COMPARE_ALGORITHMS))}"
-        )
-    return _COMPARE_ALGORITHMS[key](m)
-
-
-def compare_certified(m: int, key: str) -> float:
-    """The certified rate a compare contender runs relative to, on a
-    network of size ``m`` (callers already hold the network)."""
-    return certified_rate(compare_algorithm(key, m), m)
-
-
-@register_pair_builder("compare-contender")
-def compare_contender(
-    rate: float,
-    seed: int,
-    *,
-    nodes: int,
-    algorithm: str,
-    num_generators: int = 8,
-    t_scale: float = 0.001,
-):
-    """One ``compare`` cell: a contender on the shared linear-power SINR
-    network, the protocol sharing the injection's PacketStore (which
-    is why this is a pair builder — the two are built together)."""
-    net = random_sinr_network(nodes, rng=seed)
-    model = linear_power_model(net, alpha=3.0, beta=1.0, noise=0.02)
-    routing = build_routing_table(net)
-    injection = uniform_pair_injection(
-        routing, model, rate, num_generators=num_generators, rng=seed + 1000
-    )
-    protocol = DynamicProtocol(
-        model,
-        compare_algorithm(algorithm, net.size_m),
-        rate,
-        t_scale=t_scale,
-        rng=seed,
-        store=injection.store,
-    )
-    return protocol, injection
-
-
 __all__ = [
     "ExperimentEntry",
     "EXPERIMENTS",
     "experiment_ids",
-    "COMPARE_CONTENDERS",
-    "compare_algorithm",
-    "compare_certified",
-    "compare_contender",
-    "scenario_injection",
-    "scenario_protocol",
 ]
 

@@ -10,15 +10,15 @@ fleet layer, :mod:`repro.scenario.campaign` surveys cross-product
 grids with a stability-frontier bisection per cell
 (:func:`~repro.scenario.campaign.run_campaign`).
 
-The CLI's historical presets live on as spec templates in
-:mod:`repro.scenario.presets`; ``cli/builders.py`` and the sharding
-builder registries are thin adapters over this layer.
+The CLI's presets live on as spec templates in
+:mod:`repro.scenario.presets`. A rate sweep is a fleet of one spec at
+many (rate, seed) points (:func:`~repro.scenario.fleet.sweep_units`);
+``repro sweep`` and ``repro compare`` both run as fleet units.
 
-Exports resolve lazily (PEP 562): :mod:`repro.sim.sharding` backs its
-builder registries with :mod:`repro.scenario.registry`, and the spec
-layer in turn builds protocols from :mod:`repro.core` — an eager
-package import here would close that loop while ``repro.core`` is
-still initialising. Importing any spec-layer name (or the
+Exports resolve lazily (PEP 562), so importing the registry alone
+stays light and cycle-safe: the spec layer builds protocols from
+:mod:`repro.core`, which must not be re-entered while it is still
+initialising. Importing any spec-layer name (or the
 :mod:`~repro.scenario.components` module itself, as unpickling a
 ``ScenarioSpec`` does) registers the built-in components.
 """
@@ -60,6 +60,7 @@ _EXPORTS = {
     "load_specs": "repro.scenario.fleet",
     "run_scenario_fleet": "repro.scenario.fleet",
     "specs_from_data": "repro.scenario.fleet",
+    "sweep_units": "repro.scenario.fleet",
     "components": "repro.scenario.components",
 }
 

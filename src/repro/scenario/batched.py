@@ -133,7 +133,6 @@ def _unit_stream(unit: FleetUnit, built):
         rate=built.rate,
         seed=spec.seed,
         rate_index=unit.index,
-        load_per_frame=None,
         load_from_injected=spec.load_from_injected,
     )
 

@@ -16,6 +16,10 @@ Per-network outcomes are the same
 :func:`aggregate_fleet` folds them into a :class:`FleetResult` with
 cross-network summary statistics (nan-aware on latency, like the
 sweep aggregation).
+
+A rate sweep is a fleet too: :func:`sweep_units` turns one spec and a
+(rate, seed) grid into fleet units, and
+``aggregate_rate_sweep(executor.map(units))`` folds them per rate.
 """
 
 from __future__ import annotations
@@ -24,13 +28,14 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, List, Mapping, Optional, Sequence, Union
+from typing import Any, Iterable, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.scenario.spec import ScenarioSpec
 from repro.sim.runner import CellResult
+from repro.sim.sharding import SerialExecutor
 
 
 @dataclass(frozen=True)
@@ -134,11 +139,6 @@ def run_scenario_fleet(
     given) overrides every spec's retention, and ``"streaming"`` caps
     each worker's memory at O(window) regardless of the horizon.
     """
-    # Imported here, not at module top: sharding's registries live in
-    # the unified component registry, so importing this package from
-    # sharding must not re-enter sharding mid-import.
-    from repro.sim.sharding import SerialExecutor
-
     if metrics is not None:
         specs = [spec.replace(metrics=metrics) for spec in specs]
     units = [
@@ -149,6 +149,27 @@ def run_scenario_fleet(
     if executor is None:
         executor = SerialExecutor()
     return aggregate_fleet(executor.map(units))
+
+
+def sweep_units(
+    spec: ScenarioSpec, rates: Iterable[float], seeds: Iterable[int]
+) -> List[FleetUnit]:
+    """Flatten a (rate, seed) grid over ``spec`` into rate-major units.
+
+    Each unit runs ``spec`` at one absolute ``rate`` and one ``seed``;
+    its index is the rate's position, so duplicate rates stay distinct
+    rows in :func:`~repro.sim.runner.aggregate_rate_sweep`. ``rates``
+    and ``seeds`` are materialised once, so generators are safe.
+    """
+    seeds = list(seeds)
+    return [
+        FleetUnit(
+            spec=spec.replace(rate=rate, rate_mode="absolute", seed=seed),
+            index=index,
+        )
+        for index, rate in enumerate(rates)
+        for seed in seeds
+    ]
 
 
 def specs_from_data(data: Any) -> List[ScenarioSpec]:
@@ -186,4 +207,5 @@ __all__ = [
     "load_specs",
     "run_scenario_fleet",
     "specs_from_data",
+    "sweep_units",
 ]

@@ -1,23 +1,12 @@
-"""The unified component registry behind every construction path.
+"""The component registry every spec resolves through.
 
-Before this layer existed the repository described scenarios three
-different ways: the CLI's preset closures (``cli/builders.py``), the
-CLI experiment registry's sharding builders (``cli/registry.py``), and
-the sweep executor's protocol/injection/pair registries
-(``sim/sharding.py``). Each kept its own name table with its own
-resolution rules, so nothing could carry *a whole scenario* across a
-process boundary by name.
-
-This module is the one table all of them now share. A component is a
-named callable filed under a *kind* — ``topology``, ``model``,
-``scheduler``, ``injection`` for the declarative
-:class:`~repro.scenario.spec.ScenarioSpec` layer, and the
-``cell-protocol`` / ``cell-injection`` / ``cell-pair`` kinds that back
-:mod:`repro.sim.sharding`'s builder registries. Resolution falls back
-to ``"module:function"`` dotted paths exactly like the sharding
-registries always did, so third-party components need no registration
-call at all (the importing module registers them as a side effect, or
-the spec names them by path).
+A component is a named callable filed under a *kind* — ``topology``,
+``model``, ``scheduler`` or ``injection`` — that the declarative
+:class:`~repro.scenario.spec.ScenarioSpec` layer resolves by name.
+Resolution falls back to ``"module:function"`` dotted paths, so
+third-party components need no registration call at all (the
+importing module registers them as a side effect, or the spec names
+them by path).
 
 Registration is idempotent per callable: re-registering the same
 function under the same name is a no-op, a *different* callable under
@@ -33,20 +22,11 @@ from typing import Callable, Dict, List, Optional
 
 from repro.errors import ConfigurationError
 
-#: The component kinds specs and cells resolve through. ``topology``
-#: builders return a Network, ``model`` builders an InterferenceModel
-#: over one, ``scheduler`` builders a StaticAlgorithm, ``injection``
-#: builders an InjectionProcess; the ``cell-*`` kinds keep the
-#: sharding-cell builder contracts documented in repro.sim.sharding.
-KINDS = (
-    "topology",
-    "model",
-    "scheduler",
-    "injection",
-    "cell-protocol",
-    "cell-injection",
-    "cell-pair",
-)
+#: The component kinds specs resolve through. ``topology`` builders
+#: return a Network, ``model`` builders an InterferenceModel over one,
+#: ``scheduler`` builders a StaticAlgorithm, ``injection`` builders an
+#: InjectionProcess.
+KINDS = ("topology", "model", "scheduler", "injection")
 
 _TABLES: Dict[str, Dict[str, Callable]] = {kind: {} for kind in KINDS}
 
@@ -84,25 +64,19 @@ def register(kind: str, name: str, builder: Optional[Callable] = None):
     return _file
 
 
-def resolve(kind: str, name: str, label: Optional[str] = None) -> Callable:
-    """Look ``name`` up under ``kind``, or import a ``module:attr`` path.
-
-    ``label`` only changes the error wording (the sharding wrappers
-    pass e.g. ``"protocol builder"`` to keep their historical
-    messages).
-    """
+def resolve(kind: str, name: str) -> Callable:
+    """Look ``name`` up under ``kind``, or import a ``module:attr`` path."""
     table = _table(kind)
     builder = table.get(name)
     if builder is not None:
         return builder
-    label = label or kind
     if ":" in name:
         module_name, _, attr = name.partition(":")
         try:
             module = importlib.import_module(module_name)
         except ImportError as exc:
             raise ConfigurationError(
-                f"cannot import module '{module_name}' for {label} "
+                f"cannot import module '{module_name}' for {kind} "
                 f"'{name}': {exc}"
             ) from exc
         builder = getattr(module, attr, None)
@@ -110,11 +84,11 @@ def resolve(kind: str, name: str, label: Optional[str] = None) -> Callable:
             return builder
         raise ConfigurationError(
             f"module '{module_name}' has no callable '{attr}' "
-            f"for {label} '{name}'"
+            f"for {kind} '{name}'"
         )
     known = ", ".join(sorted(table)) or "(none)"
     raise ConfigurationError(
-        f"unknown {label} '{name}'; registered: {known} "
+        f"unknown {kind} '{name}'; registered: {known} "
         "(or use a 'module:function' dotted path)"
     )
 

@@ -14,16 +14,17 @@ experiment can be
 * **shipped across a process boundary**: the spec is picklable under
   any start method; workers rebuild the network *inside* the worker,
   topology RNG derived from the spec's own seed, so nothing random
-  ever crosses the boundary (the CellSpec discipline, lifted from one
-  (rate, seed) cell to a whole network);
+  ever crosses the boundary. A sweep cell is the same spec with its
+  (rate, seed) applied (:func:`~repro.scenario.fleet.sweep_units`);
 * **resolved late**: components are named through the unified registry
   (:mod:`repro.scenario.registry`) or by ``"module:function"`` path,
   with ``requires`` listing modules whose import registers custom
   components (spawn workers do not inherit the parent's registry).
 
-Seeding convention (shared with the CLI and the sharding builders):
-the topology and protocol draw from ``seed`` itself, the injection
-process from ``seed + 1000``.
+Seeding convention (shared with the CLI): the topology and protocol
+draw from ``seed`` itself, the injection process from ``seed + 1000``.
+A sweep pins ``"seed"`` in ``topology_kwargs`` so every cell shares
+one network while its protocol and injection vary with the cell seed.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import hashlib
 import importlib
 import inspect
 import json
+import numbers
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -167,6 +169,15 @@ class ScenarioSpec:
         if self.frames < 1:
             raise ConfigurationError(
                 f"scenario frames must be >= 1, got {self.frames}"
+            )
+        if (
+            isinstance(self.seed, bool)
+            or not isinstance(self.seed, numbers.Integral)
+            or self.seed < 0
+        ):
+            raise ConfigurationError(
+                "scenario seed must be a non-negative integer, "
+                f"got {self.seed!r}"
             )
         if not self.rate > 0:
             raise ConfigurationError(
@@ -326,7 +337,6 @@ class ScenarioSpec:
     def run(
         self,
         rate_index: int = 0,
-        load_per_frame: Optional[float] = None,
         checkpoint_path: Optional[str] = None,
         snapshot_interval: Optional[int] = None,
     ) -> CellResult:
@@ -358,7 +368,6 @@ class ScenarioSpec:
                     rate=built.rate,
                     seed=self.seed,
                     rate_index=rate_index,
-                    load_per_frame=load_per_frame,
                     load_from_injected=self.load_from_injected,
                     metrics=self.metrics,
                 )
@@ -400,7 +409,6 @@ class ScenarioSpec:
                 rate=built.rate,
                 seed=self.seed,
                 rate_index=rate_index,
-                load_per_frame=load_per_frame,
                 load_from_injected=self.load_from_injected,
             )
 

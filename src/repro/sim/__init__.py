@@ -1,4 +1,4 @@
-"""Simulation driver, metrics, stability detection, and sweep sharding.
+"""Simulation driver, metrics, stability detection, and executors.
 
 :class:`~repro.sim.engine.FrameSimulation` couples an injection process
 with any frame-protocol object (duck-typed: ``run_frame``,
@@ -6,10 +6,10 @@ with any frame-protocol object (duck-typed: ``run_frame``,
 ``delivered_total``) and records a
 :class:`~repro.sim.metrics.MetricsRecorder` time series. The
 :mod:`repro.sim.stability` detector turns a queue series into a
-stable/unstable verdict; :mod:`repro.sim.runner` sweeps rates and seeds
-for the benchmarks, staged as spec generation / cell execution /
-aggregation so :mod:`repro.sim.sharding` can map the same cells over
-process pools (record-for-record identical to the serial path).
+stable/unstable verdict; :mod:`repro.sim.runner` reduces one run to a
+:class:`~repro.sim.runner.CellResult` and folds sweep cells per rate,
+and :mod:`repro.sim.sharding`'s executors map the same cells in-process
+or over process pools (record-for-record identical either way).
 :mod:`repro.sim.trace` records per-packet event streams when a
 :class:`~repro.sim.trace.Tracer` is attached to a protocol.
 """
@@ -31,27 +31,17 @@ from repro.sim.streaming import (
 )
 from repro.sim.runner import (
     CellResult,
-    FactoryCell,
     RateSweepRecord,
     aggregate_rate_sweep,
-    build_factory_cells,
     measure_cell,
-    run_rate_sweep,
     simulate_protocol,
 )
 from repro.sim.sharding import (
-    CellSpec,
     ProcessExecutor,
     SerialExecutor,
     default_worker_count,
     executor_names,
     make_executor,
-    register_injection_builder,
-    register_pair_builder,
-    register_protocol_builder,
-    run_cell,
-    run_sharded_sweep,
-    sweep_specs,
 )
 from repro.sim.trace import (
     EventKind,
@@ -74,26 +64,16 @@ __all__ = [
     "StreamingLatency",
     "StreamingMoments",
     "StreamingSeries",
-    "run_rate_sweep",
     "RateSweepRecord",
     "simulate_protocol",
     "CellResult",
-    "FactoryCell",
     "aggregate_rate_sweep",
-    "build_factory_cells",
     "measure_cell",
-    "CellSpec",
     "ProcessExecutor",
     "SerialExecutor",
     "default_worker_count",
     "executor_names",
     "make_executor",
-    "register_injection_builder",
-    "register_pair_builder",
-    "register_protocol_builder",
-    "run_cell",
-    "run_sharded_sweep",
-    "sweep_specs",
     "EventKind",
     "TraceEvent",
     "Tracer",

@@ -55,11 +55,8 @@ from repro.sim.stability import StabilityVerdict
 
 
 def _unit_index(unit) -> int:
-    """The unit's position axis: fleet ``index`` or sweep ``rate_index``."""
-    value = getattr(unit, "index", None)
-    if value is None:
-        value = getattr(unit, "rate_index", 0)
-    return int(value)
+    """The unit's position axis (a fleet unit's ``index``)."""
+    return int(getattr(unit, "index", 0))
 
 
 def unit_key(unit) -> str:
@@ -68,9 +65,8 @@ def unit_key(unit) -> str:
     Keyed on the *spec content*, so a resumed fleet only reuses a
     manifest entry when the cell at that position is configured
     identically — editing one spec invalidates exactly that cell.
-    Fleet units serialise their scenario spec; other unit shapes
-    (e.g. sweep :class:`~repro.sim.sharding.CellSpec`) fall back to
-    their dataclass ``repr``, which names every field.
+    Fleet units serialise their scenario spec; any other duck-typed
+    unit falls back to its ``repr``.
     """
     spec = getattr(unit, "spec", None)
     if spec is not None and hasattr(spec, "to_json"):

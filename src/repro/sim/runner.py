@@ -1,40 +1,36 @@
-"""Experiment runners: one simulation, and rate sweeps over seeds.
+"""Experiment runners: one simulation, and the rate-sweep fold.
 
 The benchmark harness shares these helpers so every table is produced
-by the same code path: build protocol + injection from factories, run
-``frames`` frames, assess stability, aggregate across seeds.
+by the same code path: run ``frames`` frames, assess stability,
+aggregate across seeds.
 
-The sweep is staged so serial and sharded execution share everything
-but the map step:
+A sweep is staged so every executor shares everything but the map
+step:
 
-1. **Spec generation** — the (rate, seed) grid becomes a flat list of
-   cell work units (:class:`FactoryCell` here, or the picklable
-   :class:`~repro.sim.sharding.CellSpec` for process pools).
-2. **Execution** — each cell runs one simulation and reduces it to a
-   :class:`CellResult` (:func:`measure_cell`). Any executor that maps
-   ``cell.run()`` over the list works; the default is a trivial
-   in-process loop.
+1. **Unit generation** — the (rate, seed) grid becomes a flat list of
+   :class:`~repro.scenario.fleet.FleetUnit` work units, one
+   :class:`~repro.scenario.spec.ScenarioSpec` per cell
+   (:func:`~repro.scenario.fleet.sweep_units`).
+2. **Execution** — each unit runs one simulation and reduces it to a
+   :class:`CellResult` (:func:`measure_cell`). Any executor from
+   :mod:`repro.sim.sharding` maps ``unit.run()`` over the list.
 3. **Aggregation** — :func:`aggregate_rate_sweep` folds the flat
-   results back into per-rate :class:`RateSweepRecord` rows. Both the
-   serial and the sharded path call this exact function, so a sharded
-   sweep is record-for-record identical to a serial one.
+   results back into per-rate :class:`RateSweepRecord` rows, in input
+   order, so every order-preserving executor yields identical records.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.injection.base import InjectionProcess
 from repro.sim.engine import FrameSimulation
-from repro.sim.stability import StabilityVerdict, assess_stability
-
-ProtocolFactory = Callable[[float, int], object]
-InjectionFactory = Callable[[float, int, object], InjectionProcess]
+from repro.sim.stability import StabilityVerdict
 
 
 def simulate_protocol(
@@ -80,18 +76,16 @@ def measure_cell(
     rate: float,
     seed: int,
     rate_index: int = 0,
-    load_per_frame: Optional[float] = None,
     load_from_injected: bool = False,
     metrics="full",
 ) -> CellResult:
     """Run one cell and reduce it to a :class:`CellResult`.
 
-    ``load_per_frame`` overrides the drift normalisation; the default is
-    ``rate * frame_length`` of the built protocol. With
-    ``load_from_injected`` the realised injection rate is used instead
-    (the ``compare`` CLI convention for protocols run at their own
-    certified rates). ``metrics`` selects the retention policy (see
-    :class:`~repro.sim.engine.FrameSimulation`).
+    The drift detector normalises by ``rate * frame_length`` of the
+    built protocol; with ``load_from_injected`` the realised injection
+    rate is used instead (the ``compare`` CLI convention for protocols
+    run at their own certified rates). ``metrics`` selects the
+    retention policy (see :class:`~repro.sim.engine.FrameSimulation`).
     """
     simulation = simulate_protocol(protocol, injection, frames, metrics)
     return summarize_cell(
@@ -101,7 +95,6 @@ def measure_cell(
         rate=rate,
         seed=seed,
         rate_index=rate_index,
-        load_per_frame=load_per_frame,
         load_from_injected=load_from_injected,
     )
 
@@ -114,7 +107,6 @@ def summarize_cell(
     rate: float,
     seed: int,
     rate_index: int = 0,
-    load_per_frame: Optional[float] = None,
     load_from_injected: bool = False,
 ) -> CellResult:
     """Reduce an already-run simulation to a :class:`CellResult`.
@@ -125,8 +117,6 @@ def summarize_cell(
     """
     if load_from_injected:
         load = max(1.0, metrics.injected_total / max(1, frames))
-    elif load_per_frame is not None:
-        load = load_per_frame
     else:
         load = max(1.0, rate * float(protocol.frame_length))
     # The recorder dispatches on its own retention policy — the batch
@@ -154,72 +144,6 @@ def summarize_cell(
 
 
 @dataclass
-class FactoryCell:
-    """One (rate, seed) work unit closed over protocol/injection factories.
-
-    The in-process counterpart of the registry-named
-    :class:`~repro.sim.sharding.CellSpec`: it carries live callables, so
-    it is only picklable when the factories are module-level functions.
-    Closures stay on the serial path; process pools want ``CellSpec``.
-    """
-
-    make_protocol: ProtocolFactory
-    make_injection: InjectionFactory
-    rate: float
-    seed: int
-    frames: int
-    rate_index: int = 0
-    load_per_frame: Optional[float] = None
-
-    def run(self) -> CellResult:
-        protocol = self.make_protocol(self.rate, self.seed)
-        injection = self.make_injection(self.rate, self.seed, protocol)
-        return measure_cell(
-            protocol,
-            injection,
-            self.frames,
-            rate=self.rate,
-            seed=self.seed,
-            rate_index=self.rate_index,
-            load_per_frame=self.load_per_frame,
-        )
-
-
-def build_factory_cells(
-    make_protocol: ProtocolFactory,
-    make_injection: InjectionFactory,
-    rates: Sequence[float],
-    frames: int,
-    seeds: Sequence[int],
-    load_per_frame: Optional[Callable[[float], float]] = None,
-) -> List[FactoryCell]:
-    """Flatten a (rate, seed) grid into rate-major cell work units.
-
-    ``rates`` and ``seeds`` are materialised exactly once, so passing
-    generators is safe (each cell — and the seed count on the final
-    records — sees the full sequence).
-    """
-    rates = list(rates)
-    seeds = list(seeds)
-    cells: List[FactoryCell] = []
-    for index, rate in enumerate(rates):
-        load = load_per_frame(rate) if load_per_frame is not None else None
-        for seed in seeds:
-            cells.append(
-                FactoryCell(
-                    make_protocol=make_protocol,
-                    make_injection=make_injection,
-                    rate=rate,
-                    seed=seed,
-                    frames=frames,
-                    rate_index=index,
-                    load_per_frame=load,
-                )
-            )
-    return cells
-
-
-@dataclass
 class RateSweepRecord:
     """Aggregated outcome of one (rate, seeds) sweep cell."""
 
@@ -243,9 +167,8 @@ def aggregate_rate_sweep(
     """Fold flat cell results into per-rate records.
 
     Cells are grouped by ``rate_index`` (so duplicate rate values stay
-    distinct rows, exactly as the serial loop produced them) and
-    averaged in input order — an order-preserving executor therefore
-    yields bit-identical records to the serial path.
+    distinct rows) and averaged in input order — an order-preserving
+    executor therefore yields bit-identical records to the serial path.
     """
     groups: dict = {}
     for result in results:
@@ -255,12 +178,12 @@ def aggregate_rate_sweep(
         cells = groups[index]
         mixed = {cell.rate for cell in cells} - {cells[0].rate}
         if mixed:
-            # Hand-built specs that forgot distinct rate_index values
+            # Hand-built units that forgot distinct rate_index values
             # would otherwise be silently averaged into one wrong row.
             raise ConfigurationError(
                 f"cells with rate_index {index} mix rates "
                 f"{sorted({cells[0].rate, *mixed})}; give each rate its "
-                "own rate_index (sweep_specs does this automatically)"
+                "own rate_index (sweep_units does this automatically)"
             )
         verdicts = [cell.verdict for cell in cells]
         latencies = [cell.latency for cell in cells]
@@ -290,45 +213,10 @@ def aggregate_rate_sweep(
     return records
 
 
-def run_rate_sweep(
-    make_protocol: ProtocolFactory,
-    make_injection: InjectionFactory,
-    rates: Sequence[float],
-    frames: int,
-    seeds: Sequence[int] = (0, 1, 2),
-    load_per_frame: Optional[Callable[[float], float]] = None,
-    executor=None,
-) -> List[RateSweepRecord]:
-    """Simulate every (rate, seed) cell and aggregate per rate.
-
-    ``make_protocol(rate, seed)`` builds a fresh protocol;
-    ``make_injection(rate, seed, protocol)`` builds the matching
-    injection process (it may read the protocol's frame length).
-    ``load_per_frame(rate)`` normalises the drift detector; defaults to
-    ``rate * frame_length`` of each built protocol.
-
-    ``executor`` is anything with ``map(cells) -> results`` over
-    ``cell.run()`` work units (see :mod:`repro.sim.sharding`); ``None``
-    runs the cells in-process. A process executor requires the
-    factories to be picklable (module-level functions, not closures).
-    """
-    cells = build_factory_cells(
-        make_protocol, make_injection, rates, frames, seeds, load_per_frame
-    )
-    if executor is None:
-        results = [cell.run() for cell in cells]
-    else:
-        results = executor.map(cells)
-    return aggregate_rate_sweep(results)
-
-
 __all__ = [
     "simulate_protocol",
-    "run_rate_sweep",
     "RateSweepRecord",
     "CellResult",
-    "FactoryCell",
-    "build_factory_cells",
     "measure_cell",
     "summarize_cell",
     "aggregate_rate_sweep",

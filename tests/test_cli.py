@@ -4,25 +4,21 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import warnings
 
 import pytest
 
+HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="process-executor CLI tests assume fork workers",
+    not HAS_FORK, reason="process-executor CLI tests assume fork workers"
 )
 
-from repro.cli.builders import (
-    SCENARIOS,
-    TOPOLOGIES,
-    build_scenario,
-    build_topology,
-    scenario_names,
-    topology_names,
-)
+from repro.cli.builders import build_topology, scenario_names, topology_names
 from repro.cli.main import main
 from repro.cli.registry import EXPERIMENTS, experiment_ids
 from repro.errors import ConfigurationError
+from repro.scenario import PRESETS, preset_spec, resolve
+from repro.scenario.batched import BatchFallbackWarning
 
 BENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
 
@@ -30,13 +26,14 @@ BENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
 class TestBuilders:
     @pytest.mark.parametrize("name", scenario_names())
     def test_every_scenario_builds(self, name):
-        scenario = build_scenario(name, nodes=9, seed=0)
+        scenario = preset_spec(name, nodes=9, seed=0).build(
+            with_protocol=False
+        )
         assert scenario.network.num_links > 0
         assert scenario.certified > 0
-        assert scenario.m == scenario.network.size_m
         # The algorithm bound is usable (protocol sizing needs it).
-        bound = scenario.algorithm.network_bound(scenario.m)
-        assert bound.f(scenario.m) >= 1.0
+        m = scenario.network.size_m
+        assert scenario.algorithm.network_bound(m).f(m) >= 1.0
 
     @pytest.mark.parametrize("kind", topology_names())
     def test_every_topology_builds(self, kind):
@@ -46,7 +43,7 @@ class TestBuilders:
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ConfigurationError):
-            build_scenario("nope", nodes=9, seed=0)
+            preset_spec("nope", nodes=9, seed=0)
 
     def test_unknown_topology_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -54,13 +51,15 @@ class TestBuilders:
 
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ConfigurationError):
-            build_scenario("packet-routing", nodes=1, seed=0)
+            preset_spec("packet-routing", nodes=1, seed=0)
         with pytest.raises(ConfigurationError):
             build_topology("grid", nodes=1, seed=0)
 
     def test_registries_expose_names(self):
-        assert set(scenario_names()) == set(SCENARIOS)
-        assert set(topology_names()) == set(TOPOLOGIES)
+        assert scenario_names() == list(PRESETS)
+        # Every CLI topology kind is a registered topology component.
+        for kind in topology_names():
+            assert callable(resolve("topology", kind))
 
 
 class TestRegistry:
@@ -202,10 +201,17 @@ class TestCommands:
         assert "0.30x" in out
         assert "stable frac" in out
 
-    @needs_fork
-    def test_sweep_process_executor_output_identical(self, capsys):
+    @staticmethod
+    def _executor_args(executor):
+        if executor == "process" and not HAS_FORK:
+            pytest.skip("process-executor CLI tests assume fork workers")
+        return ["--executor", executor, "--workers", "2"]
+
+    @pytest.mark.parametrize("executor", ["process", "batched"])
+    def test_sweep_process_executor_output_identical(self, executor, capsys):
         # The executor is invisible in the results: byte-identical
-        # stdout, serial vs a 2-worker process pool.
+        # stdout, serial vs a 2-worker process pool or the wave engine,
+        # which batches every cell (no serial fallback).
         argv = [
             "sweep",
             "--model", "packet-routing",
@@ -216,17 +222,53 @@ class TestCommands:
         ]
         assert main(argv) == 0
         serial = capsys.readouterr().out
-        assert main(argv + ["--executor", "process", "--workers", "2"]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", BatchFallbackWarning)
+            assert main(argv + self._executor_args(executor)) == 0
         assert capsys.readouterr().out == serial
 
-    @needs_fork
     @pytest.mark.slow
-    def test_compare_process_executor_output_identical(self, capsys):
+    @pytest.mark.parametrize("executor", ["process", "batched"])
+    def test_compare_process_executor_output_identical(self, executor, capsys):
         argv = ["compare", "--nodes", "10", "--frames", "20", "--seed", "1"]
         assert main(argv) == 0
         serial = capsys.readouterr().out
-        assert main(argv + ["--executor", "process", "--workers", "3"]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", BatchFallbackWarning)
+            assert main(argv + self._executor_args(executor)) == 0
         assert capsys.readouterr().out == serial
+
+    @pytest.mark.slow
+    def test_compare_provisions_overload_at_the_certified_rate(self, capsys):
+        # Past the certified rate only the injection grows: every
+        # contender's protocol (and so its frame T) stays provisioned
+        # at the certified rate, as in sweep, fleet and campaign.
+        def frame_lengths(fraction):
+            argv = ["compare", "--nodes", "6", "--frames", "20",
+                    "--rate-fraction", fraction]
+            assert main(argv) == 0
+            rows = capsys.readouterr().out.splitlines()[3:]
+            return [row.split()[-5] for row in rows]
+
+        at_certified = frame_lengths("1.0")
+        assert len(at_certified) == 3
+        assert frame_lengths("1.5") == at_certified
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["sweep", "--seeds", "-1"],
+            ["compare", "--seed", "-1"],
+            ["fleet", "--seed", "-1"],
+            ["simulate", "--seed", "-1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_seed_is_a_usage_error(self, command, capsys):
+        assert main(command + ["--frames", "20"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "seed must be a non-negative integer" in err
 
     def test_sweep_rejects_bad_fractions(self, capsys):
         code = main(

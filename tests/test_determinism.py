@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 
 import repro
-from repro.cli.builders import build_scenario, scenario_names
+from repro.cli.builders import scenario_names
 from repro.core.frames import FrameParameters
+from repro.scenario import preset_spec
 
 
 def run_scenario(name, seed, frames=30, use_store=False):
-    scenario = build_scenario(name, nodes=9, seed=0)
+    scenario = preset_spec(name, nodes=9, seed=0).build(with_protocol=False)
     rate = 0.4 * scenario.certified
     injection = repro.uniform_pair_injection(
         scenario.routing, scenario.model, rate, num_generators=4,

@@ -348,53 +348,29 @@ def test_generator_state_matches_reference_after_runs(backend):
 
 
 def test_cellspec_backend_pins_and_pickles():
-    from repro.sim.sharding import CellSpec, SerialExecutor, sweep_specs
+    # A sweep cell is a FleetUnit; its spec carries the backend.
+    from repro.scenario import ScenarioSpec, sweep_units
+    from repro.sim.sharding import SerialExecutor
 
-    # No `requires`: the pair builder is registered by this module's
-    # import and the executor is in-process.
-    specs = sweep_specs(
-        [0.02], [0], frames=25,
-        pair="runloop-test-pair", backend="numpy",
+    spec = ScenarioSpec(
+        topology="random",
+        topology_kwargs={"num_nodes": 6},
+        model="linear-power",
+        scheduler="single-hop",
+        t_scale=0.01,
+        frames=25,
+        backend="numpy",
     )
-    assert all(spec.backend == "numpy" for spec in specs)
-    clone = pickle.loads(pickle.dumps(specs[0]))
-    assert clone.backend == "numpy"
+    units = sweep_units(spec, [0.02], [0])
+    assert all(unit.spec.backend == "numpy" for unit in units)
+    clone = pickle.loads(pickle.dumps(units[0]))
+    assert clone.spec.backend == "numpy"
 
-    scalar_specs = [
-        CellSpec(
-            rate=s.rate, seed=s.seed, frames=s.frames,
-            rate_index=s.rate_index, pair=s.pair,
-            requires=s.requires, backend="scalar",
-        )
-        for s in specs
-    ]
-    fused = SerialExecutor().map(specs)
-    scalar = SerialExecutor().map(scalar_specs)
+    scalar_units = sweep_units(spec.replace(backend="scalar"), [0.02], [0])
+    fused = SerialExecutor().map(units)
+    scalar = SerialExecutor().map(scalar_units)
     # Backends are bit-identical, so pinning different backends per
     # cell cannot change any record.
+    assert fused[0].injected > 0
     for a, b in zip(fused, scalar):
         assert a == b
-
-
-def _runloop_test_pair(rate, seed, **kwargs):
-    import repro
-
-    model = _affectance_model(m=8, seed=21)
-    routing = repro.build_routing_table(model.network)
-    injection = repro.uniform_pair_injection(
-        routing, model, rate, num_generators=2, rng=seed + 100
-    )
-    protocol = repro.DynamicProtocol(
-        model, SingleHopScheduler(), rate, t_scale=0.01, rng=seed,
-        store=injection.store,
-    )
-    return protocol, injection
-
-
-def _register_test_builders():
-    from repro.sim.sharding import register_pair_builder
-
-    register_pair_builder("runloop-test-pair", _runloop_test_pair)
-
-
-_register_test_builders()

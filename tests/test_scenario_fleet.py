@@ -21,14 +21,10 @@ from repro.scenario import (
     aggregate_fleet,
     preset_spec,
     run_scenario_fleet,
+    sweep_units,
 )
-from repro.sim.runner import CellResult
-from repro.sim.sharding import (
-    ProcessExecutor,
-    SerialExecutor,
-    run_sharded_sweep,
-    sweep_specs,
-)
+from repro.sim.runner import CellResult, aggregate_rate_sweep
+from repro.sim.sharding import ProcessExecutor, SerialExecutor
 from repro.sim.stability import StabilityVerdict
 
 # scheduler x topology x model combinations the parity matrix pins.
@@ -121,14 +117,11 @@ def test_backend_choice_never_changes_records():
 def test_sweep_cells_carrying_scenarios_shard_identically():
     base = MATRIX_SPECS["grid-singlehop"]
     certified = base.build(with_protocol=False).certified
-    cells = sweep_specs(
-        [0.5 * certified, 1.2 * certified],
-        [0, 1],
-        frames=25,
-        scenario=base,
+    cells = sweep_units(
+        base.replace(frames=25), [0.5 * certified, 1.2 * certified], [0, 1]
     )
-    serial = run_sharded_sweep(cells)
-    sharded = run_sharded_sweep(cells, ProcessExecutor(workers=2))
+    serial = aggregate_rate_sweep(SerialExecutor().map(cells))
+    sharded = aggregate_rate_sweep(ProcessExecutor(workers=2).map(cells))
     assert len(serial) == 2
     for a, b in zip(serial, sharded):
         assert a.seeds == b.seeds

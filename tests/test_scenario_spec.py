@@ -1,4 +1,4 @@
-"""ScenarioSpec / CellSpec serialization and validation edge cases.
+"""ScenarioSpec / sweep-unit serialization and validation edge cases.
 
 The scenario layer's contract is that a spec is *plain data*: it
 round-trips through JSON bit-exactly into the same records, survives
@@ -19,9 +19,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.scenario import ScenarioSpec, preset_spec
+from repro.scenario import ScenarioSpec, preset_spec, sweep_units
 from repro.scenario.fleet import specs_from_data
-from repro.sim.sharding import CellSpec, ProcessExecutor, sweep_specs
+from repro.sim.sharding import ProcessExecutor
 
 HAS_SPAWN = "spawn" in multiprocessing.get_all_start_methods()
 needs_spawn = pytest.mark.skipif(
@@ -140,6 +140,18 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="rate"):
             GRID_SPEC.replace(rate=0.0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, np.bool_(False), "1"])
+    def test_bad_seed(self, seed):
+        with pytest.raises(ConfigurationError, match="seed"):
+            GRID_SPEC.replace(seed=seed)
+        data = {**GRID_SPEC.to_dict(), "seed": seed}
+        with pytest.raises(ConfigurationError, match="seed"):
+            specs_from_data(data)
+
+    def test_numpy_integer_seed_accepted(self):
+        spec = GRID_SPEC.replace(seed=np.int64(3))
+        assert spec.fingerprint() == GRID_SPEC.replace(seed=3).fingerprint()
+
     def test_empty_component_name(self):
         with pytest.raises(ConfigurationError, match="topology"):
             GRID_SPEC.replace(topology="")
@@ -162,20 +174,8 @@ class TestValidation:
         assert spec.run() == GRID_SPEC.run()
 
     def test_scenario_cell_rejects_zero_rate_at_construction(self):
-        with pytest.raises(ConfigurationError, match="rate > 0"):
-            CellSpec(rate=0.0, seed=0, frames=25, scenario=GRID_SPEC)
-
-    def test_cell_names_exactly_one_construction_path(self):
-        with pytest.raises(ConfigurationError, match="exactly one"):
-            CellSpec(
-                rate=0.1, seed=0, frames=25,
-                scenario=GRID_SPEC, pair="compare-contender",
-            )
-        with pytest.raises(ConfigurationError, match="exactly one"):
-            CellSpec(
-                rate=0.1, seed=0, frames=25,
-                scenario=GRID_SPEC, protocol="x", injection="y",
-            )
+        with pytest.raises(ConfigurationError, match="rate must be positive"):
+            sweep_units(GRID_SPEC, [0.1, 0.0], [0])
 
 
 class TestPickling:
@@ -185,18 +185,17 @@ class TestPickling:
             assert pickle.loads(pickle.dumps(spec, protocol)) == spec
 
     def test_cellspec_with_scenario_pickles(self):
-        cell = CellSpec(rate=0.2, seed=0, frames=25, scenario=GRID_SPEC)
+        # A sweep cell is a FleetUnit carrying its whole scenario.
+        (cell,) = sweep_units(GRID_SPEC, [0.2], [0])
         clone = pickle.loads(pickle.dumps(cell))
-        assert clone.scenario == GRID_SPEC
+        assert clone == cell
         assert clone.run() == cell.run()
 
     @needs_spawn
     def test_scenario_cells_run_in_spawn_workers(self):
         # Spawn workers inherit nothing: the unpickle of ScenarioSpec
         # itself must re-register the built-in components.
-        cells = sweep_specs(
-            [0.1, 0.3], [0], frames=25, scenario=GRID_SPEC
-        )
+        cells = sweep_units(GRID_SPEC, [0.1, 0.3], [0])
         serial = [cell.run() for cell in cells]
         spawned = ProcessExecutor(workers=2, start_method="spawn").map(cells)
         assert spawned == serial

@@ -1,11 +1,13 @@
 """Serial vs sharded sweeps must be record-for-record identical.
 
-The sharded executor's whole contract is that executor choice is
-invisible in the results: the same cell specs produce bit-identical
-``RateSweepRecord`` lists whether they run in-process, through a
-1-worker pool, or across n workers. These tests pin that contract on
-scheduler x injection combinations, including NaN-latency cells (seeds
-that deliver nothing) and the closure-based ``run_rate_sweep`` path.
+A sweep cell is a :class:`~repro.scenario.fleet.FleetUnit` carrying one
+``ScenarioSpec`` at the cell's (rate, seed). The executor's whole
+contract is that executor choice is invisible in the results: the same
+units produce bit-identical ``RateSweepRecord`` lists whether they run
+in-process, through a 1-worker pool, or across n workers. These tests
+pin that contract on scheduler x injection combinations, including
+NaN-latency cells (seeds that deliver nothing), and pin the spec path
+against the same cells built by hand.
 """
 
 from __future__ import annotations
@@ -17,52 +19,41 @@ import pytest
 
 from repro.core.protocol import DynamicProtocol
 from repro.errors import ConfigurationError
-from repro.injection.stochastic import (
-    PathGenerator,
-    StochasticInjection,
-    uniform_pair_injection,
-)
+from repro.injection.stochastic import uniform_pair_injection
 from repro.interference.mac import MultipleAccessChannel
 from repro.interference.packet_routing import PacketRoutingModel
 from repro.network.routing import build_routing_table
 from repro.network.topology import line_network, mac_network
-from repro.sim.runner import run_rate_sweep
-from repro.sim.sharding import (
-    CellSpec,
-    ProcessExecutor,
-    SerialExecutor,
-    make_executor,
-    register_injection_builder,
-    register_protocol_builder,
-    resolve_protocol_builder,
-    run_cell,
-    run_sharded_sweep,
-    sweep_specs,
-)
+from repro.scenario import FleetUnit, ScenarioSpec, sweep_units
+from repro.scenario import components
+from repro.scenario.registry import register, resolve
+from repro.sim.runner import aggregate_rate_sweep, measure_cell
+from repro.sim.sharding import ProcessExecutor, SerialExecutor, make_executor
 from repro.staticsched.round_robin import RoundRobinScheduler
 from repro.staticsched.single_hop import SingleHopScheduler
 
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(
-    not HAS_FORK,
-    reason="test-local builders reach workers via fork inheritance",
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="process-executor parity tests assume fork workers",
 )
 
-LINE_NET = line_network(4)
-LINE_MODEL = PacketRoutingModel(LINE_NET)
-LINE_ROUTING = build_routing_table(LINE_NET)
-MAC_NET = mac_network(4)
-MAC_MODEL = MultipleAccessChannel(MAC_NET)
-MAC_ROUTING = build_routing_table(MAC_NET)
+#: net -> the spec fields naming its network and interference model.
+_NETS = {
+    "line": {"topology": "line", "topology_kwargs": {"num_nodes": 4},
+             "model": "packet-routing"},
+    "mac": {"topology": "mac", "topology_kwargs": {"num_stations": 4},
+            "model": "mac"},
+}
+#: net -> the one routed pair a "path" injection pushes.
+_PATH_PAIRS = {"line": [0, 2], "mac": [0, 4]}
 
-_MODELS = {
-    "line": (LINE_MODEL, LINE_ROUTING),
-    "mac": (MAC_MODEL, MAC_ROUTING),
-}
-_SCHEDULERS = {
-    "single-hop": SingleHopScheduler,
-    "round-robin": RoundRobinScheduler,
-}
+
+def _injection_kwargs(net, kind):
+    """uniform-pairs kwargs: one generator on one pair, or four uniform."""
+    if kind == "path":
+        return {"pairs": [_PATH_PAIRS[net]], "num_generators": 1}
+    return {"num_generators": 4}
+
 
 # scheduler x injection combinations the parity contract is pinned on.
 COMBOS = [
@@ -72,55 +63,69 @@ COMBOS = [
     ("mac", "round-robin", "uniform"),
 ]
 
+# Both nets certify 0.5, so these straddle the stability boundary.
 RATES = [0.2, 0.9]
 SEEDS = (0, 1)
 FRAMES = 40
 
 
-@register_protocol_builder("parity-protocol")
-def parity_protocol(
-    rate, seed, *, net="line", scheduler="single-hop", cap=0.5, t_scale=0.01
-):
-    # Provisioned for a fixed cap so sweep rates genuinely cross the
-    # stability boundary (same trick as tests/test_sim_runner.py).
-    model, _ = _MODELS[net]
-    return DynamicProtocol(
-        model, _SCHEDULERS[scheduler](), rate=cap, t_scale=t_scale, rng=seed
-    )
-
-
-@register_injection_builder("parity-injection")
-def parity_injection(rate, seed, protocol, *, net="line", kind="path"):
-    model, routing = _MODELS[net]
-    if kind == "path":
-        path = (0, 1) if net == "line" else (0,)
-        generator = PathGenerator([(path, min(rate, 1.0))])
-        return StochasticInjection([generator], rng=seed)
-    return uniform_pair_injection(
-        routing, model, rate, num_generators=4, rng=seed + 1000
-    )
-
-
-def specs_for(net, scheduler, kind, rates=RATES, seeds=SEEDS, frames=FRAMES):
-    return sweep_specs(
-        rates,
-        seeds,
+def spec_for(net, scheduler, kind, frames=FRAMES):
+    return ScenarioSpec(
+        **_NETS[net],
+        scheduler=scheduler,
+        injection_kwargs=_injection_kwargs(net, kind),
+        t_scale=0.01,
         frames=frames,
-        protocol="parity-protocol",
-        injection="parity-injection",
-        protocol_kwargs={"net": net, "scheduler": scheduler},
-        injection_kwargs={"net": net, "kind": kind},
     )
+
+
+def units_for(net, scheduler, kind, rates=RATES, seeds=SEEDS):
+    return sweep_units(spec_for(net, scheduler, kind), rates, seeds)
+
+
+def run_sweep(spec, rates, seeds, executor=None):
+    executor = executor or SerialExecutor()
+    return aggregate_rate_sweep(executor.map(sweep_units(spec, rates, seeds)))
 
 
 def closures_for(net, scheduler, kind):
-    def make_protocol(rate, seed):
-        return parity_protocol(rate, seed, net=net, scheduler=scheduler)
+    """The same cells wired by hand, without the spec layer."""
+    network = line_network(4) if net == "line" else mac_network(4)
+    model = (
+        PacketRoutingModel(network)
+        if net == "line"
+        else MultipleAccessChannel(network)
+    )
+    routing = build_routing_table(network)
+    injection_kwargs = _injection_kwargs(net, kind)
+    if "pairs" in injection_kwargs:
+        injection_kwargs["pairs"] = [
+            tuple(pair) for pair in injection_kwargs["pairs"]
+        ]
 
-    def make_injection(rate, seed, protocol):
-        return parity_injection(rate, seed, protocol, net=net, kind=kind)
+    def run_cell(rate, seed, rate_index):
+        injection = uniform_pair_injection(
+            routing, model, rate, rng=seed + 1000, **injection_kwargs
+        )
+        algorithm = (
+            SingleHopScheduler()
+            if scheduler == "single-hop"
+            else RoundRobinScheduler()
+        )
+        protocol = DynamicProtocol(
+            model,
+            algorithm,
+            min(rate, 0.5),  # provisioned at the certified rate cap
+            t_scale=0.01,
+            rng=seed,
+            store=injection.store,
+        )
+        return measure_cell(
+            protocol, injection, FRAMES,
+            rate=rate, seed=seed, rate_index=rate_index,
+        )
 
-    return make_protocol, make_injection
+    return run_cell
 
 
 def assert_sweeps_identical(left, right):
@@ -139,34 +144,38 @@ def assert_sweeps_identical(left, right):
 
 
 # ----------------------------------------------------------------------
-# Spec path == closure path (in-process)
+# Spec path == hand-built path (in-process)
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("net,scheduler,kind", COMBOS)
 def test_spec_run_matches_closure_run(net, scheduler, kind):
-    make_protocol, make_injection = closures_for(net, scheduler, kind)
-    serial = run_rate_sweep(
-        make_protocol, make_injection, RATES, frames=FRAMES, seeds=SEEDS
+    run_cell = closures_for(net, scheduler, kind)
+    by_hand = aggregate_rate_sweep(
+        [
+            run_cell(rate, seed, index)
+            for index, rate in enumerate(RATES)
+            for seed in SEEDS
+        ]
     )
-    sharded = run_sharded_sweep(specs_for(net, scheduler, kind))
-    assert_sweeps_identical(serial, sharded)
+    sharded = run_sweep(spec_for(net, scheduler, kind), RATES, SEEDS)
+    assert_sweeps_identical(by_hand, sharded)
     # Sanity: the combo actually straddles the boundary, so the parity
     # assertion is not comparing degenerate all-stable tables.
-    assert serial[0].stable_fraction >= serial[-1].stable_fraction
+    assert by_hand[0].stable_fraction > by_hand[-1].stable_fraction
 
 
 # ----------------------------------------------------------------------
-# Process pools == serial, 1 worker and n workers, same specs
+# Process pools == serial, 1 worker and n workers, same units
 # ----------------------------------------------------------------------
 
 
 @needs_fork
 def test_process_executor_matches_serial_one_and_n_workers():
-    specs = specs_for("line", "single-hop", "uniform")
-    serial = run_sharded_sweep(specs, SerialExecutor())
-    one_worker = run_sharded_sweep(specs, ProcessExecutor(workers=1))
-    n_workers = run_sharded_sweep(specs, ProcessExecutor(workers=3))
+    spec = spec_for("line", "single-hop", "uniform")
+    serial = run_sweep(spec, RATES, SEEDS, SerialExecutor())
+    one_worker = run_sweep(spec, RATES, SEEDS, ProcessExecutor(workers=1))
+    n_workers = run_sweep(spec, RATES, SEEDS, ProcessExecutor(workers=3))
     assert_sweeps_identical(serial, one_worker)
     assert_sweeps_identical(serial, n_workers)
 
@@ -175,20 +184,23 @@ def test_process_executor_matches_serial_one_and_n_workers():
 @pytest.mark.slow
 @pytest.mark.parametrize("net,scheduler,kind", COMBOS)
 def test_process_parity_full_matrix(net, scheduler, kind):
-    specs = specs_for(net, scheduler, kind)
-    serial = run_sharded_sweep(specs, SerialExecutor())
+    units = units_for(net, scheduler, kind)
+    serial = aggregate_rate_sweep(SerialExecutor().map(units))
     for workers in (1, 3):
-        sharded = run_sharded_sweep(specs, ProcessExecutor(workers=workers))
+        sharded = aggregate_rate_sweep(
+            ProcessExecutor(workers=workers).map(units)
+        )
         assert_sweeps_identical(serial, sharded)
 
 
 @needs_fork
 def test_nan_latency_cells_survive_the_pool():
-    # Rate 0.0 injects nothing, so its latency summaries are NaN; the
-    # NaN-aware aggregation must behave identically on both paths.
-    specs = specs_for("line", "single-hop", "path", rates=[0.0, 0.25])
-    serial = run_sharded_sweep(specs, SerialExecutor())
-    sharded = run_sharded_sweep(specs, ProcessExecutor(workers=2))
+    # A vanishing rate injects nothing in the horizon, so its latency
+    # summaries are NaN; the NaN-aware aggregation must behave
+    # identically on both paths.
+    units = units_for("line", "single-hop", "path", rates=[1e-9, 0.25])
+    serial = aggregate_rate_sweep(SerialExecutor().map(units))
+    sharded = aggregate_rate_sweep(ProcessExecutor(workers=2).map(units))
     assert math.isnan(serial[0].mean_latency)
     assert math.isnan(sharded[0].mean_latency)
     assert not math.isnan(serial[1].mean_latency)
@@ -197,94 +209,81 @@ def test_nan_latency_cells_survive_the_pool():
 
 @needs_fork
 def test_run_rate_sweep_accepts_a_process_executor():
-    # Module-level factories are picklable, so the closure-shaped API
-    # itself can shard: same records as the default in-process loop.
-    serial = run_rate_sweep(
-        parity_protocol, parity_injection, RATES, frames=FRAMES, seeds=SEEDS
-    )
-    sharded = run_rate_sweep(
-        parity_protocol,
-        parity_injection,
-        RATES,
-        frames=FRAMES,
-        seeds=SEEDS,
-        executor=ProcessExecutor(workers=2),
-    )
+    # The one-call sweep takes any executor: same records as its
+    # default in-process loop.
+    spec = spec_for("mac", "round-robin", "path")
+    serial = run_sweep(spec, RATES, SEEDS)
+    sharded = run_sweep(spec, RATES, SEEDS, ProcessExecutor(workers=2))
     assert_sweeps_identical(serial, sharded)
 
 
 @needs_fork
 def test_cell_results_align_with_specs():
-    specs = specs_for("line", "single-hop", "path")
+    units = units_for("line", "single-hop", "path")
     for executor in (SerialExecutor(), ProcessExecutor(workers=2)):
-        results = executor.map(specs)
+        results = executor.map(units)
         assert [(r.rate_index, r.rate, r.seed) for r in results] == [
-            (s.rate_index, s.rate, s.seed) for s in specs
+            (u.index, u.spec.rate, u.spec.seed) for u in units
         ]
 
 
 # ----------------------------------------------------------------------
-# Spec generation and builder resolution
+# Unit generation and component resolution
 # ----------------------------------------------------------------------
 
 
 def test_sweep_specs_materializes_generators_rate_major():
-    specs = sweep_specs(
+    units = sweep_units(
+        spec_for("line", "single-hop", "path"),
         (r for r in (0.1, 0.2)),
         (s for s in (0, 1, 2)),
-        frames=10,
-        protocol="parity-protocol",
-        injection="parity-injection",
     )
-    assert [(s.rate, s.seed) for s in specs] == [
+    assert [(u.spec.rate, u.spec.seed) for u in units] == [
         (0.1, 0), (0.1, 1), (0.1, 2), (0.2, 0), (0.2, 1), (0.2, 2)
     ]
-    assert [s.rate_index for s in specs] == [0, 0, 0, 1, 1, 1]
+    assert [u.index for u in units] == [0, 0, 0, 1, 1, 1]
+    assert {u.spec.rate_mode for u in units} == {"absolute"}
 
 
 def test_cell_spec_validation():
-    with pytest.raises(ConfigurationError):
-        CellSpec(rate=0.1, seed=0, frames=0, pair="compare-contender")
-    with pytest.raises(ConfigurationError):
-        CellSpec(rate=0.1, seed=0, frames=10)  # no builders at all
-    with pytest.raises(ConfigurationError):
-        CellSpec(
-            rate=0.1, seed=0, frames=10,
-            pair="compare-contender",
-            protocol="parity-protocol", injection="parity-injection",
-        )
+    # A bad cell fails while the units are generated, not mid-sweep
+    # inside a worker.
+    spec = spec_for("line", "single-hop", "path")
+    with pytest.raises(ConfigurationError, match="frames"):
+        spec.replace(frames=0)
+    with pytest.raises(ConfigurationError, match="rate"):
+        sweep_units(spec, [0.0], [0])
+    with pytest.raises(ConfigurationError, match="seed"):
+        sweep_units(spec, [0.1], [-1])
 
 
 def test_unknown_builder_name_raises():
-    spec = CellSpec(
-        rate=0.1, seed=0, frames=25,
-        protocol="no-such-builder", injection="parity-injection",
+    spec = spec_for("line", "single-hop", "path").replace(
+        scheduler="no-such-builder"
     )
     with pytest.raises(ConfigurationError, match="no-such-builder"):
-        run_cell(spec)
+        run_sweep(spec, [0.1], [0])
 
 
 def test_duplicate_registration_rejected():
-    def other(rate, seed):
+    def other():
         raise AssertionError("never built")
 
     with pytest.raises(ConfigurationError):
-        register_protocol_builder("parity-protocol", other)
+        register("scheduler", "single-hop", other)
     # Re-registering the same callable is a no-op.
-    register_protocol_builder("parity-protocol", parity_protocol)
+    register("scheduler", "single-hop", SingleHopScheduler)
 
 
 def test_dotted_path_resolution():
-    from repro.cli import registry
-
-    builder = resolve_protocol_builder(
-        "repro.cli.registry:scenario_protocol"
+    builder = resolve(
+        "injection", "repro.scenario.components:injection_uniform_pairs"
     )
-    assert builder is registry.scenario_protocol
+    assert builder is components.injection_uniform_pairs
     with pytest.raises(ConfigurationError):
-        resolve_protocol_builder("repro.cli.registry:not_a_builder")
+        resolve("injection", "repro.scenario.components:not_a_builder")
     with pytest.raises(ConfigurationError):
-        resolve_protocol_builder("no.such.module:builder")
+        resolve("injection", "no.such.module:builder")
 
 
 def test_make_executor():
@@ -299,19 +298,17 @@ def test_make_executor():
 
 
 def test_empty_spec_list_is_empty_sweep():
-    assert run_sharded_sweep([]) == []
+    assert run_sweep(spec_for("line", "single-hop", "path"), [], SEEDS) == []
     assert ProcessExecutor(workers=2).map([]) == []
 
 
 def test_mixed_rates_in_one_group_rejected():
-    # Hand-built specs that forget distinct rate_index values must not
-    # be silently averaged into one record.
-    specs = [
-        CellSpec(
-            rate=rate, seed=0, frames=25,
-            protocol="parity-protocol", injection="parity-injection",
-        )
+    # Hand-built units that forget distinct indices must not be
+    # silently averaged into one record.
+    spec = spec_for("line", "single-hop", "path", frames=25)
+    units = [
+        FleetUnit(spec=spec.replace(rate=rate, rate_mode="absolute"), index=0)
         for rate in (0.1, 0.5)
     ]
     with pytest.raises(ConfigurationError, match="rate_index"):
-        run_sharded_sweep(specs)
+        aggregate_rate_sweep(SerialExecutor().map(units))

@@ -6,12 +6,30 @@ from repro.core.protocol import DynamicProtocol
 from repro.injection.stochastic import PathGenerator, StochasticInjection
 from repro.interference.packet_routing import PacketRoutingModel
 from repro.network.topology import line_network
-from repro.sim.runner import run_rate_sweep, simulate_protocol
+from repro.scenario import ScenarioSpec, sweep_units
+from repro.sim.runner import aggregate_rate_sweep, simulate_protocol
+from repro.sim.sharding import SerialExecutor
 from repro.staticsched.single_hop import SingleHopScheduler
 
 
 NET = line_network(3)
 MODEL = PacketRoutingModel(NET)
+
+#: One generator pushing the 2-hop path 0 -> 2; the line certifies 0.5,
+#: so rates past it overload the protocol (provisioned at the cap).
+SPEC = ScenarioSpec(
+    topology="line",
+    topology_kwargs={"num_nodes": 3},
+    model="packet-routing",
+    scheduler="single-hop",
+    injection_kwargs={"pairs": [[0, 2]], "num_generators": 1},
+    t_scale=0.01,
+)
+
+
+def sweep(rates, frames, seeds):
+    units = sweep_units(SPEC.replace(frames=frames), rates, seeds)
+    return aggregate_rate_sweep(SerialExecutor().map(units))
 
 
 def make_protocol(rate, seed):
@@ -37,27 +55,13 @@ def test_simulate_protocol_returns_engine():
 
 
 def test_sweep_stable_below_capacity_unstable_above():
-    records = run_rate_sweep(
-        make_protocol,
-        make_injection,
-        rates=[0.3, 1.0],  # 1.0: one packet every slot > provisioned 0.5
-        frames=60,
-        seeds=(0, 1),
-        load_per_frame=lambda rate: rate
-        * make_protocol(rate, 0).frame_length,
-    )
+    records = sweep(rates=[0.4, 1.0], frames=60, seeds=(0, 1))
     assert records[0].stable
     assert not records[1].stable
 
 
 def test_sweep_record_fields():
-    records = run_rate_sweep(
-        make_protocol,
-        make_injection,
-        rates=[0.2],
-        frames=40,
-        seeds=(0,),
-    )
+    records = sweep(rates=[0.2], frames=40, seeds=(0,))
     record = records[0]
     assert record.rate == 0.2
     assert record.seeds == 1
@@ -67,24 +71,12 @@ def test_sweep_record_fields():
 
 
 def test_sweep_rates_are_processed_in_order():
-    records = run_rate_sweep(
-        make_protocol,
-        make_injection,
-        rates=[0.1, 0.2, 0.3],
-        frames=20,
-        seeds=(0,),
-    )
+    records = sweep(rates=[0.1, 0.2, 0.3], frames=20, seeds=(0,))
     assert [record.rate for record in records] == [0.1, 0.2, 0.3]
 
 
 def test_sweep_aggregates_across_seeds():
-    records = run_rate_sweep(
-        make_protocol,
-        make_injection,
-        rates=[0.3],
-        frames=30,
-        seeds=(0, 1, 2),
-    )
+    records = sweep(rates=[0.3], frames=30, seeds=(0, 1, 2))
     record = records[0]
     assert record.seeds == 3
     assert len(record.verdicts) == 3
@@ -94,29 +86,19 @@ def test_sweep_aggregates_across_seeds():
 
 
 def test_sweep_default_load_uses_frame_length():
-    # Identical runs with explicit load = rate * T must agree with the
-    # default (the default computes exactly that per protocol).
-    explicit = run_rate_sweep(
-        make_protocol,
-        make_injection,
-        rates=[0.3],
-        frames=30,
-        seeds=(0,),
-        load_per_frame=lambda rate: max(
-            1.0, rate * make_protocol(rate, 0).frame_length
-        ),
+    # The drift detector normalises by rate * T of the built protocol:
+    # the same run assessed by hand at that load gives the same verdict.
+    from repro.sim.engine import FrameSimulation
+
+    cell = SPEC.replace(rate=0.3, rate_mode="absolute", frames=30)
+    built = cell.build()
+    simulation = FrameSimulation(built.protocol, built.injection)
+    simulation.run(30)
+    by_hand = simulation.metrics.stability_verdict(
+        load_per_frame=max(1.0, 0.3 * built.protocol.frame_length)
     )
-    default = run_rate_sweep(
-        make_protocol,
-        make_injection,
-        rates=[0.3],
-        frames=30,
-        seeds=(0,),
-    )
-    assert (
-        explicit[0].verdicts[0].normalised_slope
-        == default[0].verdicts[0].normalised_slope
-    )
+    records = sweep(rates=[0.3], frames=30, seeds=(0,))
+    assert records[0].verdicts[0] == by_hand
 
 
 def test_sweep_record_majority_verdict():
@@ -132,10 +114,7 @@ def test_sweep_record_majority_verdict():
 
 
 def test_sweep_empty_rates_returns_empty():
-    records = run_rate_sweep(
-        make_protocol, make_injection, rates=[], frames=10, seeds=(0,)
-    )
-    assert records == []
+    assert sweep(rates=[], frames=10, seeds=(0,)) == []
 
 
 def test_sweep_accepts_generator_seeds():
@@ -143,13 +122,9 @@ def test_sweep_accepts_generator_seeds():
     # (``len(list(seeds))``), so a generator yielded ``seeds=0`` on the
     # first rate and silently skipped every later rate's cells. The
     # grid must be materialised exactly once.
-    from_list = run_rate_sweep(
-        make_protocol, make_injection, rates=[0.2, 0.3], frames=30,
-        seeds=[0, 1],
-    )
-    from_generator = run_rate_sweep(
-        make_protocol, make_injection, rates=[0.2, 0.3], frames=30,
-        seeds=(seed for seed in (0, 1)),
+    from_list = sweep(rates=[0.2, 0.3], frames=30, seeds=[0, 1])
+    from_generator = sweep(
+        rates=[0.2, 0.3], frames=30, seeds=(seed for seed in (0, 1))
     )
     assert len(from_generator) == 2
     for expected, record in zip(from_list, from_generator):
@@ -161,26 +136,26 @@ def test_sweep_accepts_generator_seeds():
 
 
 def test_sweep_accepts_generator_rates():
-    from_generator = run_rate_sweep(
-        make_protocol, make_injection,
-        rates=(rate for rate in (0.1, 0.2)), frames=20, seeds=(0,),
+    from_generator = sweep(
+        rates=(rate for rate in (0.1, 0.2)), frames=20, seeds=(0,)
     )
     assert [record.rate for record in from_generator] == [0.1, 0.2]
 
 
 def test_measure_cell_and_aggregate_match_sweep():
     # The staged pipeline (measure cells, then aggregate) is exactly
-    # what run_rate_sweep does internally.
-    from repro.sim.runner import aggregate_rate_sweep, measure_cell
+    # what a sweep's units do through an executor.
+    from repro.sim.runner import measure_cell
 
     results = []
     for index, rate in enumerate([0.2, 0.3]):
         for seed in (0, 1):
-            protocol = make_protocol(rate, seed)
+            cell = SPEC.replace(rate=rate, rate_mode="absolute", seed=seed)
+            built = cell.build()
             results.append(
                 measure_cell(
-                    protocol,
-                    make_injection(rate, seed, protocol),
+                    built.protocol,
+                    built.injection,
                     30,
                     rate=rate,
                     seed=seed,
@@ -188,10 +163,7 @@ def test_measure_cell_and_aggregate_match_sweep():
                 )
             )
     staged = aggregate_rate_sweep(results)
-    direct = run_rate_sweep(
-        make_protocol, make_injection, rates=[0.2, 0.3], frames=30,
-        seeds=(0, 1),
-    )
+    direct = sweep(rates=[0.2, 0.3], frames=30, seeds=(0, 1))
     assert len(staged) == len(direct) == 2
     for a, b in zip(staged, direct):
         assert (a.rate, a.seeds, a.stable_fraction, a.mean_tail_queue,
@@ -203,10 +175,7 @@ def test_measure_cell_and_aggregate_match_sweep():
 def test_duplicate_rates_stay_distinct_records():
     # Two sweep rows at the same rate must not merge in aggregation
     # (cells group by position in the rate list, not by float value).
-    records = run_rate_sweep(
-        make_protocol, make_injection, rates=[0.2, 0.2], frames=20,
-        seeds=(0,),
-    )
+    records = sweep(rates=[0.2, 0.2], frames=20, seeds=(0,))
     assert len(records) == 2
     assert records[0].rate == records[1].rate == 0.2
 
