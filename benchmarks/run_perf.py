@@ -179,9 +179,10 @@ def _run_p9(quick: bool, out_dir: Path) -> dict:
 #: floor (bisection vs fixed grid at equal boundary resolution) is
 #: deterministic on any host, and the bench itself asserts the two
 #: instruments agree on the boundary within one tolerance.
-#: P9 (the batched fleet kernel) enforces its 2x-over-serial floor
-#: unconditionally: batching spends no extra cores, so even the 1-CPU
-#: container must deliver it (parity is asserted inside the bench).
+#: P9 (the batched fleet) reports its speedups over serial with no
+#: floor: serial runs scan like batched ones. Its floor — at most 5%
+#: of the simulated slots stepped one by one, serial and batched — is
+#: a deterministic count, asserted by the pytest wrapper.
 PERF_BENCHES = {
     "p1": (_run_p1, 3.0),
     "p3": (_run_p3, None),
@@ -190,7 +191,7 @@ PERF_BENCHES = {
     "p6": (_run_p6, 0.95),
     "p7": (_run_p7, 0.95),
     "p8": (_run_p8, 2.0),
-    "p9": (_run_p9, 2.0),
+    "p9": (_run_p9, None),
 }
 
 

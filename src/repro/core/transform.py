@@ -230,6 +230,8 @@ class TransformedAlgorithm(StaticAlgorithm):
             nonlocal slots_used
             if not indices:
                 return []
+            # Never hand a sub-run more than what is left of `budget`.
+            sub_budget = min(sub_budget, budget - slots_used)
             sub_requests = [requests[k] for k in indices]
             result = yield AlgorithmCall(
                 self._base,
@@ -255,21 +257,24 @@ class TransformedAlgorithm(StaticAlgorithm):
                 break
             psi = max(1, math.ceil(2.0 ** (1 - i) * measure / chi))
             delays = gen.integers(psi, size=len(remaining))
+            # One stable sort partitions the classes: each class keeps
+            # `remaining` order. Empty classes run nothing, so visiting
+            # only the non-empty ones sees the same budget checks.
+            by_delay = np.argsort(delays, kind="stable")
+            sorted_delays = delays[by_delay]
+            classes = np.unique(sorted_delays)
+            bounds = np.searchsorted(sorted_delays, classes)
+            ends = np.append(bounds[1:], len(remaining))
+            indices = np.asarray(remaining)
+            members = indices[by_delay].tolist()
             survivors: List[int] = []
-            for j in range(psi):
+            for j, start, end in zip(classes, bounds, ends):
                 if slots_used >= budget:
                     # Out of budget: the unprocessed classes survive as-is.
-                    survivors.extend(
-                        idx
-                        for idx, d in zip(remaining, delays)
-                        if d >= j
-                    )
+                    survivors.extend(indices[delays >= j].tolist())
                     break
-                class_members = [
-                    idx for idx, d in zip(remaining, delays) if d == j
-                ]
                 survivors.extend((yield from sub_run(
-                    class_members, class_budget
+                    members[start:end], class_budget
                 )))
             remaining = survivors
 
@@ -283,7 +288,7 @@ class TransformedAlgorithm(StaticAlgorithm):
         return RunResult(
             delivered=delivered,
             remaining=remaining,
-            slots_used=min(slots_used, budget) if budget else slots_used,
+            slots_used=slots_used,
             history=history,
         )
 

@@ -25,8 +25,9 @@ serially. Eligible units are grouped by compatible signature
 (scheduler, model, kwargs, transform, metrics) and, within a group, by
 a padding-waste bound: units are sorted by link count and
 split greedily so no member has more than ``padding_ratio`` times the
-links of its group's smallest member (the wave tensor pads every
-network to the group's widest). Networks larger than ``large_links``
+links of its group's smallest member (every task scans its own coin
+buffer, so the bound shapes groups but saves no padding). Networks
+larger than ``large_links``
 skip batching entirely — at that size the slot loop's numpy calls
 operate on arrays big enough to amortise themselves, which is exactly
 when the process executor starts winning instead.
@@ -34,7 +35,7 @@ when the process executor starts winning instead.
 Mixed ``frames`` counts batch fine (a retired network simply stops
 contributing tasks; its RNG streams are private so survivors are
 unperturbed), as do batches of one and zero-link networks (their tasks
-are born finished and execute inline).
+finish as soon as they run).
 """
 
 from __future__ import annotations
@@ -82,13 +83,12 @@ def _relay(call):
 
     Transformed algorithms are unrolled through their own step
     generator so each base sub-run batches individually; plain fused
-    schedulers are yielded directly; anything else (no fused policy, or
-    history recording) executes synchronously in place.
+    schedulers are yielded directly; anything else (no fused policy)
+    executes synchronously in place.
     """
     algorithm = call.algorithm
     if isinstance(algorithm, TransformedAlgorithm):
-        base = algorithm.base
-        if call.record_history or getattr(base, "fused_policy", None) is None:
+        if getattr(algorithm.base, "fused_policy", None) is None:
             return call.execute()
         return (
             yield from algorithm.run_steps(
@@ -99,7 +99,7 @@ def _relay(call):
                 call.record_history,
             )
         )
-    if call.record_history or getattr(algorithm, "fused_policy", None) is None:
+    if getattr(algorithm, "fused_policy", None) is None:
         return call.execute()
     return (yield call)
 

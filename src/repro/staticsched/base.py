@@ -87,10 +87,11 @@ class LazySlotHistory(Sequence):
 
     # -- recording -----------------------------------------------------
 
-    def append_empty(self) -> None:
-        """Record an idle slot (no attempts, no successes)."""
-        self._attempted.append(None)
-        self._succeeded.append(None)
+    def append_empty(self, count: int = 1) -> None:
+        """Record ``count`` idle slots (no attempts, no successes)."""
+        idle = [None] * count
+        self._attempted.extend(idle)
+        self._succeeded.extend(idle)
 
     def append_mask(
         self,

@@ -7,17 +7,19 @@ to completion; the *backend* only chooses how each slot's successes are
 evaluated:
 
 ``numpy``
-    The fast lane: Bernoulli coins pre-drawn in ~64-slot chunks from
-    the same PCG64 stream (bit-identical to per-slot draws, with the
-    generator rewound to the exact per-slot position at run end),
-    sparse attempter-set bookkeeping (full-length work only where the
-    busy set genuinely changes), head pops straight off the
-    ``LinkQueues`` CSR arrays, lazy array-backed history, and inline
-    evaluators for the affectance and conflict models.
+    The fast lane: Bernoulli coins pre-drawn in chunks from the same
+    PCG64 stream (bit-identical to per-slot draws, with the generator
+    rewound to the exact per-slot position at run end), window scans
+    that retire event-free slots in closed form, sparse attempter-set
+    bookkeeping (full-length work only where the busy set genuinely
+    changes), head pops straight off the ``LinkQueues`` CSR arrays,
+    lazy array-backed history, and inline evaluators for the
+    affectance and conflict models (see :class:`FusedTask`).
 ``scalar``
     The ground-truth reference: the same loop and the same policy, but
-    each slot's successes come from one scalar ``successes()`` call on
-    the model and no inline evaluator or fused lane is taken.
+    every slot is stepped, each slot's successes come from one scalar
+    ``successes()`` call on the model, and no inline evaluator or fused
+    lane is taken.
     :func:`scalar_reference` forces this backend and *wins ties*
     against any other selection, so verification code can always
     trust it.
@@ -181,21 +183,23 @@ class ChunkedUniforms:
         self._state = None
         self._consumed = 0
 
-    def refill(self, k: int) -> np.ndarray:
+    def refill(self, k: int, slots: Optional[int] = None) -> np.ndarray:
         """Splice the unconsumed tail with a fresh chunk (no consume).
 
-        Resets the cursor to 0 and returns the new buffer; callers
-        that consume straight off the buffer (the inlined slot loops)
-        must keep :attr:`_cursor`/:attr:`_consumed` in sync so
-        :meth:`finalize` can rewind exactly.
+        The chunk holds ``slots`` slots of ``k`` coins (default: the
+        constructor's ``chunk_slots``). Resets the cursor to 0 and
+        returns the new buffer; callers that consume straight off the
+        buffer (the inlined slot loop) must keep
+        :attr:`_cursor`/:attr:`_consumed` in sync so :meth:`finalize`
+        can rewind exactly.
         """
+        if slots is None:
+            slots = self._chunk_slots
         leftover = self._buf[self._cursor:]
         # Snapshot *before* drawing: everything taken after this
         # point can be replayed from here by finalize().
         self._state = self._gen.bit_generator.state
-        fresh = self._gen.random(
-            max(self._chunk_slots * k, k - leftover.size)
-        )
+        fresh = self._gen.random(max(slots * k, k - leftover.size))
         if leftover.size:
             self._buf = np.concatenate([leftover, fresh])
         else:
@@ -845,6 +849,337 @@ def _run_kv_affectance(
     )
 
 
+#: Most slots one scan covers, and the chunk length (in slots) of the
+#: coins a scanning task draws; a stepping task draws
+#: :data:`STEP_CHUNK`-slot chunks. Any chunking hands out the same
+#: stream values, and ChunkedUniforms' finalize() rewind leaves the
+#: generator's end state dependent only on the handed-out count, so
+#: both lengths are free choices: 256 amortises a scan's fixed cost
+#: over many empty slots while keeping its buffers small.
+WINDOW = 256
+STEP_CHUNK = 64
+
+#: The mode switch. A task scans while the slots it recently saw held
+#: at least this many slots per event slot (a slot with an attempter),
+#: and steps slot by slot while they were denser. Scanning an event
+#: costs about as much as stepping a few empty slots, so below this gap
+#: stepping is cheaper.
+SCAN_GAP = 4
+#: Slots a task observes before it reconsiders its mode.
+DENSITY_SPAN = 8
+
+#: Horizon sentinel for policies whose thresholds never drift between
+#: events (decay, HM).
+_UNLIMITED = 1 << 30
+_NO_OK = np.empty(0, dtype=bool)
+
+
+def _scan_state(policy: FusedPolicy, depths: np.ndarray):
+    """``(thresholds, horizon, changed)`` for scanning at frozen state.
+
+    ``thresholds`` is the per-link transmission threshold array the
+    next ``horizon`` slots would all use, and ``changed`` reports
+    whether this call moved them (a scanning task re-tiles its limits
+    then, and after every stepped slot). Horizons guarantee that
+    *skipped* (attempt-free) slots inside the window are complete
+    no-ops for the policy beyond the closed-form bookkeeping in
+    :meth:`FusedTask._skip`:
+
+    * KV: attempt-free slots only increment idle streaks, but idle
+      recovery fires in ``update`` once a streak reaches
+      ``recovery_slots``, doubling probabilities — so at most
+      ``recovery_slots - 1 - max(idle)`` slots can pass without any
+      streak reaching the threshold. The event slot itself runs the
+      real update, which applies any recovery exactly.
+    * FKV: thresholds change only at phase boundaries; after advancing
+      a just-expired phase (exactly what the per-slot attempt would do
+      on its next slot), ``phase_left`` slots remain in the phase.
+    * decay/HM: thresholds depend only on queue depths / the busy-set
+      contention, which only change on successful deliveries — and a
+      skipped slot has no attempts at all. Unlimited horizon.
+
+    Threshold refreshes write through the policy's own caches with the
+    policy's own ufunc sequence (and clear its dirty flags), so the
+    event slot's real ``attempt`` reuses bit-identical values exactly
+    like a stepped slot following a cached refresh.
+    """
+    kind = type(policy)
+    if kind is KvPolicy:
+        # Only stepped slots move KV's probabilities.
+        horizon = policy.recovery_slots - 1 - int(policy.idle.max())
+        return policy.probability, horizon, False
+    if kind is HmPolicy:
+        changed = policy._p is None
+        if changed:
+            policy._p = np.minimum(
+                1.0, policy.chi / np.maximum(policy.contention, 1.0)
+            )
+        return policy._p, _UNLIMITED, changed
+    horizon = _UNLIMITED
+    changed = False
+    if kind is FkvPolicy:
+        changed = policy.phase_left == 0
+        if changed:
+            policy._advance_phase()
+        horizon = policy.phase_left
+    lp = policy._lp[:policy._size]
+    if policy._dirty:
+        changed = True
+        np.power(policy.complement, depths, out=lp)
+        np.subtract(1.0, lp, out=lp)
+        policy._dirty = False
+    return lp, horizon, changed
+
+
+#: The policies :func:`_scan_state` can freeze; other policies step.
+_SCANNABLE = (KvPolicy, HmPolicy, FkvPolicy, DecayPolicy)
+
+
+class FusedTask:
+    """One fused run of a policy: the whole slot engine.
+
+    The task holds the run's setup, its one slot loop (:meth:`run`),
+    the closed-form skip (:meth:`_skip`) and :meth:`finish`.
+    :func:`run_fused` runs one task; the batched wave driver
+    interleaves many, one run per network per wave.
+
+    The loop has two modes and picks between them from the event
+    density the task just saw (see :data:`SCAN_GAP`). *Stepping* runs
+    slots one by one through the slot body. *Scanning* compares a
+    window of upcoming coins against the policy's frozen thresholds in
+    one vectorised ``<`` on the task's own coin buffer, retires the
+    event-free slots before the first hit in closed form (their coins
+    are consumed, their attempt sets are empty by construction, and
+    the policy bookkeeping they would have done is applied by
+    :meth:`_skip`) and runs the event slot through the slot body. Both
+    modes consume the same coins and make the same decisions, so the
+    mode never changes a result: every :class:`RunResult` — delivered
+    order, remaining order, slots used, history — and the generator's
+    end state equal the per-slot loop's. The scalar reference
+    (``scalar``) and coin-free policies only ever step.
+    """
+
+    __slots__ = (
+        "policy", "budget", "order", "starts", "busy", "depths",
+        "head_ptr", "pending", "evaluator", "chunk", "ubuf", "ucursor",
+        "history", "delivered_parts", "slots", "scannable",
+    )
+
+    def __init__(self, policy: FusedPolicy, model: InterferenceModel,
+                 requests: Sequence[int], budget: int,
+                 gen: np.random.Generator, record_history: bool = False,
+                 scalar: bool = False):
+        if budget < 0:
+            raise SchedulingError(f"budget must be >= 0, got {budget}")
+        self.policy = policy
+        self.budget = budget
+        queues = LinkQueues(requests, model.num_links)
+        self.order, self.starts = queues.csr_arrays()
+        self.busy = queues.busy_array()
+        self.depths = queues.depths_for(self.busy)
+        self.head_ptr = self.starts[self.busy].copy()
+        self.pending = queues.pending
+        policy.bind(model, requests, self.busy, self.depths)
+        self.evaluator = _make_fused_eval(model, self.busy, scalar)
+        self.chunk = ChunkedUniforms(gen) if policy.uses_rng else None
+        self.ubuf = self.chunk._buf if self.chunk is not None else None
+        self.ucursor = 0
+        self.history: Optional[LazySlotHistory] = None
+        if record_history:
+            self.history = LazySlotHistory(
+                np.asarray(requests, dtype=np.int64)
+            )
+        self.delivered_parts: List[np.ndarray] = []
+        self.slots = 0
+        self.scannable = not scalar and type(policy) in _SCANNABLE
+
+    def run(self) -> RunResult:
+        """Run to the end (budget spent or queues empty); the result.
+
+        The engine's one loop. Each pass either *scans* — compares a
+        window of upcoming coins against the policy's frozen
+        thresholds, retires the event-free slots before the first hit
+        with :meth:`_skip`, and falls through to the event slot — or
+        *steps* one slot. The slot body below is the only one: a slot
+        costs a chunk-buffer view and one comparison for the coins,
+        the evaluator on the attempters, and attempter-subset
+        gathers/scatters for the CSR head pops, depth bookkeeping and
+        the policy recurrence. Every :data:`DENSITY_SPAN` slots the
+        task rechooses its mode from the event density it saw. The
+        task's state is bound to locals for the loop and written back
+        after it.
+        """
+        policy = self.policy
+        attempt_fn = policy.attempt
+        update_fn = policy.update
+        evaluator = self.evaluator
+        evaluate = evaluator.evaluate
+        chunk = self.chunk
+        ubuf = self.ubuf
+        ucursor = self.ucursor
+        busy = self.busy
+        depths = self.depths
+        head_ptr = self.head_ptr
+        order = self.order
+        history = self.history
+        delivered_parts = self.delivered_parts
+        pending = self.pending
+        budget = self.budget
+        slots = self.slots
+        scannable = self.scannable
+        # A run starts stepping; `seen` slots held `events` event slots
+        # since the mode was last chosen.
+        scanning = False
+        seen = events = 0
+        # Tiled thresholds (`tiled` coins' worth are current) and the
+        # scan's output buffer.
+        tiled = 0
+        limits = hits_buf = None
+        while slots < budget and pending:
+            k = busy.size
+            if scanning:
+                thresholds, horizon, changed = _scan_state(policy, depths)
+                # Tiled rows serve every later scan at these thresholds:
+                # the remaining budget and the horizon only shrink.
+                rows = min(budget - slots, horizon, WINDOW)
+                if rows >= 1:
+                    if ucursor + k > ubuf.size:
+                        # The stepping refill trigger: the first
+                        # consumption after a refill (one slot at
+                        # least) exceeds the leftover, which keeps
+                        # finalize()'s rewind exact.
+                        chunk._cursor = ucursor
+                        ubuf = chunk.refill(k, min(WINDOW, budget - slots))
+                        ucursor = 0
+                    w = min(rows, (ubuf.size - ucursor) // k)
+                    n = w * k
+                    if changed or tiled < n:
+                        size = rows * k
+                        if limits is None or limits.size < size:
+                            limits = np.empty(size)
+                            hits_buf = np.empty(size, dtype=bool)
+                        limits[:size].reshape(rows, k)[:] = thresholds
+                        tiled = size
+                    hits = np.less(
+                        ubuf[ucursor:ucursor + n], limits[:n],
+                        out=hits_buf[:n],
+                    )
+                    first = int(hits.argmax())
+                    skip = first // k if hits[first] else w
+                    if skip:
+                        ucursor += skip * k
+                        chunk._consumed += skip * k
+                        self._skip(skip)
+                        slots += skip
+                        seen += skip
+                    if skip == w:
+                        if seen >= DENSITY_SPAN:
+                            scanning = events * SCAN_GAP <= seen
+                            seen = events = 0
+                        continue
+                    # The event slot (its coins are the scanned ones)
+                    # runs through the slot body below.
+            # A stepped slot may move the thresholds.
+            tiled = 0
+            if chunk is not None:
+                nxt = ucursor + k
+                if nxt > ubuf.size:
+                    chunk._cursor = ucursor
+                    ubuf = chunk.refill(k, min(STEP_CHUNK, budget - slots))
+                    ucursor = 0
+                    nxt = k
+                u = ubuf[ucursor:nxt]
+                ucursor = nxt
+                chunk._consumed += k
+                attempt, att_idx = attempt_fn(u, depths)
+            else:
+                attempt, att_idx = attempt_fn(None, depths)
+            heads = None
+            keep = None
+            if att_idx.size:
+                events += 1
+                ok = evaluate(attempt, att_idx)
+                if ok.any():
+                    s_idx = att_idx[ok]
+                    hp = head_ptr.take(s_idx)
+                    heads = order.take(hp)
+                    delivered_parts.append(heads)
+                    head_ptr[s_idx] = hp + 1
+                    served = depths.take(s_idx) - 1
+                    depths[s_idx] = served
+                    pending -= heads.size
+                    if not served.all():
+                        keep = depths > 0
+                if history is not None:
+                    history.append_mask(busy, attempt.copy(), heads)
+            else:
+                ok = _NO_OK
+                if history is not None:
+                    history.append_empty()
+            update_fn(att_idx, ok)
+            if keep is not None:
+                busy = busy[keep]
+                depths = depths[keep]
+                head_ptr = head_ptr[keep]
+                evaluator.drop(keep)
+                policy.compact(keep)
+            slots += 1
+            seen += 1
+            if seen >= DENSITY_SPAN:
+                scanning = scannable and events * SCAN_GAP <= seen
+                seen = events = 0
+        self.ubuf = ubuf
+        self.ucursor = ucursor
+        self.busy = busy
+        self.depths = depths
+        self.head_ptr = head_ptr
+        self.pending = pending
+        self.slots = slots
+        return self.finish()
+
+    def _skip(self, s: int) -> None:
+        """Retire ``s`` event-free slots in closed form.
+
+        Applies the policy bookkeeping the slots would have done and
+        records them; safe only within a :func:`_scan_state` horizon
+        (no attempts, hence no queue/evaluator/probability changes,
+        and no KV recovery or FKV phase boundary inside the window).
+        The caller consumes their coins.
+        """
+        policy = self.policy
+        kind = type(policy)
+        if kind is KvPolicy:
+            policy.idle += s
+        elif kind is FkvPolicy:
+            policy.phase_left -= s
+        if self.history is not None:
+            self.history.append_empty(s)
+
+    def finish(self) -> RunResult:
+        """Rewind coin overdraw and assemble the :class:`RunResult`."""
+        if self.chunk is not None:
+            self.chunk._cursor = self.ucursor
+            self.chunk.finalize()
+            self.ubuf = self.chunk._buf
+            self.ucursor = 0
+        if self.delivered_parts:
+            delivered = np.concatenate(self.delivered_parts).tolist()
+        else:
+            delivered = []
+        remaining: List[int] = []
+        for i in range(self.busy.size):
+            remaining.extend(
+                self.order[self.head_ptr[i]:self.starts[self.busy[i] + 1]]
+                .tolist()
+            )
+        return RunResult(
+            delivered=delivered,
+            remaining=remaining,
+            slots_used=self.slots,
+            history=self.history,
+        )
+
+
 def run_fused(
     policy: FusedPolicy,
     model: InterferenceModel,
@@ -855,12 +1190,11 @@ def run_fused(
 ) -> RunResult:
     """Run a policy to completion on the resolved backend.
 
-    On ``numpy`` one slot costs: a chunk-buffer view + one comparison
-    for the coins, one flat submatrix gather + row-sum for the
-    evaluator, and attempter-subset gathers/scatters for the CSR head
-    pops, depth bookkeeping and the policy recurrence — with zero
-    per-slot allocations beyond the sparse index arrays. On ``scalar``
-    the same loop asks the model's scalar ``successes()`` instead.
+    Builds one :class:`FusedTask` and runs it: on
+    ``numpy`` it scans event-sparse stretches and steps event-dense
+    ones; on ``scalar`` it steps every slot on the model's scalar
+    ``successes()``. KV on the affectance model takes its own
+    monolithic lane on ``numpy`` (:func:`_run_kv_affectance`).
     """
     scalar = resolve_backend() == "scalar"
     if (
@@ -871,102 +1205,9 @@ def run_fused(
         return _run_kv_affectance(
             policy, model, requests, budget, gen, record_history
         )
-
-    queues = LinkQueues(requests, model.num_links)
-    order, starts = queues.csr_arrays()
-    busy = queues.busy_array()
-    depths = queues.depths_for(busy)
-    head_ptr = starts[busy].copy()
-    pending = queues.pending
-
-    policy.bind(model, requests, busy, depths)
-    evaluator = _make_fused_eval(model, busy, scalar)
-    chunk = ChunkedUniforms(gen) if policy.uses_rng else None
-
-    history: Optional[LazySlotHistory] = None
-    if record_history:
-        req_links = np.asarray(requests, dtype=np.int64)
-        history = LazySlotHistory(req_links)
-
-    # Local bindings for the hot loop; the chunk cursor is inlined so
-    # the common take is one slice plus two int updates, not a method
-    # call (the refill slow path still goes through the chunk object,
-    # which owns the leftover splice and the rewind snapshot).
-    uses_rng = chunk is not None
-    ubuf = chunk._buf if chunk is not None else None
-    ucursor = 0
-    attempt_fn = policy.attempt
-    update_fn = policy.update
-    evaluate = evaluator.evaluate
-    no_ok = np.empty(0, dtype=bool)
-
-    delivered_parts: List[np.ndarray] = []
-    slots = 0
-    while slots < budget and pending:
-        k = busy.size
-        if uses_rng:
-            nxt = ucursor + k
-            if nxt > ubuf.size:
-                chunk._cursor = ucursor
-                u = chunk.take(k)
-                ubuf = chunk._buf
-                ucursor = chunk._cursor
-            else:
-                u = ubuf[ucursor:nxt]
-                ucursor = nxt
-                chunk._consumed += k
-            attempt, att_idx = attempt_fn(u, depths)
-        else:
-            attempt, att_idx = attempt_fn(None, depths)
-        heads = None
-        keep = None
-        if att_idx.size:
-            ok = evaluate(attempt, att_idx)
-            if ok.any():
-                s_idx = att_idx[ok]
-                hp = head_ptr.take(s_idx)
-                heads = order.take(hp)
-                delivered_parts.append(heads)
-                head_ptr[s_idx] = hp + 1
-                served = depths.take(s_idx) - 1
-                depths[s_idx] = served
-                pending -= heads.size
-                if not served.all():
-                    keep = depths > 0
-        else:
-            ok = no_ok
-        if history is not None:
-            if att_idx.size:
-                history.append_mask(busy, attempt.copy(), heads)
-            else:
-                history.append_empty()
-        update_fn(att_idx, ok)
-        if keep is not None:
-            busy = busy[keep]
-            depths = depths[keep]
-            head_ptr = head_ptr[keep]
-            evaluator.drop(keep)
-            policy.compact(keep)
-        slots += 1
-    if chunk is not None:
-        chunk._cursor = ucursor
-        chunk.finalize()
-
-    if delivered_parts:
-        delivered = np.concatenate(delivered_parts).tolist()
-    else:
-        delivered = []
-    remaining: List[int] = []
-    for i in range(busy.size):
-        remaining.extend(
-            order[head_ptr[i]:starts[busy[i] + 1]].tolist()
-        )
-    return RunResult(
-        delivered=delivered,
-        remaining=remaining,
-        slots_used=slots,
-        history=history,
-    )
+    return FusedTask(
+        policy, model, requests, budget, gen, record_history, scalar
+    ).run()
 
 
 class FusedScheduler(StaticAlgorithm):
@@ -1004,6 +1245,7 @@ __all__ = [
     "FkvPolicy",
     "FusedPolicy",
     "FusedScheduler",
+    "FusedTask",
     "HmPolicy",
     "KvPolicy",
     "SingleHopPolicy",

@@ -34,8 +34,8 @@ GOLDEN_PATH = os.path.join(
 BACKENDS = ("numpy", "scalar")
 # Keys other test modules own: "protocol/" is tests/test_store_parity.py,
 # "injection/" is tests/test_injection_golden.py, "cli/" is
-# tests/test_cli_golden.py.
-FOREIGN_PREFIXES = ("protocol/", "injection/", "cli/")
+# tests/test_cli_golden.py, "transform/" is tests/test_transform_golden.py.
+FOREIGN_PREFIXES = ("protocol/", "injection/", "cli/", "transform/")
 SEEDS = (5, 17)
 
 

@@ -13,7 +13,11 @@ backend × scheduler × model) with the machinery-level contracts:
 * ``LazySlotHistory`` behaves like the eager ``List[SlotRecord]`` it
   replaced (equality, concatenation, merge, feasibility consumers);
 * threshold-boundary instances and protocol-shaped generator sharing
-  replay the per-slot transcriptions in ``reference_loops``.
+  replay the per-slot transcriptions in ``reference_loops``;
+* the numpy engine — window scans over event-sparse stretches, slot
+  steps over event-dense ones — replays the scalar reference, which
+  steps every slot (hypothesis sweep over policy, model, requests,
+  budget and history recording).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
@@ -30,6 +34,8 @@ from repro.interference.matrix_model import AffectanceThresholdModel
 from repro.network.topology import mac_network
 from repro.staticsched import (
     DecayScheduler,
+    FkvScheduler,
+    HmScheduler,
     KvScheduler,
     SingleHopScheduler,
 )
@@ -37,6 +43,7 @@ from repro.staticsched.base import LazySlotHistory, RunResult, SlotRecord
 from repro.staticsched.runloop import (
     BACKENDS,
     ChunkedUniforms,
+    FusedTask,
     SingleHopPolicy,
     available_backends,
     default_backend,
@@ -46,6 +53,7 @@ from repro.staticsched.runloop import (
     use_backend,
 )
 from reference_loops import run_reference
+from test_kernel_parity import _conflict_model, _sinr_model
 
 
 def _random_weights(m: int, seed: int, scale: float = 0.35) -> np.ndarray:
@@ -374,3 +382,162 @@ def test_cellspec_backend_pins_and_pickles():
     assert fused[0].injected > 0
     for a, b in zip(fused, scalar):
         assert a == b
+
+
+# ----------------------------------------------------------------------
+# Scan-versus-step parity
+# ----------------------------------------------------------------------
+
+
+def _phased_model():
+    """Event density sparse, then dense, then sparse under HM.
+
+    Links 0-39 ("heavy") load every link's contention by 1, links
+    40-59 ("light") and 60 ("tail") load only themselves. While the
+    heavy links are busy every HM probability is about ``chi / 41``;
+    once they have drained the light links transmit at ``chi`` each
+    (dense); once those have drained the tail link is alone, at ``chi``
+    (sparse).
+    """
+    weights = np.zeros((61, 61))
+    weights[:, :40] = 1.0
+    np.fill_diagonal(weights, 1.0)
+    return AffectanceThresholdModel(mac_network(61), weights, threshold=1.0)
+
+
+PHASED_REQUESTS = list(range(40)) + list(range(40, 60)) * 3 + [60] * 12
+
+PARITY_MODELS = {
+    "affectance": lambda: _affectance_model(m=12, seed=5),
+    "conflict": _conflict_model,
+    "sinr": _sinr_model,
+    "phased": _phased_model,
+}
+
+#: Policy name -> factory of (sparsity knob, secondary knob), each 0-3;
+#: a higher sparsity knob means rarer attempts. The secondary knob is
+#: KV's recovery streak and FKV's phase length.
+PARITY_POLICIES = {
+    "decay": lambda knob, extra: DecayScheduler(
+        probability_scale=(4.0, 16.0, 64.0, 256.0)[knob]
+    ),
+    "hm": lambda knob, extra: HmScheduler(
+        chi=(0.25, 0.1, 0.01, 0.002)[knob]
+    ),
+    "fkv": lambda knob, extra: FkvScheduler(
+        probability_scale=(4.0, 16.0, 64.0, 256.0)[knob],
+        phase_scale=(6.0, 1.0, 0.3, 0.05)[extra],
+    ),
+    "kv": lambda knob, extra: KvScheduler(
+        initial_probability=(0.125, 0.05, 0.01, 0.002)[knob],
+        recovery_slots=(1, 2, 5, 40)[extra],
+    ),
+}
+
+
+def _outcome(result, gen):
+    history = None if result.history is None else list(result.history)
+    return (
+        list(result.delivered),
+        list(result.remaining),
+        result.slots_used,
+        history,
+        gen.bit_generator.state,
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    policy=st.sampled_from(sorted(PARITY_POLICIES)),
+    model=st.sampled_from(sorted(PARITY_MODELS)),
+    knob=st.integers(0, 3),
+    extra=st.integers(0, 3),
+    links=st.lists(st.integers(0, 63), max_size=60),
+    budget=st.integers(0, 700),
+    record_history=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+# The budget ends inside a scanned window.
+@example(policy="hm", model="affectance", knob=3, extra=0,
+         links=list(range(12)) * 2, budget=300, record_history=True,
+         seed=1)
+# KV's recovery horizon: windows end exactly where a streak recovers.
+@example(policy="kv", model="affectance", knob=3, extra=2,
+         links=list(range(12)) * 3, budget=500, record_history=False,
+         seed=2)
+@example(policy="kv", model="sinr", knob=2, extra=3,
+         links=list(range(30)), budget=600, record_history=True, seed=3)
+# FKV phase boundaries inside the scanned stretches.
+@example(policy="fkv", model="conflict", knob=2, extra=2,
+         links=list(range(12)) * 2, budget=700, record_history=True,
+         seed=4)
+# Sparse, then dense, then sparse again (see _phased_model).
+@example(policy="hm", model="phased", knob=1, extra=0,
+         links=PHASED_REQUESTS, budget=700, record_history=True, seed=5)
+def test_scan_matches_scalar_reference(
+    policy, model, knob, extra, links, budget, record_history, seed
+):
+    """The numpy engine, scanning or stepping, replays the scalar
+    reference: delivered and remaining order, slots used, history and
+    the generator's end state."""
+    instance = PARITY_MODELS[model]()
+    requests = [e % instance.num_links for e in links]
+    scheduler = PARITY_POLICIES[policy](knob, extra)
+
+    gen = np.random.default_rng(seed)
+    with scalar_reference():
+        reference = _outcome(
+            scheduler.run(instance, requests, budget, rng=gen,
+                          record_history=record_history),
+            gen,
+        )
+    gen = np.random.default_rng(seed)
+    with use_backend("numpy"):
+        via_run = _outcome(
+            scheduler.run(instance, requests, budget, rng=gen,
+                          record_history=record_history),
+            gen,
+        )
+    assert via_run == reference
+    # The task itself, also where run_fused takes the KV-affectance
+    # lane (the batched driver runs every policy through the task).
+    gen = np.random.default_rng(seed)
+    task = FusedTask(scheduler.fused_policy(), instance, requests, budget,
+                     gen, record_history)
+    assert _outcome(task.run(), gen) == reference
+
+
+def test_phased_run_switches_sparse_dense_sparse(monkeypatch):
+    """The phased example really exercises both mode switches.
+
+    A scanning pass asks ``_scan_state`` for the thresholds and a
+    stepped slot asks the policy's ``attempt``, so the run's call
+    trace shows its modes: a stepping stretch is a run of attempts
+    with no scan in between.
+    """
+    import repro.staticsched.runloop as runloop
+
+    trace = []
+    scan_state = runloop._scan_state
+
+    def traced_scan_state(policy, depths):
+        trace.append("s")
+        return scan_state(policy, depths)
+
+    monkeypatch.setattr(runloop, "_scan_state", traced_scan_state)
+    policy = PARITY_POLICIES["hm"](1, 0).fused_policy()
+    attempt = policy.attempt
+
+    def traced_attempt(u, depths):
+        trace.append("a")
+        return attempt(u, depths)
+
+    policy.attempt = traced_attempt
+    FusedTask(policy, _phased_model(), PHASED_REQUESTS, 700,
+              np.random.default_rng(5)).run()
+    stepping = "a" * (2 * runloop.DENSITY_SPAN)
+    # Stepping first (the start), then scanning, stepping, scanning.
+    first_scan = trace.index("s")
+    dense = "".join(trace).find(stepping, first_scan)
+    assert dense > first_scan
+    assert "s" in trace[dense + len(stepping):]

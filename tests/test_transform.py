@@ -172,3 +172,59 @@ def test_history_consistent_with_model(transformed, sinr_model_module):
 def test_name_mentions_base():
     algorithm = TransformedAlgorithm(DecayScheduler(), m=5)
     assert "decay" in algorithm.name
+
+
+def _base_slots(transformed, model, requests, budget, seed):
+    """Run through the step seam; return the result and the slots the
+    base algorithm spent across all of its sub-runs."""
+    steps = transformed.run_steps(
+        model, requests, budget, np.random.default_rng(seed)
+    )
+    spent = 0
+    try:
+        call = next(steps)
+        while True:
+            result = call.execute()
+            spent += result.slots_used
+            call = steps.send(result)
+    except StopIteration as stop:
+        return stop.value, spent
+
+
+def _overloaded(model, n=400, seed=0):
+    rng = np.random.default_rng(seed)
+    return [int(e) for e in rng.integers(0, model.num_links, size=n)]
+
+
+def test_sub_runs_never_exceed_a_one_slot_budget(sinr_model_module):
+    """A budget of one slot buys one slot of the base, not a full
+    class window credited as one slot."""
+    requests = _overloaded(sinr_model_module)
+    transformed = TransformedAlgorithm(
+        DecayScheduler(), m=sinr_model_module.network.size_m
+    )
+    result, spent = _base_slots(
+        transformed, sinr_model_module, requests, 1, seed=1
+    )
+    assert spent <= 1
+    assert result.slots_used <= 1
+    assert len(result.delivered) <= 1
+    assert len(result.delivered) + len(result.remaining) == len(requests)
+
+
+def test_charge_reserved_sub_runs_stay_within_budget(sinr_model_module):
+    requests = _overloaded(sinr_model_module)
+    transformed = TransformedAlgorithm(
+        DecayScheduler(), m=sinr_model_module.network.size_m,
+        charge_reserved=True,
+    )
+    for budget in (1, 7, 50):
+        result, spent = _base_slots(
+            transformed, sinr_model_module, requests, budget, seed=2
+        )
+        assert spent <= budget
+        assert result.slots_used <= budget
+        assert len(result.delivered) < len(requests)
+        assert sorted(result.delivered + result.remaining) == list(
+            range(len(requests))
+        )
