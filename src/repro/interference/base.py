@@ -59,6 +59,12 @@ class BatchSuccessEvaluator:
     re-deriving it from the full ``W`` every slot.
     """
 
+    #: Optional shortcut for a slot with one transmitter: a method
+    #: mapping its local index (a one-element array) to its verdict, a
+    #: one-element bool array equal to ``successes_local(mask).take``
+    #: of that index. ``None`` when the evaluator has none.
+    lone = None
+
     def __init__(self, busy: np.ndarray):
         self._busy = np.asarray(busy, dtype=np.int64)
 

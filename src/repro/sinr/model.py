@@ -25,12 +25,23 @@ from repro.sinr.affectance import affectance_matrix, sender_receiver_gains
 from repro.sinr.power import PowerAssignment, UniformPower
 
 
+def _sinr_feasible(signal, interference, beta, noise):
+    """The SINR test ``signal >= beta·(interference + noise)``, with the
+    1e-12 tolerance every exact evaluation path shares."""
+    return signal >= beta * (interference + noise) - 1e-12
+
+
 class _SinrBatchEvaluator(CachedBatchEvaluator):
     """SINR feasibility on a cached busy-set gain submatrix.
 
     Slicing the cached submatrix reproduces the scalar ``_evaluate``
     gather exactly (same entries, same reduction order), so the batch
     path is bit-identical to the reference even at SINR boundaries.
+    A lone transmitter's verdict depends on its link alone, so
+    :meth:`lone` reads it from a per-link table derived with the same
+    ops: over one transmitter ``received.sum(axis=0) - signal`` is
+    ``signal - signal`` (kept so, not 0.0, for identical inf and nan
+    cases).
     """
 
     def __init__(self, model: "SinrModel", busy: np.ndarray):
@@ -39,6 +50,10 @@ class _SinrBatchEvaluator(CachedBatchEvaluator):
         self._powers = model._powers[busy]
         self._beta = model.beta
         self._noise = model.noise
+        signal = self._powers * self._gains.diagonal()
+        self._lone_ok = _sinr_feasible(
+            signal, signal - signal, self._beta, self._noise
+        )
 
     def successes_local(self, transmit_local: np.ndarray) -> np.ndarray:
         cache_idx = self._cols[transmit_local]
@@ -46,10 +61,13 @@ class _SinrBatchEvaluator(CachedBatchEvaluator):
         received = self._powers[cache_idx, None] * gains
         signal = received.diagonal()
         interference = received.sum(axis=0) - signal
-        ok = signal >= self._beta * (interference + self._noise) - 1e-12
+        ok = _sinr_feasible(signal, interference, self._beta, self._noise)
         mask = np.zeros(transmit_local.size, dtype=bool)
         mask[transmit_local] = ok
         return mask
+
+    def lone(self, index: np.ndarray) -> np.ndarray:
+        return self._lone_ok.take(self._cols.take(index))
 
 
 class SinrModel(InterferenceModel):
@@ -214,7 +232,7 @@ class SinrModel(InterferenceModel):
         received = powers[:, None] * gains  # [k, j]: from sender k at receiver j
         signal = np.diag(received)
         interference = received.sum(axis=0) - signal
-        ok = signal >= self._beta * (interference + self._noise) - 1e-12
+        ok = _sinr_feasible(signal, interference, self._beta, self._noise)
         return {int(link) for link, good in zip(ids, ok) if good}
 
     def sinr(self, link_id: int, transmitting: Sequence[int]) -> float:

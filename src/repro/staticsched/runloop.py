@@ -15,6 +15,11 @@ evaluated:
     changes), head pops straight off the ``LinkQueues`` CSR arrays,
     lazy array-backed history, and inline evaluators for the
     affectance and conflict models (see :class:`FusedTask`).
+    Decay binds from a column-subset estimate of its measure, guarded:
+    the first refill's coins are checked against a :data:`GUARD_BAND`
+    around each threshold the run can still use, and a coin inside a
+    band, or a second refill, makes the run switch to the exact measure
+    before any coin is compared against it (see :class:`DecayPolicy`).
 ``scalar``
     The ground-truth reference: the same loop and the same policy, but
     every slot is stepped, each slot's successes come from one scalar
@@ -258,8 +263,14 @@ class FusedPolicy:
     #: Whether the policy consumes one uniform per busy link per slot.
     uses_rng: bool = True
 
-    def bind(self, model, requests, busy, depths) -> None:
-        """Allocate per-run state for the initial busy set."""
+    def bind(self, model, requests, busy, depths, exact=True) -> None:
+        """Allocate per-run state for the initial busy set.
+
+        With ``exact`` false (the numpy backend) a policy may bind from
+        a cheaper estimate that it certifies before any coin is
+        compared against it (see :class:`DecayPolicy`); the scalar
+        reference always binds exactly.
+        """
 
     def attempt(self, u: Optional[np.ndarray], depths: np.ndarray):
         """Return ``(mask, att_idx)``: the local transmit mask (a
@@ -283,7 +294,7 @@ class KvPolicy(FusedPolicy):
         self.backoff = backoff
         self.recovery_slots = recovery_slots
 
-    def bind(self, model, requests, busy, depths) -> None:
+    def bind(self, model, requests, busy, depths, exact=True) -> None:
         k = busy.size
         self.probability = np.full(k, self.p0)
         self.idle = np.zeros(k, dtype=np.int64)
@@ -329,25 +340,92 @@ class KvPolicy(FusedPolicy):
 
 
 class DecayPolicy(FusedPolicy):
-    """Non-adaptive ``1/(cI)`` transmission (paper Theorem 19)."""
+    """Non-adaptive ``1/(cI)`` transmission (paper Theorem 19).
+
+    The measure ``I = max(W @ v)`` reaches a run only through the coin
+    tests ``u < lp``, ``lp = 1 - (1 - 1/(cI))**depth``. An inexact bind
+    (``exact=False``) therefore estimates it from the requested columns
+    alone, ``max(W[:, busy] @ depths)``, instead of a full mat-vec, and
+    stays *uncertified* until :meth:`guard` has cleared the run's coins
+    or rebound it exactly. For non-negative terms both sums lie within
+    ``γ_k·I`` of the true value (``γ_k = k·2⁻⁵³ / (1 - k·2⁻⁵³)``, ``k`` requested
+    links), so the estimate is within ``2γ_k·I`` of the exact measure.
+    A link of depth ``d`` has a row sum of at least ``d`` (``W``'s
+    diagonal is 1), so ``d·p <= 1/c`` and ``|Δlp| <= d·p·2γ_k`` stays
+    near 1e-15 — far inside :data:`GUARD_BAND`. A coin outside the band
+    around every threshold the run can still use thus takes the same
+    branch under either measure. Models that override
+    ``interference_measure`` or ``as_request_vector`` always bind
+    exactly.
+    """
 
     def __init__(self, probability_scale: float, measure_floor: float):
         self.probability_scale = probability_scale
         self.measure_floor = measure_floor
 
-    def bind(self, model, requests, busy, depths) -> None:
-        measure = max(
-            model.interference_measure(list(requests)), self.measure_floor
-        )
-        self.probability = min(
-            1.0, 1.0 / (self.probability_scale * measure)
-        )
-        self.complement = 1.0 - self.probability
+    def bind(self, model, requests, busy, depths, exact=True) -> None:
+        kind = type(model)
+        self._pending_exact = None
+        self._cleared = False
+        if (
+            exact
+            or not busy.size
+            or kind.interference_measure
+            is not InterferenceModel.interference_measure
+            or kind.as_request_vector is not InterferenceModel.as_request_vector
+        ):
+            measure = model.interference_measure(list(requests))
+        else:
+            columns = model.weight_matrix()[:, busy]
+            measure = float((columns @ depths.astype(float)).max())
+            self._pending_exact = (model, requests)
+        self._set_measure(measure)
         k = busy.size
         self._lp = np.empty(k)
         self._att = np.empty(k, dtype=bool)
         self._size = k
         self._dirty = True
+
+    def _set_measure(self, measure: float) -> None:
+        self.measure = measure
+        measure = max(measure, self.measure_floor)
+        self.probability = min(
+            1.0, 1.0 / (self.probability_scale * measure)
+        )
+        self.complement = 1.0 - self.probability
+
+    @property
+    def certified(self) -> bool:
+        """Whether the bound measure is known to decide like the exact one."""
+        return self._pending_exact is None
+
+    def guard(self, coins: np.ndarray, depths: np.ndarray) -> bool:
+        """Certify an estimated measure at a coin refill.
+
+        The first refill's ``coins`` are cleared in one pass against
+        ``lp(d) ± GUARD_BAND`` for every depth ``d`` in
+        ``1..max(depths)`` — depths only fall, so these are all the
+        thresholds the run can still use. A coin inside a band, or any
+        later refill, rebinds with the exact measure (certifying the
+        policy) and returns True: the caller must re-fetch its
+        thresholds. A run thus pays for one cleared refill and at most
+        one exact measure, however long it runs.
+        """
+        if not self._cleared:
+            self._cleared = True
+            lp = 1.0 - self.complement ** np.arange(1, int(depths.max()) + 1)
+            # The bands holding a coin are those opening at or below it
+            # less those closing below it (``lp`` is non-decreasing).
+            if np.array_equal(
+                np.searchsorted(lp - GUARD_BAND, coins, "right"),
+                np.searchsorted(lp + GUARD_BAND, coins, "left"),
+            ):
+                return False
+        model, requests = self._pending_exact
+        self._pending_exact = None
+        self._set_measure(model.interference_measure(list(requests)))
+        self._dirty = True
+        return True
 
     def attempt(self, u, depths):
         k = self._size
@@ -377,7 +455,7 @@ class FkvPolicy(FusedPolicy):
         self.probability_scale = probability_scale
         self.phase_scale = phase_scale
 
-    def bind(self, model, requests, busy, depths) -> None:
+    def bind(self, model, requests, busy, depths, exact=True) -> None:
         import math
 
         requests = list(requests)
@@ -439,7 +517,7 @@ class HmPolicy(FusedPolicy):
     def __init__(self, chi: float):
         self.chi = chi
 
-    def bind(self, model, requests, busy, depths) -> None:
+    def bind(self, model, requests, busy, depths, exact=True) -> None:
         self._sub = model.weight_matrix()[np.ix_(busy, busy)]
         self.contention = self._sub.sum(axis=1)
         self._att = np.empty(busy.size, dtype=bool)
@@ -469,7 +547,7 @@ class SingleHopPolicy(FusedPolicy):
 
     uses_rng = False
 
-    def bind(self, model, requests, busy, depths) -> None:
+    def bind(self, model, requests, busy, depths, exact=True) -> None:
         self._ones = np.ones(busy.size, dtype=bool)
         self._ones.setflags(write=False)
         self._arange = np.arange(busy.size)
@@ -641,6 +719,17 @@ class _GenericFusedEval(_FusedEval):
         self._ev.drop(keep)
 
 
+class _LoneFusedEval(_GenericFusedEval):
+    """The generic route for an evaluator with a ``lone`` shortcut (SINR):
+    slots with one transmitter read it, the rest go through
+    ``successes_local``."""
+
+    def evaluate(self, attempt, att_idx):
+        if att_idx.size == 1:
+            return self._ev.lone(att_idx)
+        return self._ev.successes_local(attempt).take(att_idx)
+
+
 def _make_fused_eval(
     model: InterferenceModel, busy: np.ndarray, scalar: bool = False
 ) -> _FusedEval:
@@ -653,7 +742,10 @@ def _make_fused_eval(
         return _AffectanceFusedEval(model, busy)
     if type(model) is ConflictGraphModel:
         return _ConflictFusedEval(model, busy)
-    return _GenericFusedEval(model.batch_evaluator(busy))
+    evaluator = model.batch_evaluator(busy)
+    if evaluator.lone is not None:
+        return _LoneFusedEval(evaluator)
+    return _GenericFusedEval(evaluator)
 
 
 # ----------------------------------------------------------------------
@@ -868,6 +960,11 @@ SCAN_GAP = 4
 #: Slots a task observes before it reconsiders its mode.
 DENSITY_SPAN = 8
 
+#: Half-width of the band around an estimated decay threshold inside
+#: which a coin forces the exact measure (see :class:`DecayPolicy`):
+#: the estimate moves a threshold by about 1e-15.
+GUARD_BAND = 1e-9
+
 #: Horizon sentinel for policies whose thresholds never drift between
 #: events (decay, HM).
 _UNLIMITED = 1 << 30
@@ -979,7 +1076,7 @@ class FusedTask:
         self.depths = queues.depths_for(self.busy)
         self.head_ptr = self.starts[self.busy].copy()
         self.pending = queues.pending
-        policy.bind(model, requests, self.busy, self.depths)
+        policy.bind(model, requests, self.busy, self.depths, exact=scalar)
         self.evaluator = _make_fused_eval(model, self.busy, scalar)
         self.chunk = ChunkedUniforms(gen) if policy.uses_rng else None
         self.ubuf = self.chunk._buf if self.chunk is not None else None
@@ -1027,6 +1124,8 @@ class FusedTask:
         budget = self.budget
         slots = self.slots
         scannable = self.scannable
+        # An uncertified decay estimate is certified at coin refills.
+        guarded = type(policy) is DecayPolicy and not policy.certified
         # A run starts stepping; `seen` slots held `events` event slots
         # since the mode was last chosen.
         scanning = False
@@ -1051,6 +1150,11 @@ class FusedTask:
                         chunk._cursor = ucursor
                         ubuf = chunk.refill(k, min(WINDOW, budget - slots))
                         ucursor = 0
+                        if guarded and policy.guard(ubuf, depths):
+                            # The exact measure moved the thresholds:
+                            # re-fetch them (the coins are in place).
+                            guarded = False
+                            continue
                     w = min(rows, (ubuf.size - ucursor) // k)
                     n = w * k
                     if changed or tiled < n:
@@ -1088,6 +1192,9 @@ class FusedTask:
                     ubuf = chunk.refill(k, min(STEP_CHUNK, budget - slots))
                     ucursor = 0
                     nxt = k
+                    if guarded and policy.guard(ubuf, depths):
+                        # attempt() re-derives the thresholds.
+                        guarded = False
                 u = ubuf[ucursor:nxt]
                 ucursor = nxt
                 chunk._consumed += k

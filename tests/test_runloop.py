@@ -13,11 +13,18 @@ backend × scheduler × model) with the machinery-level contracts:
 * ``LazySlotHistory`` behaves like the eager ``List[SlotRecord]`` it
   replaced (equality, concatenation, merge, feasibility consumers);
 * threshold-boundary instances and protocol-shaped generator sharing
-  replay the per-slot transcriptions in ``reference_loops``;
+  replay the per-slot transcriptions in ``reference_loops``, and lone
+  SINR transmitters at the ``beta·noise`` edge replay the scalar
+  reference;
 * the numpy engine — window scans over event-sparse stretches, slot
   steps over event-dense ones — replays the scalar reference, which
   steps every slot (hypothesis sweep over policy, model, requests,
-  budget and history recording).
+  budget and history recording);
+* decay's guarded measure estimate: it stays within its rounding
+  bound of the exact measure (hypothesis sweep), a forced fallback
+  (a wide guard band) still replays the scalar reference serially,
+  batched and under the transform, and models that override the
+  measure bind exactly.
 """
 
 from __future__ import annotations
@@ -29,9 +36,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.steps import AlgorithmCall, drive_steps
+from repro.core.transform import TransformedAlgorithm
 from repro.errors import ConfigurationError
+from repro.interference.mac import MultipleAccessChannel
 from repro.interference.matrix_model import AffectanceThresholdModel
-from repro.network.topology import mac_network
+from repro.network.topology import mac_network, random_sinr_network
+from repro.sinr.model import SinrModel
+from repro.sinr.power import ExplicitPower
 from repro.staticsched import (
     DecayScheduler,
     FkvScheduler,
@@ -39,10 +51,13 @@ from repro.staticsched import (
     KvScheduler,
     SingleHopScheduler,
 )
+import repro.staticsched.runloop as runloop
 from repro.staticsched.base import LazySlotHistory, RunResult, SlotRecord
+from repro.staticsched.batchloop import run_batched_streams
 from repro.staticsched.runloop import (
     BACKENDS,
     ChunkedUniforms,
+    DecayPolicy,
     FusedTask,
     SingleHopPolicy,
     available_backends,
@@ -319,6 +334,64 @@ def test_threshold_boundary_parity(backend, sched_factory):
     assert run.history == reference.history
 
 
+def _lone_boundary_model():
+    """Links whose lone ``p·g`` sits at the SINR edge.
+
+    The lone verdict is ``p·g >= beta·noise - 1e-12``. The explicit
+    powers put each link's ``p·g`` on that edge, a few ulps or a few
+    1e-13 to either side of it, or within 1e-12 of ``beta·noise``.
+    """
+    net = random_sinr_network(6, rng=3)
+    m = net.num_links
+    beta, noise = 1.5, 0.4
+    edge = beta * (0.0 + noise) - 1e-12
+    targets = [
+        edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0),
+        edge - 4e-16, edge + 4e-16, edge - 3e-13, edge + 3e-13,
+        beta * noise, beta * noise - 9e-13, beta * noise + 9e-13,
+    ]
+    gains = SinrModel(net, beta=beta, noise=noise).signal_strengths()
+    powers = np.resize(np.array(targets), m) / gains
+    weights = np.full((m, m), 0.05)
+    np.fill_diagonal(weights, 1.0)
+    return SinrModel(net, beta=beta, noise=noise,
+                     power=ExplicitPower(powers), weight_matrix=weights)
+
+
+@pytest.mark.parametrize("sched_factory", [
+    lambda: DecayScheduler(probability_scale=8.0),
+    lambda: KvScheduler(initial_probability=0.1),
+], ids=["decay", "kv"])
+def test_lone_sinr_boundary_parity(sched_factory):
+    """Lone-transmitter verdicts at the SINR edge replay the scalar
+    reference, serially and batched."""
+    model = _lone_boundary_model()
+    lone = np.array([model.singleton_succeeds(e)
+                     for e in range(model.num_links)])
+    assert lone.any() and not lone.all()
+    requests = list(range(model.num_links)) * 2
+    seeds = (3, 4)
+
+    def outcomes(run_one):
+        return [run_one(np.random.default_rng(seed)) for seed in seeds]
+
+    def serial(gen):
+        result = sched_factory().run(model, requests, 300, rng=gen,
+                                     record_history=True)
+        return _outcome(result, gen)
+
+    with scalar_reference():
+        reference = outcomes(serial)
+    with use_backend("numpy"):
+        assert outcomes(serial) == reference
+        gens = [np.random.default_rng(seed) for seed in seeds]
+        results = run_batched_streams(
+            _single_call(sched_factory(), model, requests, 300, gen)
+            for gen in gens
+        )
+    assert [_outcome(r, g) for r, g in zip(results, gens)] == reference
+
+
 # ----------------------------------------------------------------------
 # Generator-state parity through protocol-shaped call sequences
 # ----------------------------------------------------------------------
@@ -515,8 +588,6 @@ def test_phased_run_switches_sparse_dense_sparse(monkeypatch):
     trace shows its modes: a stepping stretch is a run of attempts
     with no scan in between.
     """
-    import repro.staticsched.runloop as runloop
-
     trace = []
     scan_state = runloop._scan_state
 
@@ -541,3 +612,290 @@ def test_phased_run_switches_sparse_dense_sparse(monkeypatch):
     dense = "".join(trace).find(stepping, first_scan)
     assert dense > first_scan
     assert "s" in trace[dense + len(stepping):]
+
+
+# ----------------------------------------------------------------------
+# Decay's guarded measure estimate
+# ----------------------------------------------------------------------
+
+
+def _single_call(algorithm, model, requests, budget, gen):
+    """A step generator making one base call (a bare run's stream)."""
+    result = yield AlgorithmCall(algorithm, model, requests, budget, gen,
+                                 True)
+    return result
+
+
+def _decay_stream(model, requests, gen, transformed):
+    if transformed:
+        algorithm = TransformedAlgorithm(
+            DecayScheduler(), m=model.network.size_m, chi_scale=0.05
+        )
+        return algorithm.run_steps(model, requests, 10**9, gen,
+                                   record_history=True)
+    return _single_call(DecayScheduler(), model, requests, 10**6, gen)
+
+
+GUARD_MODELS = {
+    "affectance": lambda: _affectance_model(m=12, seed=5),
+    "conflict": _conflict_model,
+    "mac": lambda: MultipleAccessChannel(mac_network(6)),
+    "sinr-linear": _sinr_model,
+}
+
+
+@pytest.mark.parametrize("transformed, from_refill", [
+    (False, 1), (False, 2), (True, 1),
+], ids=["bare", "bare-second-refill", "transformed"])
+@pytest.mark.parametrize("model_name", sorted(GUARD_MODELS))
+def test_wide_guard_band_falls_back_to_the_exact_measure(
+    monkeypatch, model_name, transformed, from_refill
+):
+    """With a band no coin can miss, every estimated bind falls back to
+    the exact measure at its first coin refill (a stepping one) or its
+    second (a scanning one, in bare runs), and runs still replay the
+    scalar reference. Transform sub-runs are too short for a second
+    refill."""
+    model = GUARD_MODELS[model_name]()
+    seeds = (1, 2, 3)
+    requests = {
+        seed: [int(e) for e in np.random.default_rng(seed).integers(
+            0, model.num_links, size=40)]
+        for seed in seeds
+    }
+
+    def outcomes(run_streams):
+        gens = {seed: np.random.default_rng(seed + 10) for seed in seeds}
+        results = run_streams([
+            _decay_stream(model, requests[seed], gens[seed], transformed)
+            for seed in seeds
+        ])
+        return [_outcome(r, gens[s]) for r, s in zip(results, seeds)]
+
+    def serial(streams):
+        return [drive_steps(stream) for stream in streams]
+
+    with scalar_reference():
+        reference = outcomes(serial)
+
+    counts = {"estimated": 0, "fallbacks": 0, "scanning": 0}
+    refills = {}
+    bind, guard = DecayPolicy.bind, DecayPolicy.guard
+
+    def counted_bind(self, *args, **kwargs):
+        bind(self, *args, **kwargs)
+        counts["estimated"] += not self.certified
+
+    def counted_guard(self, coins, depths):
+        refills[self] = refills.get(self, 0) + 1
+        wide = refills[self] >= from_refill
+        monkeypatch.setattr(runloop, "GUARD_BAND", 1.0 if wide else 0.0)
+        fell_back = guard(self, coins, depths)
+        assert fell_back == wide
+        counts["fallbacks"] += fell_back
+        # A stepping refill draws at most STEP_CHUNK slots of coins.
+        counts["scanning"] += fell_back and (
+            coins.size > (runloop.STEP_CHUNK + 1) * depths.size
+        )
+        return fell_back
+
+    monkeypatch.setattr(DecayPolicy, "bind", counted_bind)
+    monkeypatch.setattr(DecayPolicy, "guard", counted_guard)
+    with use_backend("numpy"):
+        assert outcomes(serial) == reference
+        assert outcomes(run_batched_streams) == reference
+    assert counts["estimated"] > 0
+    if from_refill == 1:
+        assert counts["fallbacks"] == counts["estimated"]
+    else:
+        assert counts["scanning"] > 0
+
+
+class _DoubledMeasureModel(AffectanceThresholdModel):
+    """Overrides the measure: decay must bind with the override."""
+
+    def interference_measure(self, requests):
+        return 2.0 * super().interference_measure(requests)
+
+
+class _DoubledVectorModel(AffectanceThresholdModel):
+    """Overrides the request vector the base measure is taken over."""
+
+    def as_request_vector(self, requests):
+        return 2.0 * super().as_request_vector(requests)
+
+
+@pytest.mark.parametrize("model_class", [
+    _DoubledMeasureModel, _DoubledVectorModel,
+], ids=["measure", "request-vector"])
+def test_overridden_measure_takes_the_exact_path(model_class):
+    weights = _random_weights(12, seed=5)
+    requests = [0, 3, 3, 7, 11]
+    doubled = model_class(mac_network(12), weights)
+    base = AffectanceThresholdModel(mac_network(12), weights)
+
+    def bound(model, scalar=False):
+        policy = DecayScheduler().fused_policy()
+        FusedTask(policy, model, requests, 0, np.random.default_rng(0),
+                  scalar=scalar)
+        return policy
+
+    policy = bound(doubled)
+    assert policy.certified
+    assert policy.measure == doubled.interference_measure(requests)
+    assert policy.measure == 2.0 * base.interference_measure(requests)
+    # The base model's numpy bind estimates; the scalar reference never
+    # does.
+    assert not bound(base).certified
+    assert bound(base, scalar=True).certified
+
+    gen = np.random.default_rng(9)
+    with scalar_reference():
+        reference = _outcome(
+            DecayScheduler().run(doubled, requests, 400, rng=gen,
+                                 record_history=True), gen)
+    gen = np.random.default_rng(9)
+    with use_backend("numpy"):
+        got = DecayScheduler().run(doubled, requests, 400, rng=gen,
+                                   record_history=True)
+    assert _outcome(got, gen) == reference
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    m=st.integers(1, 48),
+    spread=st.floats(1.0, 12.0),
+    links=st.lists(st.integers(0, 200), min_size=1, max_size=150),
+    seed=st.integers(0, 2**16),
+)
+def test_measure_estimate_within_rounding_bound(m, spread, links, seed):
+    """The column-subset estimate lies within ``2·γ_k·I`` of the exact
+    measure (``k`` requested links; see ``DecayPolicy``)."""
+    rng = np.random.default_rng(seed)
+    weights = rng.random((m, m)) ** spread
+    np.fill_diagonal(weights, 1.0)
+    model = AffectanceThresholdModel(mac_network(m), weights)
+    requests = [e % m for e in links]
+    policy = DecayScheduler().fused_policy()
+    FusedTask(policy, model, requests, 0, np.random.default_rng(0))
+    assert not policy.certified
+    exact = model.interference_measure(requests)
+    unit = 2.0 ** -53
+    k = len(set(requests))
+    gamma = k * unit / (1 - k * unit)
+    assert abs(policy.measure - exact) <= 2 * gamma / (1 - gamma) * exact
+
+
+def test_scanning_fallback_refetches_thresholds(monkeypatch):
+    """A fallback at a scanning refill re-derives the thresholds before
+    the task retires or steps another slot."""
+    trace = []
+    scan_state = runloop._scan_state
+    skip = FusedTask._skip
+
+    def traced_scan_state(policy, depths):
+        trace.append("scan")
+        return scan_state(policy, depths)
+
+    def traced_skip(self, s):
+        trace.append("skip")
+        return skip(self, s)
+
+    monkeypatch.setattr(runloop, "_scan_state", traced_scan_state)
+    monkeypatch.setattr(FusedTask, "_skip", traced_skip)
+    policy = DecayScheduler(probability_scale=16.0).fused_policy()
+    guard, attempt = policy.guard, policy.attempt
+
+    def second_refill_falls_back(coins, depths):
+        trace.append("refill")
+        wide = trace.count("refill") >= 2
+        monkeypatch.setattr(runloop, "GUARD_BAND", 1.0 if wide else 0.0)
+        if guard(coins, depths):
+            trace.append("fallback")
+            return True
+        return False
+
+    def traced_attempt(u, depths):
+        trace.append("attempt")
+        return attempt(u, depths)
+
+    policy.guard = second_refill_falls_back
+    policy.attempt = traced_attempt
+    FusedTask(policy, _affectance_model(m=12, seed=5),
+              list(range(12)) * 3, 2000, np.random.default_rng(4)).run()
+    at = trace.index("fallback")
+    # The refill was a scanning one, and the next scan starts afresh.
+    assert trace[at - 2:at] == ["scan", "refill"]
+    assert trace[at + 1] == "scan"
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    probability_scale=st.floats(1.0, 64.0),
+    depth=st.integers(1, 30),
+    picks=st.lists(
+        st.tuples(st.integers(1, 31), st.floats(-2.0, 2.0)),
+        min_size=1, max_size=12,
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_guard_clears_exactly_the_coins_outside_every_band(
+    probability_scale, depth, picks, seed
+):
+    """The one-pass band check agrees with checking every threshold
+    ``lp(1..max depth)`` separately, for coins placed near thresholds
+    (inside and outside the band, and near depths past the maximum)
+    among ordinary uniform coins."""
+    model = _affectance_model(m=12, seed=5)
+    requests = list(range(11)) + [11] * depth
+    policy = DecayScheduler(probability_scale).fused_policy()
+    task = FusedTask(policy, model, requests, 0, np.random.default_rng(0))
+    assert not policy.certified
+    depths = task.depths
+    lp = 1.0 - policy.complement ** np.arange(1, depths.max() + 1)
+    near = [
+        1.0 - policy.complement ** d + offset * runloop.GUARD_BAND
+        for d, offset in picks
+    ]
+    coins = np.random.default_rng(seed).random(64)
+    coins[:len(near)] = np.clip(near, 0.0, np.nextafter(1.0, 0.0))
+    band = runloop.GUARD_BAND
+    inside = any(
+        threshold - band <= coin <= threshold + band
+        for coin in coins for threshold in lp
+    )
+    assert policy.guard(coins, depths) == inside
+    assert policy.certified == inside
+
+
+def test_guard_clears_one_refill_then_binds_exactly(monkeypatch):
+    """A run whose first refill is cleared switches to the exact
+    measure at its second refill, whatever the coins: however long the
+    run, the guard clears one refill and computes at most one exact
+    measure. Runs still replay the scalar reference."""
+    model = _affectance_model(m=12, seed=5)
+    requests = [int(e) for e in np.random.default_rng(3).integers(
+        0, 12, size=60)]
+    calls = []
+    guard = DecayPolicy.guard
+
+    def traced_guard(self, coins, depths):
+        fell_back = guard(self, coins, depths)
+        calls.append(fell_back)
+        return fell_back
+
+    gen = np.random.default_rng(8)
+    with scalar_reference():
+        reference = _outcome(
+            DecayScheduler().run(model, requests, 5000, rng=gen,
+                                 record_history=True), gen)
+    monkeypatch.setattr(DecayPolicy, "guard", traced_guard)
+    gen = np.random.default_rng(8)
+    with use_backend("numpy"):
+        run = DecayScheduler().run(model, requests, 5000, rng=gen,
+                                   record_history=True)
+    assert _outcome(run, gen) == reference
+    # The run outlasts its first refill, which is cleared; the second
+    # switches to the exact measure and no refill is guarded after it.
+    assert run.slots_used > runloop.STEP_CHUNK
+    assert calls == [False, True]
