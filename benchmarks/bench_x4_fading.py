@@ -170,6 +170,11 @@ def test_x4_rayleigh_fading(benchmark):
             adj_protocol.potential.total_failures
             <= raw_protocol.potential.total_failures
         )
-    # The heavy-fading case must actually bite under the original budget.
+    # The heavy-fading case must actually bite under the original
+    # budget: strictly more failures than the fade-free run.
     heavy_raw, _ = results[(0.5, "original")]
-    assert heavy_raw.potential.total_failures > 0
+    heavy_crisp, _ = results[(0.5, "crisp")]
+    assert (
+        heavy_raw.potential.total_failures
+        > heavy_crisp.potential.total_failures
+    )

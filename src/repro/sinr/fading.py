@@ -42,6 +42,7 @@ from typing import Optional, Sequence, Set
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.interference.base import MaskBatchEvaluator
 from repro.network.network import Network
 from repro.sinr.model import SinrModel
 from repro.sinr.power import PowerAssignment
@@ -85,6 +86,12 @@ class RayleighFadingSinrModel(SinrModel):
         from repro.utils.rng import restore_generator_state
 
         restore_generator_state(self._fading_rng, state["rng"])
+
+    def batch_evaluator(self, busy: np.ndarray) -> MaskBatchEvaluator:
+        # Every slot goes through the faded ``_evaluate`` (not the
+        # inherited cached SINR evaluator, which would skip the fades),
+        # drawing the same fades in the same order as ``successes``.
+        return MaskBatchEvaluator(self, busy)
 
     def _evaluate(self, ids: np.ndarray, powers: np.ndarray) -> Set[int]:
         gains = self._gains[np.ix_(ids, ids)]

@@ -440,7 +440,7 @@ class DecayPolicy(FusedPolicy):
         return mask, mask.nonzero()[0]
 
     def update(self, att_idx, ok):
-        if ok.size and ok.any():
+        if np.count_nonzero(ok):
             self._dirty = True
 
     def compact(self, keep):
@@ -503,7 +503,7 @@ class FkvPolicy(FusedPolicy):
         return mask, mask.nonzero()[0]
 
     def update(self, att_idx, ok):
-        if ok.size and ok.any():
+        if np.count_nonzero(ok):
             self._dirty = True
 
     def compact(self, keep):
@@ -512,13 +512,24 @@ class FkvPolicy(FusedPolicy):
 
 
 class HmPolicy(FusedPolicy):
-    """Contention-adaptive ``chi / I_busy`` transmission (HM-style)."""
+    """Contention-adaptive ``chi / I_busy`` transmission (HM-style).
+
+    :meth:`bind` gathers the busy-set submatrix of ``W`` once and keeps
+    it frozen; ``_cols`` maps the current local indices into it (the
+    pattern of ``CachedBatchEvaluator``). A drain subtracts the drained
+    columns from the survivors' contention with one gather of
+    ``sub[kept, gone]`` — the same values, in the same order, as
+    re-slicing a shrunken submatrix step by step, so the row sums are
+    bit-identical — and costs O(survivors × drained), not a copy of
+    the whole submatrix.
+    """
 
     def __init__(self, chi: float):
         self.chi = chi
 
     def bind(self, model, requests, busy, depths, exact=True) -> None:
         self._sub = model.weight_matrix()[np.ix_(busy, busy)]
+        self._cols = np.arange(busy.size)
         self.contention = self._sub.sum(axis=1)
         self._att = np.empty(busy.size, dtype=bool)
         self._p = None
@@ -533,12 +544,13 @@ class HmPolicy(FusedPolicy):
         return mask, mask.nonzero()[0]
 
     def compact(self, keep):
-        gone = ~keep
+        cols = self._cols
+        kept = cols[keep]
         self.contention = (
             self.contention[keep]
-            - self._sub[np.ix_(keep, gone)].sum(axis=1)
+            - self._sub[kept[:, None], cols[~keep]].sum(axis=1)
         )
-        self._sub = self._sub[np.ix_(keep, keep)]
+        self._cols = kept
         self._p = None
 
 
@@ -1206,7 +1218,7 @@ class FusedTask:
             if att_idx.size:
                 events += 1
                 ok = evaluate(attempt, att_idx)
-                if ok.any():
+                if np.count_nonzero(ok):
                     s_idx = att_idx[ok]
                     hp = head_ptr.take(s_idx)
                     heads = order.take(hp)
@@ -1215,7 +1227,7 @@ class FusedTask:
                     served = depths.take(s_idx) - 1
                     depths[s_idx] = served
                     pending -= heads.size
-                    if not served.all():
+                    if np.count_nonzero(served) < served.size:
                         keep = depths > 0
                 if history is not None:
                     history.append_mask(busy, attempt.copy(), heads)

@@ -19,7 +19,9 @@ backend × scheduler × model) with the machinery-level contracts:
 * the numpy engine — window scans over event-sparse stretches, slot
   steps over event-dense ones — replays the scalar reference, which
   steps every slot (hypothesis sweep over policy, model, requests,
-  budget and history recording);
+  budget and history recording, with drain-heavy HM examples);
+* HM's column-map compaction equals re-slicing its submatrix at every
+  drain, bit for bit;
 * decay's guarded measure estimate: it stays within its rounding
   bound of the exact measure (hypothesis sweep), a forced fallback
   (a wide guard band) still replays the scalar reference serially,
@@ -41,6 +43,7 @@ from repro.core.transform import TransformedAlgorithm
 from repro.errors import ConfigurationError
 from repro.interference.mac import MultipleAccessChannel
 from repro.interference.matrix_model import AffectanceThresholdModel
+from repro.interference.packet_routing import PacketRoutingModel
 from repro.network.topology import mac_network, random_sinr_network
 from repro.sinr.model import SinrModel
 from repro.sinr.power import ExplicitPower
@@ -59,6 +62,7 @@ from repro.staticsched.runloop import (
     ChunkedUniforms,
     DecayPolicy,
     FusedTask,
+    HmPolicy,
     SingleHopPolicy,
     available_backends,
     default_backend,
@@ -485,6 +489,9 @@ PARITY_MODELS = {
     "conflict": _conflict_model,
     "sinr": _sinr_model,
     "phased": _phased_model,
+    # Identity W through the pass-through evaluator (HM on it is the
+    # markov-bursty workload's slot loop).
+    "packet-routing": lambda: PacketRoutingModel(mac_network(12)),
 }
 
 #: Policy name -> factory of (sparsity knob, secondary knob), each 0-3;
@@ -547,6 +554,14 @@ def _outcome(result, gen):
 # Sparse, then dense, then sparse again (see _phased_model).
 @example(policy="hm", model="phased", knob=1, extra=0,
          links=PHASED_REQUESTS, budget=700, record_history=True, seed=5)
+# Drain-heavy HM at chi 0.25: most links hold one packet, so links
+# drain within a few slots of each other, several in one slot.
+@example(policy="hm", model="packet-routing", knob=0, extra=0,
+         links=list(range(12)) + [0, 1], budget=60, record_history=True,
+         seed=6)
+@example(policy="hm", model="affectance", knob=0, extra=0,
+         links=list(range(12)) + [0, 1, 2], budget=400,
+         record_history=True, seed=7)
 def test_scan_matches_scalar_reference(
     policy, model, knob, extra, links, budget, record_history, seed
 ):
@@ -612,6 +627,36 @@ def test_phased_run_switches_sparse_dense_sparse(monkeypatch):
     dense = "".join(trace).find(stepping, first_scan)
     assert dense > first_scan
     assert "s" in trace[dense + len(stepping):]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), m=st.integers(2, 60))
+def test_hm_compaction_matches_step_by_step_reslice(seed, m):
+    """HM's contention after a chain of compactions equals, bit for bit,
+    re-slicing the shrunken submatrix at every step and subtracting the
+    drained columns' row sums (``sub[ix_(keep, gone)]``)."""
+    rng = np.random.default_rng(seed)
+    # Entries spread over many magnitudes, so a different summation
+    # order would show in the last bits.
+    weights = rng.random((m, m)) * 10.0 ** rng.uniform(-9, 0, (m, m))
+    np.fill_diagonal(weights, 1.0)
+    model = AffectanceThresholdModel(mac_network(m), weights, threshold=1.0)
+    busy = np.arange(m)
+    policy = HmPolicy(0.25)
+    policy.bind(model, list(busy), busy, np.ones(m, dtype=np.int64))
+    sub = weights[np.ix_(busy, busy)]
+    contention = sub.sum(axis=1)
+    assert policy.contention.tobytes() == contention.tobytes()
+    while contention.size > 1:
+        keep = rng.random(contention.size) < 0.7
+        keep[rng.integers(contention.size)] = False
+        if not keep.any():
+            break
+        gone = ~keep
+        contention = contention[keep] - sub[np.ix_(keep, gone)].sum(axis=1)
+        sub = sub[np.ix_(keep, keep)]
+        policy.compact(keep)
+        assert policy.contention.tobytes() == contention.tobytes()
 
 
 # ----------------------------------------------------------------------
