@@ -374,9 +374,8 @@ def run_experiment(frames: int = FRAMES, out_path=None, tags=None):
     }
     if tags:
         payload.update(tags)
-    if out_path is None:
-        out_path = Path(__file__).resolve().parents[1] / "BENCH_p1.json"
-    Path(out_path).write_text(json.dumps(payload, indent=2) + "\n")
+    if out_path is not None:
+        Path(out_path).write_text(json.dumps(payload, indent=2) + "\n")
 
     rows = [
         [
@@ -399,8 +398,11 @@ def run_experiment(frames: int = FRAMES, out_path=None, tags=None):
     return payload
 
 
-def test_p1_slot_kernel(benchmark):
-    payload = once(benchmark, run_experiment)
+def test_p1_slot_kernel(benchmark, tmp_path):
+    payload = once(
+        benchmark,
+        lambda: run_experiment(out_path=tmp_path / "BENCH_p1.json"),
+    )
     assert payload["headline_speedup"] >= 3.0, (
         "kernel speedup below the 3x acceptance floor: "
         f"{payload['headline_speedup']:.2f}x"

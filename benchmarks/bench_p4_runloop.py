@@ -175,9 +175,8 @@ def run_experiment(frames: int = FRAMES, out_path=None, tags=None):
     }
     if tags:
         payload.update(tags)
-    if out_path is None:
-        out_path = Path(__file__).resolve().parents[1] / "BENCH_p4.json"
-    Path(out_path).write_text(json.dumps(payload, indent=2) + "\n")
+    if out_path is not None:
+        Path(out_path).write_text(json.dumps(payload, indent=2) + "\n")
 
     rows = [
         [workload["name"], workload["slots"],
@@ -200,8 +199,11 @@ def run_experiment(frames: int = FRAMES, out_path=None, tags=None):
     return payload
 
 
-def test_p4_runloop(benchmark):
-    payload = once(benchmark, run_experiment)
+def test_p4_runloop(benchmark, tmp_path):
+    payload = once(
+        benchmark,
+        lambda: run_experiment(out_path=tmp_path / "BENCH_p4.json"),
+    )
     assert payload["history_overhead"] <= HISTORY_OVERHEAD_CEILING, (
         "history recording overhead above the 10% ceiling: "
         f"{payload['history_overhead']:.1%}"

@@ -165,9 +165,8 @@ def run_experiment(
     }
     if tags:
         payload.update(tags)
-    if out_path is None:
-        out_path = Path(__file__).resolve().parents[1] / "BENCH_p5.json"
-    Path(out_path).write_text(json.dumps(payload, indent=2) + "\n")
+    if out_path is not None:
+        Path(out_path).write_text(json.dumps(payload, indent=2) + "\n")
 
     rows = [["serial", 1, f"{seconds['serial']:.2f}",
              f"{networks / seconds['serial']:.2f}", "1.0x"]]
@@ -191,8 +190,11 @@ def run_experiment(
     return payload
 
 
-def test_p5_fleet(benchmark):
-    payload = once(benchmark, run_experiment)
+def test_p5_fleet(benchmark, tmp_path):
+    payload = once(
+        benchmark,
+        lambda: run_experiment(out_path=tmp_path / "BENCH_p5.json"),
+    )
     # Parity is unconditional: every executor configuration reproduced
     # the serial records (run_experiment asserts it network for
     # network, summary included).

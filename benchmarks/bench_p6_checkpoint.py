@@ -204,9 +204,8 @@ def run_experiment(
     }
     if tags:
         payload.update(tags)
-    if out_path is None:
-        out_path = Path(__file__).resolve().parents[1] / "BENCH_p6.json"
-    Path(out_path).write_text(json.dumps(payload, indent=2) + "\n")
+    if out_path is not None:
+        Path(out_path).write_text(json.dumps(payload, indent=2) + "\n")
 
     end_to_end_pct = payload["end_to_end_overhead_fraction"] * 100.0
     print_experiment(
@@ -230,8 +229,11 @@ def run_experiment(
     return payload
 
 
-def test_p6_checkpoint(benchmark):
-    payload = once(benchmark, run_experiment)
+def test_p6_checkpoint(benchmark, tmp_path):
+    payload = once(
+        benchmark,
+        lambda: run_experiment(out_path=tmp_path / "BENCH_p6.json"),
+    )
     assert payload["parity"] == "identical"
     assert payload["resume_parity"] == "identical"
     assert payload["headline_speedup"] >= OVERHEAD_FLOOR, (

@@ -228,9 +228,8 @@ def run_experiment(
     }
     if tags:
         payload.update(tags)
-    if out_path is None:
-        out_path = _ROOT / "BENCH_p7.json"
-    Path(out_path).write_text(json.dumps(payload, indent=2) + "\n")
+    if out_path is not None:
+        Path(out_path).write_text(json.dumps(payload, indent=2) + "\n")
 
     rows = []
     for (metrics, frames), cell in sorted(cells.items()):
@@ -269,10 +268,13 @@ def run_experiment(
     return payload
 
 
-def test_p7_streaming(benchmark):
+def test_p7_streaming(benchmark, tmp_path):
     from _harness import once
 
-    payload = once(benchmark, run_experiment)
+    payload = once(
+        benchmark,
+        lambda: run_experiment(out_path=tmp_path / "BENCH_p7.json"),
+    )
     assert payload["parity"] == "identical"
     assert payload["streaming_rss_flat"], (
         f"streaming peak RSS growth is coupled to the horizon: "

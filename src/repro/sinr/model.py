@@ -32,30 +32,33 @@ def _sinr_feasible(signal, interference, beta, noise):
 
 
 class _SinrBatchEvaluator(CachedBatchEvaluator):
-    """SINR feasibility on a cached busy-set gain submatrix.
+    """SINR feasibility on a busy-set gain submatrix, gathered lazily.
 
     Slicing the cached submatrix reproduces the scalar ``_evaluate``
     gather exactly (same entries, same reduction order), so the batch
     path is bit-identical to the reference even at SINR boundaries.
-    A lone transmitter's verdict depends on its link alone, so
-    :meth:`lone` reads it from a per-link table derived with the same
-    ops: over one transmitter ``received.sum(axis=0) - signal`` is
-    ``signal - signal`` (kept so, not 0.0, for identical inf and nan
-    cases).
+    The submatrix is gathered over the *initial* busy set on the first
+    slot with two or more transmitters; a run that never has one builds
+    no k×k table. A lone transmitter's verdict depends on its link
+    alone, so :meth:`lone` reads it from the model's per-link table
+    (:meth:`SinrModel.lone_verdicts`).
     """
 
     def __init__(self, model: "SinrModel", busy: np.ndarray):
         super().__init__(busy)
-        self._gains = model._gains[np.ix_(busy, busy)]
-        self._powers = model._powers[busy]
-        self._beta = model.beta
-        self._noise = model.noise
-        signal = self._powers * self._gains.diagonal()
-        self._lone_ok = _sinr_feasible(
-            signal, signal - signal, self._beta, self._noise
-        )
+        self._model = model
+        self._initial = self._busy
+        self._gains = None
+        self._lone_ok = model.lone_verdicts()
 
     def successes_local(self, transmit_local: np.ndarray) -> np.ndarray:
+        if self._gains is None:
+            initial = self._initial
+            model = self._model
+            self._gains = model._gains[np.ix_(initial, initial)]
+            self._powers = model._powers[initial]
+            self._beta = model.beta
+            self._noise = model.noise
         cache_idx = self._cols[transmit_local]
         gains = self._gains[cache_idx[:, None], cache_idx]
         received = self._powers[cache_idx, None] * gains
@@ -67,7 +70,7 @@ class _SinrBatchEvaluator(CachedBatchEvaluator):
         return mask
 
     def lone(self, index: np.ndarray) -> np.ndarray:
-        return self._lone_ok.take(self._cols.take(index))
+        return self._lone_ok.take(self._busy.take(index))
 
 
 class SinrModel(InterferenceModel):
@@ -124,6 +127,7 @@ class SinrModel(InterferenceModel):
             raise ConfigurationError("power assignment returned non-positive powers")
         self._gains = sender_receiver_gains(network, self._alpha)
         self._explicit_weights = weight_matrix
+        self._lone_ok: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Parameters
@@ -203,6 +207,24 @@ class SinrModel(InterferenceModel):
 
     def batch_evaluator(self, busy: np.ndarray) -> _SinrBatchEvaluator:
         return _SinrBatchEvaluator(self, busy)
+
+    def lone_verdicts(self) -> np.ndarray:
+        """Per-link verdict of each link transmitting alone (cached).
+
+        Derived with the slot evaluation's own ops, which are
+        elementwise, so entry ``l`` has the bits a one-transmitter
+        ``_evaluate`` gives link ``l``: over one transmitter
+        ``received.sum(axis=0) - signal`` is ``signal - signal`` (kept
+        so, not 0.0, for identical inf and nan cases). Read-only.
+        """
+        if self._lone_ok is None:
+            signal = self.signal_strengths()
+            lone_ok = _sinr_feasible(
+                signal, signal - signal, self._beta, self._noise
+            )
+            lone_ok.setflags(write=False)
+            self._lone_ok = lone_ok
+        return self._lone_ok
 
     def successes_with_powers(
         self, transmitting: Sequence[int], powers: Sequence[float]

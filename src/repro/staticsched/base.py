@@ -226,6 +226,74 @@ class LengthBound:
         return max(1, math.ceil(self.f(m) * measure + self.g(m, n)))
 
 
+def _flat_requests(requests: Sequence[int]) -> np.ndarray:
+    """``requests`` as a 1-D array, as given (no integer cast yet)."""
+    raw = np.asarray(requests)
+    if raw.ndim != 1:
+        raise SchedulingError(
+            f"requests must be a flat sequence of link ids, got shape "
+            f"{raw.shape}"
+        )
+    return raw
+
+
+def _check_link_range(raw: np.ndarray, num_links: int) -> None:
+    """Reject any request outside ``0..num_links - 1``.
+
+    Checks the values as given (before any integer cast, so e.g. -0.9
+    is rejected rather than truncated to 0), in negated in-range form
+    so NaN — which fails both comparisons — is rejected too. The
+    message names the first offending request.
+    """
+    out_of_range = ~((raw >= 0) & (raw < num_links))
+    if out_of_range.any():
+        index = int(np.flatnonzero(out_of_range)[0])
+        raise SchedulingError(
+            f"request {index} references link {raw[index]}, outside "
+            f"0..{num_links - 1}"
+        )
+
+
+def busy_csr(
+    requests: Sequence[int], num_links: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The :class:`LinkQueues` layout restricted to the busy links.
+
+    Returns ``(order, busy, starts, ends)``: ``order`` holds the request
+    indices grouped by link (FIFO within each group: one stable
+    argsort), ``busy`` the distinct requested link ids (sorted), and
+    ``starts``/``ends`` each busy link's group bounds in ``order``.
+    Validation and messages are :class:`LinkQueues`'; the cost scales
+    with the request count, not with ``num_links``. Integer input is
+    range-checked at the ends of the sorted ids (the full check then
+    only runs to name the offending request); any other dtype is
+    checked as given before the cast, like :class:`LinkQueues`.
+    """
+    raw = _flat_requests(requests)
+    integral = raw.dtype.kind in "iu"
+    if not integral:
+        _check_link_range(raw, num_links)
+        raw = raw.astype(np.int64)
+    order = raw.argsort(kind="stable")
+    ids = raw.take(order)
+    n = ids.size
+    if not n:
+        empty = np.empty(0, dtype=np.int64)
+        return order, empty, empty, empty
+    if integral:
+        if ids[0] < 0 or ids[n - 1] >= num_links:
+            _check_link_range(raw, num_links)
+        ids = ids.astype(np.int64, copy=False)
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(ids[1:], ids[:-1], out=first[1:])
+    starts = first.nonzero()[0]
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:]
+    ends[-1] = n
+    return order, ids.take(starts), starts, ends
+
+
 class LinkQueues:
     """FIFO queues of request indices, one per link — array-native.
 
@@ -245,23 +313,8 @@ class LinkQueues:
     """
 
     def __init__(self, requests: Sequence[int], num_links: int):
-        raw = np.asarray(requests)
-        if raw.ndim != 1:
-            raise SchedulingError(
-                f"requests must be a flat sequence of link ids, got shape "
-                f"{raw.shape}"
-            )
-        # Range-check the values as given (before any integer cast, so
-        # e.g. -0.9 is rejected rather than truncated to 0). Negated
-        # in-range form so NaN — which fails both comparisons — is
-        # rejected too.
-        out_of_range = ~((raw >= 0) & (raw < num_links))
-        if out_of_range.any():
-            index = int(np.flatnonzero(out_of_range)[0])
-            raise SchedulingError(
-                f"request {index} references link {raw[index]}, outside "
-                f"0..{num_links - 1}"
-            )
+        raw = _flat_requests(requests)
+        _check_link_range(raw, num_links)
         req = raw.astype(np.int64, copy=False)
         self._num_links = int(num_links)
         self._depths = np.bincount(req, minlength=num_links).astype(np.int64)
@@ -344,16 +397,6 @@ class LinkQueues:
         self._depths[links] -= 1
         self._pending -= int(links.size)
         return heads
-
-    def csr_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The raw CSR layout ``(order, starts)`` — treat as read-only.
-
-        ``order`` holds request indices grouped by link (FIFO within
-        each group), ``starts`` the per-link group offsets. The fused
-        run-loop backends pop heads straight off these arrays instead
-        of going through :meth:`pop_heads`' per-call validation.
-        """
-        return self._order, self._starts
 
     def remaining_indices(self) -> List[int]:
         """All still-pending request indices, in link order then FIFO order."""
@@ -477,4 +520,5 @@ __all__ = [
     "LazySlotHistory",
     "LengthBound",
     "LinkQueues",
+    "busy_csr",
 ]

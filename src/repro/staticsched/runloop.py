@@ -12,7 +12,9 @@ evaluated:
     rewound to the exact per-slot position at run end), window scans
     that retire event-free slots in closed form, sparse attempter-set
     bookkeeping (full-length work only where the busy set genuinely
-    changes), head pops straight off the ``LinkQueues`` CSR arrays,
+    changes), head pops straight off CSR queue arrays built over the
+    busy links only (:func:`~repro.staticsched.base.busy_csr`, so a
+    run's set-up scales with its requests, not with ``num_links``),
     lazy array-backed history, and inline evaluators for the
     affectance and conflict models (see :class:`FusedTask`).
     Decay binds from a column-subset estimate of its measure, guarded:
@@ -53,9 +55,9 @@ from repro.interference.conflict import ConflictGraphModel
 from repro.interference.matrix_model import AffectanceThresholdModel
 from repro.staticsched.base import (
     LazySlotHistory,
-    LinkQueues,
     RunResult,
     StaticAlgorithm,
+    busy_csr,
 )
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -409,17 +411,29 @@ class DecayPolicy(FusedPolicy):
         later refill, rebinds with the exact measure (certifying the
         policy) and returns True: the caller must re-fetch its
         thresholds. A run thus pays for one cleared refill and at most
-        one exact measure, however long it runs.
+        one exact measure, however long it runs. With every depth 1
+        (most transform sub-runs) the one band is checked directly with
+        two comparisons.
         """
         if not self._cleared:
             self._cleared = True
-            lp = 1.0 - self.complement ** np.arange(1, int(depths.max()) + 1)
-            # The bands holding a coin are those opening at or below it
-            # less those closing below it (``lp`` is non-decreasing).
-            if np.array_equal(
-                np.searchsorted(lp - GUARD_BAND, coins, "right"),
-                np.searchsorted(lp + GUARD_BAND, coins, "left"),
-            ):
+            top = int(depths.max())
+            if top == 1:
+                # One threshold, ``lp(1)``: its closed band, directly.
+                lp = 1.0 - self.complement
+                clear = not np.count_nonzero(
+                    (coins >= lp - GUARD_BAND) & (coins <= lp + GUARD_BAND)
+                )
+            else:
+                lp = 1.0 - self.complement ** np.arange(1, top + 1)
+                # The bands holding a coin are those opening at or below
+                # it less those closing below it (``lp`` is
+                # non-decreasing).
+                clear = np.array_equal(
+                    np.searchsorted(lp - GUARD_BAND, coins, "right"),
+                    np.searchsorted(lp + GUARD_BAND, coins, "left"),
+                )
+            if clear:
                 return False
         model, requests = self._pending_exact
         self._pending_exact = None
@@ -795,12 +809,8 @@ def _run_kv_affectance(
     replays the scalar reference bit-for-bit; the backend parity suite
     runs this exact pair across backends.
     """
-    queues = LinkQueues(requests, model.num_links)
-    order, starts = queues.csr_arrays()
-    busy = queues.busy_array()
-    head_ptr = starts[busy].copy()
-    end_ptr = starts[busy + 1].copy()
-    pending = queues.pending
+    order, busy, head_ptr, end_ptr = busy_csr(requests, model.num_links)
+    pending = order.size
     k = busy.size
 
     sub = model.weight_matrix()[np.ix_(busy, busy)]
@@ -943,8 +953,8 @@ def _run_kv_affectance(
     else:
         delivered = []
     remaining: List[int] = []
-    for i in range(busy.size):
-        remaining.extend(order[head_ptr[i]:starts[busy[i] + 1]].tolist())
+    for head, end in zip(head_ptr.tolist(), end_ptr.tolist()):
+        remaining.extend(order[head:end].tolist())
     return RunResult(
         delivered=delivered,
         remaining=remaining,
@@ -1069,9 +1079,9 @@ class FusedTask:
     """
 
     __slots__ = (
-        "policy", "budget", "order", "starts", "busy", "depths",
-        "head_ptr", "pending", "evaluator", "chunk", "ubuf", "ucursor",
-        "history", "delivered_parts", "slots", "scannable",
+        "policy", "budget", "order", "busy", "depths", "head_ptr",
+        "pending", "evaluator", "chunk", "ubuf", "ucursor", "history",
+        "delivered_parts", "slots", "scannable",
     )
 
     def __init__(self, policy: FusedPolicy, model: InterferenceModel,
@@ -1082,12 +1092,13 @@ class FusedTask:
             raise SchedulingError(f"budget must be >= 0, got {budget}")
         self.policy = policy
         self.budget = budget
-        queues = LinkQueues(requests, model.num_links)
-        self.order, self.starts = queues.csr_arrays()
-        self.busy = queues.busy_array()
-        self.depths = queues.depths_for(self.busy)
-        self.head_ptr = self.starts[self.busy].copy()
-        self.pending = queues.pending
+        # Queues over the busy links only: a link's remaining requests
+        # are order[head_ptr : head_ptr + depth].
+        self.order, self.busy, self.head_ptr, ends = busy_csr(
+            requests, model.num_links
+        )
+        self.depths = ends - self.head_ptr
+        self.pending = self.order.size
         policy.bind(model, requests, self.busy, self.depths, exact=scalar)
         self.evaluator = _make_fused_eval(model, self.busy, scalar)
         self.chunk = ChunkedUniforms(gen) if policy.uses_rng else None
@@ -1286,11 +1297,9 @@ class FusedTask:
         else:
             delivered = []
         remaining: List[int] = []
-        for i in range(self.busy.size):
-            remaining.extend(
-                self.order[self.head_ptr[i]:self.starts[self.busy[i] + 1]]
-                .tolist()
-            )
+        order = self.order
+        for head, depth in zip(self.head_ptr.tolist(), self.depths.tolist()):
+            remaining.extend(order[head:head + depth].tolist())
         return RunResult(
             delivered=delivered,
             remaining=remaining,
