@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import os
 import resource
+import shutil
 import tempfile
 import time
 from pathlib import Path
@@ -130,45 +131,48 @@ def run_experiment(
     tags=None,
 ):
     tmp = tempfile.mkdtemp(prefix="bench-p6-")
-    ckpt_path = os.path.join(tmp, "bench.ckpt")
-    seconds = {"plain": float("inf"), "checkpointed": float("inf")}
-    outcomes = {}
-    # Untimed warm-up: the first save pays one-off import/JIT costs
-    # (zipfile machinery, backend warm-up) that would otherwise show
-    # up as phantom checkpoint overhead in the first timed repeat.
-    warm_frames = min(4, frames)
-    _plain_run(warm_frames)
-    _checkpointed_run(warm_frames, ckpt_path, max(1, warm_frames // 2))
-    snapshot_seconds = float("inf")
-    for _ in range(repeats):
-        plain_s, plain_outcome = _plain_run(frames)
-        ckpt_s, ckpt_outcome, save_s = _checkpointed_run(
+    try:
+        ckpt_path = os.path.join(tmp, "bench.ckpt")
+        seconds = {"plain": float("inf"), "checkpointed": float("inf")}
+        outcomes = {}
+        # Untimed warm-up: the first save pays one-off import/JIT costs
+        # (zipfile machinery, backend warm-up) that would otherwise show
+        # up as phantom checkpoint overhead in the first timed repeat.
+        warm_frames = min(4, frames)
+        _plain_run(warm_frames)
+        _checkpointed_run(warm_frames, ckpt_path, max(1, warm_frames // 2))
+        snapshot_seconds = float("inf")
+        for _ in range(repeats):
+            plain_s, plain_outcome = _plain_run(frames)
+            ckpt_s, ckpt_outcome, save_s = _checkpointed_run(
+                frames, ckpt_path, interval
+            )
+            seconds["plain"] = min(seconds["plain"], plain_s)
+            seconds["checkpointed"] = min(seconds["checkpointed"], ckpt_s)
+            snapshot_seconds = min(snapshot_seconds, save_s)
+            outcomes["plain"] = plain_outcome
+            outcomes["checkpointed"] = ckpt_outcome
+        assert outcomes["plain"] == outcomes["checkpointed"], (
+            "checkpointing changed the physics"
+        )
+        checkpoint_bytes = os.path.getsize(ckpt_path)
+
+        # One isolated snapshot write, timed (the per-interval cost).
+        simulation, _ = _build_simulation()
+        simulation.run(min(frames, interval))
+        start = time.perf_counter()
+        save_checkpoint(ckpt_path, simulation)
+        write_seconds = time.perf_counter() - start
+
+        # The robustness property itself: interrupt + restore == clean.
+        restore_seconds, resumed_outcome = _resume_outcome(
             frames, ckpt_path, interval
         )
-        seconds["plain"] = min(seconds["plain"], plain_s)
-        seconds["checkpointed"] = min(seconds["checkpointed"], ckpt_s)
-        snapshot_seconds = min(snapshot_seconds, save_s)
-        outcomes["plain"] = plain_outcome
-        outcomes["checkpointed"] = ckpt_outcome
-    assert outcomes["plain"] == outcomes["checkpointed"], (
-        "checkpointing changed the physics"
-    )
-    checkpoint_bytes = os.path.getsize(ckpt_path)
-
-    # One isolated snapshot write, timed (the per-interval cost).
-    simulation, _ = _build_simulation()
-    simulation.run(min(frames, interval))
-    start = time.perf_counter()
-    save_checkpoint(ckpt_path, simulation)
-    write_seconds = time.perf_counter() - start
-
-    # The robustness property itself: interrupt + restore == clean.
-    restore_seconds, resumed_outcome = _resume_outcome(
-        frames, ckpt_path, interval
-    )
-    assert resumed_outcome == outcomes["plain"], (
-        "an interrupted+resumed run diverged from the clean run"
-    )
+        assert resumed_outcome == outcomes["plain"], (
+            "an interrupted+resumed run diverged from the clean run"
+        )
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
     snapshots = max(1, -(-frames // interval))  # ceil: one per chunk
     overhead = snapshot_seconds / seconds["plain"]

@@ -8,29 +8,25 @@ container has one CPU). This layer instead routes a fleet through
 (its whole simulation — engine frame loop, protocol frame, transform
 rounds — expressed through the :mod:`repro.core.steps` seam), and one
 in-process wave engine advances all of their static-algorithm sub-runs
-together. Results are bit-identical to ``unit.run()`` by construction:
-the generators execute the same bookkeeping code the serial entry
-points drive, and the wave engine's per-network RunResults and RNG end
-states are bit-identical to serial fused runs.
+together, each as its own :class:`~repro.staticsched.runloop.FusedTask`
+(the engine of a serial run). Results are bit-identical to
+``unit.run()`` by construction: the generators execute the same
+bookkeeping code the serial entry points drive, and each task is the
+serial engine itself, so the per-network RunResults and RNG end states
+are those of serial runs.
 
-Eligibility and grouping
-------------------------
+Eligibility
+-----------
 A unit batches when its spec resolves to the ``numpy`` backend (the
 scalar reference does not batch), its scheduler has a fused policy,
 and it is not checkpointed (resume runs through its own serial
 machinery). Ineligible units fall back *loudly* — one aggregated
 :class:`BatchFallbackWarning` per run summarising every fallback
 (reason → count), or an immediate error under ``strict`` — and run
-serially. Eligible units are grouped by compatible signature
-(scheduler, model, kwargs, transform, metrics) and, within a group, by
-a padding-waste bound: units are sorted by link count and
-split greedily so no member has more than ``padding_ratio`` times the
-links of its group's smallest member (every task scans its own coin
-buffer, so the bound shapes groups but saves no padding). Networks
-larger than ``large_links``
-skip batching entirely — at that size the slot loop's numpy calls
-operate on arrays big enough to amortise themselves, which is exactly
-when the process executor starts winning instead.
+serially. Every eligible unit, whatever its scheduler, model or size,
+joins one :func:`run_batched_streams` call: each task scans its own
+coin buffer against its own thresholds, so tasks share no state and
+need no grouping.
 
 Mixed ``frames`` counts batch fine (a retired network simply stops
 contributing tasks; its RNG streams are private so survivors are
@@ -137,47 +133,17 @@ def _unit_stream(unit: FleetUnit, built):
     )
 
 
-def _group_key(spec) -> Tuple:
-    """Batch-compatibility signature (frames deliberately excluded)."""
-
-    def frozen(kwargs) -> Tuple:
-        return tuple(sorted((str(k), repr(v)) for k, v in kwargs.items()))
-
-    return (
-        spec.scheduler,
-        frozen(spec.scheduler_kwargs),
-        spec.model,
-        frozen(spec.model_kwargs),
-        spec.transform,
-        spec.chi_scale if spec.transform else None,
-        spec.metrics,
-    )
-
-
-def run_fleet_batched(
-    units: Sequence[Any],
-    padding_ratio: float = 4.0,
-    large_links: int = 512,
-    strict: bool = False,
-) -> List:
+def run_fleet_batched(units: Sequence[Any], strict: bool = False) -> List:
     """Run fleet units through the wave engine; results in input order.
 
     Every result is bit-identical to ``unit.run()``. Ineligible units
     warn (:class:`BatchFallbackWarning`) and run serially; under
     ``strict`` they raise instead.
     """
-    if not padding_ratio >= 1.0:
-        raise ConfigurationError(
-            f"padding_ratio must be >= 1, got {padding_ratio}"
-        )
-    if large_links < 1:
-        raise ConfigurationError(
-            f"large_links must be >= 1, got {large_links}"
-        )
     units = list(units)
     results: List = [None] * len(units)
     serial_positions: List[int] = []
-    groups: Dict[Tuple, List[Tuple[int, FleetUnit, Any, int]]] = {}
+    batch: List[Tuple[int, Any]] = []
     # reason -> positions, in first-seen order; emitted as ONE summary
     # warning after the loop so a large fleet with many fallbacks does
     # not flood the warning stream (strict still raises immediately,
@@ -194,16 +160,7 @@ def run_fleet_batched(
             fallbacks.setdefault(reason, []).append(position)
             serial_positions.append(position)
             continue
-        built = unit.spec.build()
-        links = int(built.model.num_links)
-        if links > large_links:
-            # By design, not a fallback: a network this large amortises
-            # its own numpy calls (and suits the process executor).
-            serial_positions.append(position)
-            continue
-        groups.setdefault(_group_key(unit.spec), []).append(
-            (position, unit, built, links)
-        )
+        batch.append((position, _unit_stream(unit, unit.spec.build())))
 
     if fallbacks:
         total = sum(len(positions) for positions in fallbacks.values())
@@ -218,27 +175,10 @@ def run_fleet_batched(
             stacklevel=2,
         )
 
-    for members in groups.values():
-        # Padding-waste bound: greedy split over ascending link counts
-        # so no batch member pads beyond ratio x its smallest peer.
-        members.sort(key=lambda member: (member[3], member[0]))
-        batch: List[Tuple[int, FleetUnit, Any, int]] = []
-        batches = []
-        for member in members:
-            floor_links = max(1, batch[0][3]) if batch else None
-            if batch and member[3] > floor_links * padding_ratio:
-                batches.append(batch)
-                batch = []
-            batch.append(member)
-        if batch:
-            batches.append(batch)
-        for batch in batches:
-            streams = [
-                _unit_stream(unit, built) for _, unit, built, _ in batch
-            ]
-            outputs = run_batched_streams(streams)
-            for (position, _, _, _), output in zip(batch, outputs):
-                results[position] = output
+    if batch:
+        outputs = run_batched_streams([stream for _, stream in batch])
+        for (position, _), output in zip(batch, outputs):
+            results[position] = output
 
     for position in serial_positions:
         results[position] = units[position].run()
@@ -257,25 +197,12 @@ class BatchedExecutor:
 
     name = "batched"
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        padding_ratio: float = 4.0,
-        large_links: int = 512,
-        strict: bool = False,
-    ):
+    def __init__(self, workers: Optional[int] = None, strict: bool = False):
         del workers  # interface parity with the other executors
-        self.padding_ratio = float(padding_ratio)
-        self.large_links = int(large_links)
         self.strict = bool(strict)
 
     def map(self, cells: Sequence[Any]) -> List:
-        return run_fleet_batched(
-            cells,
-            padding_ratio=self.padding_ratio,
-            large_links=self.large_links,
-            strict=self.strict,
-        )
+        return run_fleet_batched(cells, strict=self.strict)
 
 
 __all__ = [

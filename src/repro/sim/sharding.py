@@ -114,8 +114,8 @@ def make_executor(kind: str, workers: Optional[int] = None, **kwargs):
 
     Extra keyword arguments are forwarded to the resilient executor
     (``max_retries``, ``cell_timeout``, ``manifest``, ``resume``, ...)
-    and to the batched executor (``padding_ratio``, ``large_links``,
-    ``strict``); the plain executors accept none.
+    and to the batched executor (``strict``); the plain executors
+    accept none.
     """
     if kind == "serial":
         if kwargs:

@@ -123,8 +123,10 @@ class SinrModel(InterferenceModel):
         )
         if self._powers.shape != (network.num_links,):
             raise ConfigurationError("power assignment returned a wrong-sized vector")
-        if (self._powers <= 0).any():
-            raise ConfigurationError("power assignment returned non-positive powers")
+        if not (np.isfinite(self._powers) & (self._powers > 0)).all():
+            raise ConfigurationError(
+                "power assignment returned non-positive or non-finite powers"
+            )
         self._gains = sender_receiver_gains(network, self._alpha)
         self._explicit_weights = weight_matrix
         self._lone_ok: Optional[np.ndarray] = None
@@ -243,8 +245,10 @@ class SinrModel(InterferenceModel):
                 "one power per transmitting link required "
                 f"(got {power_arr.shape[0]} powers for {ids.shape[0]} links)"
             )
-        if (power_arr <= 0).any():
-            raise ConfigurationError("transmission powers must be positive")
+        if not (np.isfinite(power_arr) & (power_arr > 0)).all():
+            raise ConfigurationError(
+                "transmission powers must be positive and finite"
+            )
         if not attempted:
             return set()
         return self._evaluate(ids, power_arr)

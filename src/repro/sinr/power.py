@@ -91,8 +91,8 @@ class ExplicitPower(PowerAssignment):
 
     def __init__(self, powers: np.ndarray):
         powers = np.asarray(powers, dtype=float)
-        if (powers <= 0).any():
-            raise ConfigurationError("all powers must be positive")
+        if not (np.isfinite(powers) & (powers > 0)).all():
+            raise ConfigurationError("all powers must be positive and finite")
         self._powers = powers
 
     def powers(self, network: Network, alpha: float) -> np.ndarray:

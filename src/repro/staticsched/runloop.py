@@ -7,16 +7,18 @@ to completion; the *backend* only chooses how each slot's successes are
 evaluated:
 
 ``numpy``
-    The fast lane: Bernoulli coins pre-drawn in chunks from the same
-    PCG64 stream (bit-identical to per-slot draws, with the generator
-    rewound to the exact per-slot position at run end), window scans
-    that retire event-free slots in closed form, sparse attempter-set
-    bookkeeping (full-length work only where the busy set genuinely
-    changes), head pops straight off CSR queue arrays built over the
-    busy links only (:func:`~repro.staticsched.base.busy_csr`, so a
-    run's set-up scales with its requests, not with ``num_links``),
-    lazy array-backed history, and inline evaluators for the
-    affectance and conflict models (see :class:`FusedTask`).
+    One :class:`FusedTask` per run, for every policy and model alike
+    (serial, batched and transform sub-runs): Bernoulli coins
+    pre-drawn in chunks from the same PCG64 stream (bit-identical to
+    per-slot draws, with the generator rewound to the exact per-slot
+    position at run end), window scans that retire event-free slots
+    in closed form, sparse attempter-set bookkeeping (full-length work
+    only where the busy set genuinely changes), head pops straight off
+    CSR queue arrays built over the busy links only
+    (:func:`~repro.staticsched.base.busy_csr`, so a run's set-up
+    scales with its requests, not with ``num_links``), lazy
+    array-backed history, and inline evaluators for the affectance
+    and conflict models (see :class:`FusedTask`).
     Decay binds from a column-subset estimate of its measure, guarded:
     the first refill's coins are checked against a :data:`GUARD_BAND`
     around each threshold the run can still use, and a coin inside a
@@ -25,8 +27,8 @@ evaluated:
 ``scalar``
     The ground-truth reference: the same loop and the same policy, but
     every slot is stepped, each slot's successes come from one scalar
-    ``successes()`` call on the model, and no inline evaluator or fused
-    lane is taken.
+    ``successes()`` call on the model, and no inline evaluator is
+    taken.
     :func:`scalar_reference` forces this backend and *wins ties*
     against any other selection, so verification code can always
     trust it.
@@ -275,8 +277,8 @@ class FusedPolicy:
         """
 
     def attempt(self, u: Optional[np.ndarray], depths: np.ndarray):
-        """Return ``(mask, att_idx)``: the local transmit mask (a
-        reusable buffer) and the attempters' local indices."""
+        """Return ``(mask, att_idx)``: the local transmit mask (possibly
+        a reusable buffer) and the attempters' local indices."""
         raise NotImplementedError
 
     def update(self, att_idx: np.ndarray, ok: np.ndarray) -> None:
@@ -287,10 +289,24 @@ class FusedPolicy:
 
 
 class KvPolicy(FusedPolicy):
-    """Ack-feedback multiplicative adaptation (KV / DISC'10)."""
+    """Ack-feedback multiplicative adaptation (KV / DISC'10).
+
+    A link's idle streak is kept as ``last_reset``, the slot during
+    which it last restarted (an attempt or a recovery; -1 before the
+    first slot), against the policy's own slot counter ``slot``: the
+    streak after slot ``s`` is ``s - last_reset``. The streak is checked
+    and reset every slot and ``recovery_slots >= 1``, so it can only
+    ever *hit* the threshold, and "streak >= R" is exactly
+    ``last_reset == slot - R`` — one comparison per slot, with the
+    recovery applied to the recovered links only.
+    """
 
     def __init__(self, p0: float, p_min: float, backoff: float,
                  recovery_slots: int):
+        if recovery_slots < 1:
+            raise SchedulingError(
+                f"recovery_slots must be >= 1, got {recovery_slots}"
+            )
         self.p0 = p0
         self.p_min = p_min
         self.backoff = backoff
@@ -299,18 +315,14 @@ class KvPolicy(FusedPolicy):
     def bind(self, model, requests, busy, depths, exact=True) -> None:
         k = busy.size
         self.probability = np.full(k, self.p0)
-        self.idle = np.zeros(k, dtype=np.int64)
-        self._att = np.empty(k, dtype=bool)
-        self._rec = np.empty(k, dtype=bool)
-        self._f1 = np.empty(k)
+        self.last_reset = np.full(k, -1, dtype=np.int64)
+        self.slot = 0
 
     def attempt(self, u, depths):
-        k = self.probability.size
-        mask = np.less(u, self.probability, out=self._att[:k])
+        mask = u < self.probability
         att_idx = mask.nonzero()[0]
-        self.idle += 1
         if att_idx.size:
-            self.idle[att_idx] = 0
+            self.last_reset[att_idx] = self.slot
         return mask, att_idx
 
     def update(self, att_idx, ok):
@@ -320,25 +332,25 @@ class KvPolicy(FusedPolicy):
         p = self.probability
         if att_idx.size:
             backed = np.maximum(
-                p[att_idx] * self.backoff, self.p_min
+                p.take(att_idx) * self.backoff, self.p_min
             )
-            p[att_idx] = np.where(ok, self.p0, backed)
-        k = p.size
-        recovered = np.greater_equal(
-            self.idle, self.recovery_slots, out=self._rec[:k]
-        )
-        # Recovered links never attempted this slot (their idle streak
-        # is non-zero), so their probability is untouched above and
-        # the full-length doubled/clamped copy-back reproduces the
-        # reference's subset update exactly.
-        doubled = np.multiply(p, 2.0, out=self._f1[:k])
-        np.minimum(doubled, self.p0, out=doubled)
-        np.copyto(p, doubled, where=recovered)
-        np.copyto(self.idle, 0, where=recovered)
+            backed[ok] = self.p0
+            p[att_idx] = backed
+        # This slot's attempters were stamped with it, so no recovered
+        # link attempted and its probability is untouched above.
+        last_reset = self.last_reset
+        slot = self.slot
+        rec_idx = (last_reset == slot - self.recovery_slots).nonzero()[0]
+        if rec_idx.size:
+            doubled = p.take(rec_idx) * 2.0
+            np.minimum(doubled, self.p0, out=doubled)
+            p[rec_idx] = doubled
+            last_reset[rec_idx] = slot
+        self.slot = slot + 1
 
     def compact(self, keep):
         self.probability = self.probability[keep]
-        self.idle = self.idle[keep]
+        self.last_reset = self.last_reset[keep]
 
 
 class DecayPolicy(FusedPolicy):
@@ -779,190 +791,6 @@ def _make_fused_eval(
 # ----------------------------------------------------------------------
 
 
-def _run_kv_affectance(
-    policy: "KvPolicy",
-    model: AffectanceThresholdModel,
-    requests: Sequence[int],
-    budget: int,
-    gen: np.random.Generator,
-    record_history: bool,
-) -> RunResult:
-    """Monolithic fast lane for the headline pair: KV × affectance.
-
-    The generic engine pays three Python method calls plus attribute
-    walks per slot; this lane inlines the KV recurrence and the
-    affectance evaluator into one loop of local bindings, and squeezes
-    the op count further with two exact rewrites:
-
-    * queue depths are not materialised — a link's remaining depth is
-      ``group_end - head_ptr``, so serving a head is one scatter and
-      drain detection one comparison against the group end;
-    * the idle-streak array is replaced by ``last_reset`` (the slot the
-      streak last restarted): the streak is checked every slot and
-      reset at the recovery threshold, so it can only ever *hit* the
-      threshold exactly, making "streak >= R" equivalent to
-      ``last_reset == slot - R`` — one equality test instead of a
-      counter increment plus comparison.
-
-    Everything observable (coins consumed, attempt sets, success sets,
-    delivered order, remaining order, history, final generator state)
-    replays the scalar reference bit-for-bit; the backend parity suite
-    runs this exact pair across backends.
-    """
-    order, busy, head_ptr, end_ptr = busy_csr(requests, model.num_links)
-    pending = order.size
-    k = busy.size
-
-    sub = model.weight_matrix()[np.ix_(busy, busy)]
-    sub_flat = sub.reshape(-1)
-    stride = k
-    row_sums = sub.sum(axis=1)
-    diag = sub.diagonal().copy()
-    cols = np.arange(k)
-    compacted = False
-    threshold = model.threshold
-
-    p0 = policy.p0
-    p_min = policy.p_min
-    backoff = policy.backoff
-    rec = policy.recovery_slots
-    probability = np.full(k, p0)
-    # last_reset[i] == r means link i's idle streak restarted during
-    # slot r (attempt or recovery); -1 reproduces the zero-initialised
-    # streak (first recovery check fires during slot rec - 1).
-    last_reset = np.full(k, -1, dtype=np.int64)
-
-    att_buf = np.empty(k, dtype=bool)
-    rec_buf = np.empty(k, dtype=bool)
-    row_pool = np.empty(k, dtype=np.int64)
-    imp_pool = np.empty(k)
-    ok_pool = np.empty(k, dtype=bool)
-    idx_pool = np.empty(0, dtype=np.int64)
-    val_pool = np.empty(0)
-
-    history: Optional[LazySlotHistory] = None
-    if record_history:
-        history = LazySlotHistory(np.asarray(requests, dtype=np.int64))
-
-    chunk = ChunkedUniforms(gen)
-    ubuf = chunk._buf
-    ucursor = 0
-
-    delivered_parts: List[np.ndarray] = []
-    slots = 0
-    while slots < budget and pending:
-        nxt = ucursor + k
-        if nxt > ubuf.size:
-            chunk._cursor = ucursor
-            u = chunk.take(k)
-            ubuf = chunk._buf
-            ucursor = chunk._cursor
-        else:
-            u = ubuf[ucursor:nxt]
-            ucursor = nxt
-            chunk._consumed += k
-        attempt = np.less(u, probability, att_buf[:k])
-        att_idx = attempt.nonzero()[0]
-        t = att_idx.size
-        heads = None
-        keep = None
-        if t:
-            last_reset[att_idx] = slots
-            if t == k:
-                # All-transmit: maintained row sums + guard band with
-                # exact re-summation at the threshold boundary.
-                impact = row_sums - diag
-                ok = impact <= threshold
-                borderline = np.abs(impact - threshold) < 1e-9
-                if borderline.any():
-                    rows = cols[borderline]
-                    exact = (
-                        sub[rows[:, None], cols].sum(axis=1)
-                        - diag[borderline]
-                    )
-                    ok[borderline] = exact <= threshold
-            else:
-                t_idx = cols.take(att_idx) if compacted else att_idx
-                if idx_pool.size < t * t:
-                    idx_pool = np.empty(t * t * 2, dtype=np.int64)
-                    val_pool = np.empty(t * t * 2)
-                idx2d = idx_pool[:t * t].reshape(t, t)
-                val2d = val_pool[:t * t].reshape(t, t)
-                rows = np.multiply(t_idx, stride, row_pool[:t])
-                np.add(rows.reshape(t, 1), t_idx, idx2d)
-                sub_flat.take(idx2d, None, val2d, "clip")
-                # Same pairwise row reduction, same values as the
-                # scalar reference's submatrix sum: identical bits.
-                impact = np.add.reduce(val2d, 1, None, imp_pool[:t])
-                np.subtract(impact, val2d.diagonal(), impact)
-                ok = np.less_equal(impact, threshold, ok_pool[:t])
-            s_idx = att_idx[ok]
-            if s_idx.size:
-                hp = head_ptr.take(s_idx)
-                heads = order.take(hp)
-                delivered_parts.append(heads)
-                hp += 1
-                head_ptr[s_idx] = hp
-                pending -= heads.size
-                if (hp == end_ptr.take(s_idx)).any():
-                    keep = head_ptr < end_ptr
-            if history is not None:
-                history.append_mask(busy, attempt.copy(), heads)
-            # KV recurrence on the attempter subset: success resets to
-            # p0, failure backs off with the p_min clamp — identical
-            # values to KvPolicy.update.
-            backed = np.maximum(
-                probability.take(att_idx) * backoff, p_min
-            )
-            backed[ok] = p0
-            probability[att_idx] = backed
-        elif history is not None:
-            history.append_empty()
-        # Recovery: a streak can only ever hit the threshold exactly
-        # (it is checked and reset every slot), and this slot's
-        # attempters were re-stamped above, so the equality test
-        # matches "idle >= rec" on the reference path bit for bit.
-        recovered = np.equal(last_reset, slots - rec, rec_buf[:k])
-        rec_idx = recovered.nonzero()[0]
-        if rec_idx.size:
-            doubled = probability.take(rec_idx) * 2.0
-            np.minimum(doubled, p0, out=doubled)
-            probability[rec_idx] = doubled
-            last_reset[rec_idx] = slots
-        if keep is not None:
-            busy = busy[keep]
-            head_ptr = head_ptr[keep]
-            end_ptr = end_ptr[keep]
-            probability = probability[keep]
-            last_reset = last_reset[keep]
-            gone = cols[~keep]
-            kept = cols[keep]
-            row_sums = (
-                row_sums[keep] - sub[kept[:, None], gone].sum(axis=1)
-            )
-            diag = diag[keep]
-            cols = kept
-            compacted = True
-            k = busy.size
-        slots += 1
-    chunk._cursor = ucursor
-    chunk.finalize()
-
-    if delivered_parts:
-        delivered = np.concatenate(delivered_parts).tolist()
-    else:
-        delivered = []
-    remaining: List[int] = []
-    for head, end in zip(head_ptr.tolist(), end_ptr.tolist()):
-        remaining.extend(order[head:end].tolist())
-    return RunResult(
-        delivered=delivered,
-        remaining=remaining,
-        slots_used=slots,
-        history=history,
-    )
-
-
 #: Most slots one scan covers, and the chunk length (in slots) of the
 #: coins a scanning task draws; a stepping task draws
 #: :data:`STEP_CHUNK`-slot chunks. Any chunking hands out the same
@@ -1004,12 +832,12 @@ def _scan_state(policy: FusedPolicy, depths: np.ndarray):
     no-ops for the policy beyond the closed-form bookkeeping in
     :meth:`FusedTask._skip`:
 
-    * KV: attempt-free slots only increment idle streaks, but idle
+    * KV: attempt-free slots only lengthen idle streaks, but idle
       recovery fires in ``update`` once a streak reaches
       ``recovery_slots``, doubling probabilities — so at most
-      ``recovery_slots - 1 - max(idle)`` slots can pass without any
-      streak reaching the threshold. The event slot itself runs the
-      real update, which applies any recovery exactly.
+      ``recovery_slots - slot + min(last_reset)`` slots can pass
+      without any streak reaching the threshold. The event slot itself
+      runs the real update, which applies any recovery exactly.
     * FKV: thresholds change only at phase boundaries; after advancing
       a just-expired phase (exactly what the per-slot attempt would do
       on its next slot), ``phase_left`` slots remain in the phase.
@@ -1025,7 +853,10 @@ def _scan_state(policy: FusedPolicy, depths: np.ndarray):
     kind = type(policy)
     if kind is KvPolicy:
         # Only stepped slots move KV's probabilities.
-        horizon = policy.recovery_slots - 1 - int(policy.idle.max())
+        horizon = (
+            policy.recovery_slots - policy.slot
+            + int(policy.last_reset.min())
+        )
         return policy.probability, horizon, False
     if kind is HmPolicy:
         changed = policy._p is None
@@ -1279,7 +1110,7 @@ class FusedTask:
         policy = self.policy
         kind = type(policy)
         if kind is KvPolicy:
-            policy.idle += s
+            policy.slot += s
         elif kind is FkvPolicy:
             policy.phase_left -= s
         if self.history is not None:
@@ -1318,23 +1149,13 @@ def run_fused(
 ) -> RunResult:
     """Run a policy to completion on the resolved backend.
 
-    Builds one :class:`FusedTask` and runs it: on
-    ``numpy`` it scans event-sparse stretches and steps event-dense
-    ones; on ``scalar`` it steps every slot on the model's scalar
-    ``successes()``. KV on the affectance model takes its own
-    monolithic lane on ``numpy`` (:func:`_run_kv_affectance`).
+    Builds one :class:`FusedTask` and runs it: on ``numpy`` it scans
+    event-sparse stretches and steps event-dense ones; on ``scalar`` it
+    steps every slot on the model's scalar ``successes()``.
     """
-    scalar = resolve_backend() == "scalar"
-    if (
-        not scalar
-        and type(policy) is KvPolicy
-        and type(model) is AffectanceThresholdModel
-    ):
-        return _run_kv_affectance(
-            policy, model, requests, budget, gen, record_history
-        )
     return FusedTask(
-        policy, model, requests, budget, gen, record_history, scalar
+        policy, model, requests, budget, gen, record_history,
+        resolve_backend() == "scalar",
     ).run()
 
 

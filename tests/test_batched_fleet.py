@@ -102,13 +102,13 @@ def records_equal(left, right) -> bool:
     return True
 
 
-def _assert_batched_matches_serial(specs, **executor_kwargs):
+def _assert_batched_matches_serial(specs):
     serial = run_scenario_fleet(specs, SerialExecutor())
     with warnings.catch_warnings():
         # Eligible specs must batch; any fallback here is a bug.
         warnings.simplefilter("error", BatchFallbackWarning)
         batched = run_scenario_fleet(
-            specs, BatchedExecutor(**executor_kwargs)
+            specs, BatchedExecutor()
         )
     assert records_equal(serial.records, batched.records)
     assert serial.summary == batched.summary
@@ -147,8 +147,8 @@ def test_batch_of_one():
 
 
 def test_mixed_frames_batch_together():
-    """frames is excluded from the group key: networks that retire
-    early must leave the survivors' private RNG streams untouched."""
+    """Networks that retire early must leave the survivors' private
+    RNG streams untouched."""
     base = MATRIX_SPECS["kv-linear"]
     specs = [
         base.replace(seed=seed, frames=frames)
@@ -168,9 +168,9 @@ def test_idle_member_batches_with_busy_peers():
     _assert_batched_matches_serial(specs)
 
 
-def test_padding_ratio_splits_groups(monkeypatch):
-    """ratio=1 forces one batch per distinct size; parity must hold
-    through the split, and the split must actually happen."""
+def test_mixed_fleet_runs_in_one_batch(monkeypatch):
+    """Eligible units of different schedulers, models and sizes all go
+    through one wave-engine call, and parity holds across them."""
     import repro.scenario.batched as batched_mod
 
     sizes: list = []
@@ -182,31 +182,13 @@ def test_padding_ratio_splits_groups(monkeypatch):
 
     monkeypatch.setattr(batched_mod, "run_batched_streams", spy)
     base = MATRIX_SPECS["kv-linear"]
-    specs = [
+    _assert_batched_matches_serial([
         base.replace(seed=0),
         base.replace(seed=1, topology_kwargs={"num_nodes": 14}),
-    ]
-    serial = run_scenario_fleet(specs, SerialExecutor())
-    batched = run_scenario_fleet(
-        specs, BatchedExecutor(padding_ratio=1.0)
-    )
-    assert records_equal(serial.records, batched.records)
-    assert len(sizes) >= 2 and all(size >= 1 for size in sizes)
-
-
-def test_large_networks_stay_serial_by_design():
-    """Above ``large_links`` nothing batches — and nothing warns:
-    that is a sizing decision, not a fallback."""
-    specs = [
-        MATRIX_SPECS["kv-linear"].replace(seed=seed) for seed in (0, 1)
-    ]
-    serial = run_scenario_fleet(specs, SerialExecutor())
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        batched = run_scenario_fleet(
-            specs, BatchedExecutor(large_links=1)
-        )
-    assert records_equal(serial.records, batched.records)
+        MATRIX_SPECS["hm-linear"].replace(seed=2),
+        MATRIX_SPECS["fkv-conflict"].replace(seed=3),
+    ])
+    assert sizes == [4]
 
 
 # ----------------------------------------------------------------------
@@ -312,13 +294,6 @@ def test_strict_mode_raises_instead_of_warning():
     )
     with pytest.raises(ConfigurationError, match="cannot batch"):
         run_fleet_batched([FleetUnit(spec=spec, index=0)], strict=True)
-
-
-def test_parameter_validation():
-    with pytest.raises(ConfigurationError, match="padding_ratio"):
-        run_fleet_batched([], padding_ratio=0.5)
-    with pytest.raises(ConfigurationError, match="large_links"):
-        run_fleet_batched([], large_links=0)
 
 
 def test_make_executor_knows_batched():

@@ -40,7 +40,7 @@ from hypothesis import strategies as st
 
 from repro.core.steps import AlgorithmCall, drive_steps
 from repro.core.transform import TransformedAlgorithm
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SchedulingError
 from repro.interference.mac import MultipleAccessChannel
 from repro.interference.matrix_model import AffectanceThresholdModel
 from repro.interference.packet_routing import PacketRoutingModel
@@ -63,6 +63,7 @@ from repro.staticsched.runloop import (
     DecayPolicy,
     FusedTask,
     HmPolicy,
+    KvPolicy,
     SingleHopPolicy,
     available_backends,
     default_backend,
@@ -225,6 +226,15 @@ def test_single_hop_mask_is_read_only():
     assert mask.size == 3 and att_idx.tolist() == [0, 1, 2]
     with pytest.raises(ValueError):
         mask[0] = False
+
+
+@pytest.mark.parametrize("recovery_slots", [0, -3])
+def test_kv_policy_rejects_recovery_below_one(recovery_slots):
+    """KV's recovery test (``last_reset == slot - R``) is exact only
+    for ``R >= 1``: a streak then reaches the threshold one slot at a
+    time and never steps over it."""
+    with pytest.raises(SchedulingError, match="recovery_slots"):
+        KvPolicy(0.125, 1e-4, 0.5, recovery_slots)
 
 
 # ----------------------------------------------------------------------
@@ -562,6 +572,21 @@ def _outcome(result, gen):
 @example(policy="hm", model="affectance", knob=0, extra=0,
          links=list(range(12)) + [0, 1, 2], budget=400,
          record_history=True, seed=7)
+# Backed-off KV links recovering inside scanned stretches: a window
+# one slot past the recovery horizon changes the run.
+@example(policy="kv", model="conflict", knob=0, extra=2,
+         links=list(range(12)) * 3, budget=500, record_history=False,
+         seed=0)
+# KV recovering after one idle slot (recovery_slots=1): a streak
+# reaches the threshold on the slot after every attempt.
+@example(policy="kv", model="affectance", knob=1, extra=0,
+         links=list(range(12)) * 2, budget=400, record_history=True,
+         seed=8)
+# Drain-heavy KV at p0 0.125: links drain a few slots apart, several in
+# one slot, so the idle-streak stamps are compacted between recoveries.
+@example(policy="kv", model="affectance", knob=0, extra=1,
+         links=list(range(12)) + [0, 1, 2], budget=400,
+         record_history=True, seed=9)
 def test_scan_matches_scalar_reference(
     policy, model, knob, extra, links, budget, record_history, seed
 ):
@@ -587,8 +612,7 @@ def test_scan_matches_scalar_reference(
             gen,
         )
     assert via_run == reference
-    # The task itself, also where run_fused takes the KV-affectance
-    # lane (the batched driver runs every policy through the task).
+    # The task itself, as the batched driver builds it.
     gen = np.random.default_rng(seed)
     task = FusedTask(scheduler.fused_policy(), instance, requests, budget,
                      gen, record_history)

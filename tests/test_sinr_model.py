@@ -1,5 +1,7 @@
 """The exact SINR model."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from repro.geometry.point import Point
 from repro.network.network import Network
 from repro.network.topology import line_network, random_sinr_network
 from repro.sinr.model import SinrModel
-from repro.sinr.power import LinearPower, UniformPower
+from repro.sinr.power import LinearPower, PowerAssignment, UniformPower
 
 
 def distant_pair():
@@ -86,6 +88,35 @@ def test_successes_with_powers_validates():
         model.successes_with_powers([0, 1], [1.0])
     with pytest.raises(ConfigurationError):
         model.successes_with_powers([0], [0.0])
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_successes_with_powers_rejects_non_finite(bad):
+    model = SinrModel(distant_pair(), alpha=3.0, beta=1.0, noise=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match="finite"):
+            model.successes_with_powers([0, 1], [1.0, bad])
+
+
+class _FixedPower(PowerAssignment):
+    """Returns the given vector unchecked (as a faulty assignment could)."""
+
+    def __init__(self, powers):
+        self._powers = np.asarray(powers, dtype=float)
+
+    def powers(self, network, alpha):
+        return self._powers
+
+    def describe(self):
+        return "fixed"
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0])
+def test_model_rejects_bad_assigned_powers(bad):
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        SinrModel(distant_pair(), alpha=3.0, beta=1.0, noise=0.0,
+                  power=_FixedPower([1.0, bad]))
 
 
 def test_requires_geometry():

@@ -59,6 +59,12 @@ def test_explicit_power_checks_shape_and_sign(varied_net):
         bad_shape.powers(varied_net, 3.0)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_explicit_power_rejects_non_finite(bad):
+    with pytest.raises(ConfigurationError, match="finite"):
+        ExplicitPower(np.array([1.0, bad]))
+
+
 def test_scale_must_be_positive():
     with pytest.raises(ConfigurationError):
         LinearPower(0.0)

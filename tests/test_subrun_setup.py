@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import SchedulingError
+from repro.errors import ConfigurationError, SchedulingError
 from repro.sinr.model import SinrModel, _SinrBatchEvaluator, _sinr_feasible
 from repro.sinr.power import ExplicitPower
 from repro.staticsched import DecayScheduler, HmScheduler, KvScheduler
@@ -215,20 +215,21 @@ def _per_busy_lone(model, busy):
     return _sinr_feasible(signal, signal - signal, model.beta, model.noise)
 
 
-def _inf_power_model():
-    """The boundary model with one infinite power (a nan verdict)."""
+def test_inf_power_model_is_rejected():
+    """A model with an infinite power cannot be built, so no lone
+    verdict is ever derived from ``inf - inf``."""
     base = _lone_boundary_model()
     powers = base.powers.copy()
     powers[1] = np.inf
-    return SinrModel(base.network, beta=base.beta, noise=base.noise,
-                     power=ExplicitPower(powers),
-                     weight_matrix=base.weight_matrix())
+    with pytest.raises(ConfigurationError, match="finite"):
+        SinrModel(base.network, beta=base.beta, noise=base.noise,
+                  power=ExplicitPower(powers),
+                  weight_matrix=base.weight_matrix())
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("model_factory", [
-    _lone_boundary_model, _inf_power_model, _sinr_model,
-], ids=["beta-noise-edge", "inf-power", "sinr-linear"])
+    _lone_boundary_model, _sinr_model,
+], ids=["beta-noise-edge", "sinr-linear"])
 def test_lone_table_equals_per_busy_derivation(model_factory):
     model = model_factory()
     table = model.lone_verdicts()
