@@ -1,9 +1,9 @@
 """A1 — ablation: the clean-up phase is what drains failed packets.
 
-DESIGN.md calls out the two-phase frame as the protocol's load-bearing
-design choice: failed packets leave the phase-1 population (keeping
-Claim 5's overload probability applicable) and are drained by the
-clean-up lottery at rate >= 1/(2em) (Lemma 6).
+The two-phase frame is the protocol's load-bearing design choice
+(Section 4 of the paper, PAPER.md): failed packets leave the phase-1
+population (keeping Claim 5's overload probability applicable) and are
+drained by the clean-up lottery at rate >= 1/(2em) (Lemma 6).
 
 Reproduction: force failures with a deliberately starved phase-1
 budget (zero slots — every active packet fails once), then compare the

@@ -9,13 +9,14 @@ history — its memory grows linearly with frames, which is exactly what
 locks 1e6+-frame soak runs out of reach.
 
 The benchmark runs one cheap MAC workload at a short and a long
-horizon (16x apart; the default long horizon is 1,000,000 frames —
-10,000x the 100-frame default the P1..P6 benches use) in BOTH
-retention modes, each in its OWN SUBPROCESS: ``ru_maxrss`` is a
+horizon (16x apart; the default long horizon is 1,000,000 frames) in
+BOTH retention modes, each in its OWN SUBPROCESS: ``ru_maxrss`` is a
 per-process high-water mark and never goes down, so mode/horizon
 combinations measured in one process would all report the largest
-run's peak. The child prints one JSON line; the parent asserts parity
-(identical ``CellResult`` records per horizon) and checks two floors:
+run's peak. Each child times its runs through ``_harness.measure`` and
+reports one JSON line through ``_harness.write_payload``, which stamps
+its peak RSS; the parent asserts parity (identical ``CellResult``
+exact fields per horizon) and checks two gates:
 
 * memory — streaming peak RSS must be decoupled from the horizon:
   its growth over the 16x span stays below ``RSS_COUPLING_TOLERANCE``
@@ -26,11 +27,14 @@ run's peak. The child prints one JSON line; the parent asserts parity
   relative check while being plainly horizon-flat next to the
   hundreds of MiB a retained history costs (measured full run:
   92 -> 859 MiB over 62.5k -> 1e6 frames; streaming: 40 -> 48 MiB);
-* throughput — the headline, streaming over full wall-clock, must
-  stay >= 0.95 (the accumulators must not tax the run loop). Container
-  wall-clock drifts run to run, so this ratio comes from a dedicated
-  child interleaving both modes min-of-N at the short horizon; the
-  long-horizon single-run frames/sec are reported alongside.
+* throughput — the headline, full over streaming wall-clock at the
+  short horizon, must stay >= 0.95 (the accumulators must not tax the
+  run loop). It comes from a dedicated child running the two modes
+  back to back in each repeat, as the median over repeats of the
+  paired ratio: single runs here swing by up to ±50% between slow and
+  fast windows of the host, which a ratio of minima does not cancel
+  and a pair run back to back mostly does. The long-horizon single-run
+  frames/sec are reported alongside.
 
 Results go to ``BENCH_p7.json`` (see ``benchmarks/run_perf.py``).
 """
@@ -38,21 +42,30 @@ Results go to ``BENCH_p7.json`` (see ``benchmarks/run_perf.py``).
 from __future__ import annotations
 
 import json
-import math
 import os
-import resource
 import subprocess
 import sys
-import time
 from pathlib import Path
+
+from _harness import (
+    check_gates,
+    gate,
+    measure,
+    median_ratio,
+    once,
+    print_experiment,
+    timings,
+    write_payload,
+)
 
 BASE_FRAMES = 62_500
 LONG_FACTOR = 16  # long horizon = 1,000,000 frames by default
-TIMING_REPEATS = 3
+TIMING_REPEATS = 5
 THROUGHPUT_FLOOR = 0.95
 # Streaming's long-horizon RSS growth must stay below this fraction of
 # full retention's growth over the same 16x horizon span.
 RSS_COUPLING_TOLERANCE = 0.05
+MODES = ("full", "streaming")
 
 _ROOT = Path(__file__).resolve().parents[1]
 
@@ -73,96 +86,57 @@ def _build_spec(frames: int, metrics: str):
     )
 
 
-def _child_main(metrics: str, frames: int) -> None:
-    """Run one (mode, horizon) cell and print its measurement as JSON."""
+def _run(metrics: str, frames: int):
+    def run(watch):
+        record = _build_spec(frames, metrics).run()
+        # The exact-parity contract: these fields are bit-identical
+        # across retention modes at any horizon. The verdict's
+        # slope/tail numbers switch to the windowed estimator once the
+        # horizon exceeds the ring window — that recompute parity is
+        # pinned by tests/test_streaming_parity.py, not here — but the
+        # stability *decision* on this fixed workload must agree.
+        return {
+            "rate": record.rate,
+            "throughput": record.throughput,
+            "latency": record.latency,
+            "frame_length": record.frame_length,
+            "injected": record.injected,
+            "delivered": record.delivered,
+            "failures": record.failures,
+            "stable": record.verdict.stable,
+        }
+    return run
+
+
+def _child_main(frames: int, repeats: int, modes) -> None:
+    """Measure ``modes`` at ``frames`` in this fresh interpreter and
+    report the outcomes, timings and peak RSS on stdout."""
     # Untimed warm-up: first-run import/alloc costs would otherwise
-    # show up as phantom throughput loss (the horizon runs are long,
-    # but the short-horizon cells are seconds). Its memory footprint is
+    # show up as phantom throughput loss. Its memory footprint is
     # negligible next to the measured horizon.
-    _build_spec(min(500, frames), metrics).run()
-    spec = _build_spec(frames, metrics)
-    start = time.perf_counter()
-    record = spec.run()
-    seconds = time.perf_counter() - start
-    # The exact-parity contract: these fields are bit-identical across
-    # retention modes at any horizon. The verdict's slope/tail numbers
-    # switch to the windowed estimator once the horizon exceeds the
-    # ring window — that recompute parity is pinned by
-    # tests/test_streaming_parity.py, not here — but the stability
-    # *decision* on this fixed workload must agree.
-    exact = {
-        "rate": record.rate,
-        "throughput": record.throughput,
-        "latency": record.latency,
-        "frame_length": record.frame_length,
-        "injected": record.injected,
-        "delivered": record.delivered,
-        "failures": record.failures,
-        "stable": record.verdict.stable,
-    }
-    print(
-        json.dumps(
-            {
-                "metrics": metrics,
-                "frames": frames,
-                "seconds": seconds,
-                "frames_per_sec": frames / seconds,
-                "peak_rss_kb": resource.getrusage(
-                    resource.RUSAGE_SELF
-                ).ru_maxrss,
-                "exact_fields": exact,
-            }
-        )
-    )
+    measure({m: _run(m, min(500, frames)) for m in modes}, 1)
+    runs = measure({m: _run(m, frames) for m in modes}, repeats)
+    write_payload("-", {
+        "outcomes": {m: runs[m].outcome for m in modes},
+        "timings": timings(runs),
+    })
 
 
-def _throughput_child_main(frames: int, repeats: int) -> None:
-    """Interleaved min-of-N of both modes in ONE process.
-
-    The single-run per-mode children are fine for peak RSS (which is
-    deterministic) but container wall-clock drifts run to run, so the
-    throughput ratio comes from interleaved repeats — the same
-    noise-robust min-of-N estimator the P1..P6 benches use — inside one
-    process so both modes see the same machine state.
-    """
-    _build_spec(min(500, frames), "full").run()
-    best = {"full": math.inf, "streaming": math.inf}
-    for _ in range(repeats):
-        for metrics in ("full", "streaming"):
-            spec = _build_spec(frames, metrics)
-            start = time.perf_counter()
-            spec.run()
-            best[metrics] = min(best[metrics], time.perf_counter() - start)
-    print(
-        json.dumps(
-            {
-                "frames": frames,
-                "repeats": repeats,
-                "seconds_full": best["full"],
-                "seconds_streaming": best["streaming"],
-            }
-        )
-    )
-
-
-def _spawn(argv: list) -> dict:
-    """Spawn a fresh measurement process (ru_maxrss is monotone)."""
+def _spawn(frames: int, repeats: int, modes) -> dict:
+    """Measure in a fresh process (ru_maxrss is monotone)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(_ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, os.path.abspath(__file__)] + [str(a) for a in argv],
+        [sys.executable, os.path.abspath(__file__), "--child",
+         str(frames), str(repeats), *modes],
         capture_output=True,
         text=True,
         env=env,
         check=True,
     )
     return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
-def _measure(metrics: str, frames: int) -> dict:
-    return _spawn(["--child", metrics, frames])
 
 
 def run_experiment(
@@ -172,95 +146,84 @@ def run_experiment(
     out_path=None,
     tags=None,
 ):
-    from _harness import print_experiment
-
-    long_frames = base_frames * long_factor
-    cells = {}
-    for metrics in ("full", "streaming"):
-        for frames in (base_frames, long_frames):
-            cells[(metrics, frames)] = _measure(metrics, frames)
-    timing = _spawn(["--child-throughput", base_frames, repeats])
+    horizons = (base_frames, base_frames * long_factor)
+    cells = {
+        (m, frames): _spawn(frames, 1, [m])
+        for m in MODES for frames in horizons
+    }
+    timing = _spawn(base_frames, repeats, MODES)
 
     # Parity: per horizon, every exact-contract field (throughput,
     # mean latency, counts, the stability decision) is identical
     # across retention modes.
-    for frames in (base_frames, long_frames):
+    for frames in horizons:
         assert (
-            cells[("streaming", frames)]["exact_fields"]
-            == cells[("full", frames)]["exact_fields"]
+            cells[("streaming", frames)]["outcomes"]["streaming"]
+            == cells[("full", frames)]["outcomes"]["full"]
         ), f"streaming diverged from full retention at {frames} frames"
 
     rss = {key: cell["peak_rss_kb"] for key, cell in cells.items()}
-    rss_growth_streaming = (
-        rss[("streaming", long_frames)] / rss[("streaming", base_frames)]
+    growth = {
+        m: rss[(m, horizons[1])] - rss[(m, horizons[0])] for m in MODES
+    }
+    rss_coupling = (
+        growth["streaming"] / growth["full"] if growth["full"] > 0 else 0.0
     )
-    rss_growth_full = rss[("full", long_frames)] / rss[("full", base_frames)]
-    delta_streaming = (
-        rss[("streaming", long_frames)] - rss[("streaming", base_frames)]
+    spread = timing["timings"]
+    headline = median_ratio(
+        spread["full"]["samples"], spread["streaming"]["samples"]
     )
-    delta_full = rss[("full", long_frames)] - rss[("full", base_frames)]
-    rss_coupling = delta_streaming / delta_full if delta_full > 0 else 0.0
-    headline = timing["seconds_full"] / timing["seconds_streaming"]
-    payload = {
+    cell_rows = {
+        f"{m}@{frames}": {
+            "seconds": cell["timings"][m]["min"],
+            "frames_per_sec": frames / cell["timings"][m]["min"],
+            "peak_rss_kb": cell["peak_rss_kb"],
+        }
+        for (m, frames), cell in cells.items()
+    }
+    payload = write_payload(out_path, {
         "benchmark": "p7_streaming",
-        "created_unix": time.time(),
         "workload": {
             "name": "mac-roundrobin-4stations",
-            "frames_short": base_frames,
-            "frames_long": long_frames,
-            "horizon_vs_bench_default": long_frames / 100.0,
+            "frames_short": horizons[0],
+            "frames_long": horizons[1],
         },
         "parity": "identical",
-        "cells": {
-            f"{metrics}@{frames}": {
-                k: v for k, v in cell.items() if k != "exact_fields"
-            }
-            for (metrics, frames), cell in cells.items()
-        },
-        "rss_growth_streaming": rss_growth_streaming,
-        "rss_growth_full": rss_growth_full,
+        "cells": cell_rows,
+        "rss_growth_kb": growth,
         "rss_coupling": rss_coupling,
-        "rss_coupling_tolerance": RSS_COUPLING_TOLERANCE,
-        "streaming_rss_flat": rss_coupling <= RSS_COUPLING_TOLERANCE,
-        "timing": timing,
         "headline_speedup": headline,
-        "headline_floor": THROUGHPUT_FLOOR,
-    }
-    if tags:
-        payload.update(tags)
-    if out_path is not None:
-        Path(out_path).write_text(json.dumps(payload, indent=2) + "\n")
+        "timings": spread,
+        "gates": [
+            gate("streaming throughput",
+                 "median paired ratio full / streaming seconds", headline,
+                 THROUGHPUT_FLOOR),
+            gate("streaming RSS flat",
+                 "streaming / full peak-RSS growth over the horizon span",
+                 rss_coupling, RSS_COUPLING_TOLERANCE, ceiling=True),
+        ],
+    }, tags)
 
-    rows = []
-    for (metrics, frames), cell in sorted(cells.items()):
-        rows.append(
-            [
-                f"{metrics}@{frames}",
-                f"{cell['seconds']:.1f}",
-                f"{cell['frames_per_sec']:.0f}",
-                f"{cell['peak_rss_kb'] / 1024:.0f} MiB",
-            ]
-        )
-    rows.append(
-        [
-            f"RSS growth ({long_factor}x horizon)",
-            "-",
-            "-",
-            f"x{rss_growth_streaming:.3f} (full: x{rss_growth_full:.3f}, "
-            f"coupling {rss_coupling * 100:.1f}%)",
-        ]
-    )
-    rows.append(
-        [
-            f"throughput (min of {repeats}, interleaved)",
-            f"{timing['seconds_streaming']:.1f}",
-            f"{base_frames / timing['seconds_streaming']:.0f}",
-            f"x{headline:.3f} vs full",
-        ]
-    )
+    rows = [
+        [name, f"{row['seconds']:.1f}", f"{row['frames_per_sec']:.0f}",
+         f"{row['peak_rss_kb'] / 1024:.0f} MiB"]
+        for name, row in cell_rows.items()
+    ]
+    rows.append([
+        f"RSS growth ({long_factor}x horizon)", "-", "-",
+        f"+{growth['streaming'] / 1024:.1f} MiB (full: "
+        f"+{growth['full'] / 1024:.1f} MiB, coupling "
+        f"{rss_coupling * 100:.1f}%)",
+    ])
+    rows.append([
+        f"throughput (median of {repeats} pairs)",
+        f"{spread['streaming']['min']:.1f}",
+        f"{base_frames / spread['streaming']['min']:.0f}",
+        f"x{headline:.3f} vs full",
+    ])
     print_experiment(
         "P7",
-        f"Streaming retention: horizon-flat memory at {long_frames} "
+        f"Streaming retention: horizon-flat memory at {horizons[1]} "
         f"frames, throughput x{headline:.2f} vs full",
         ["cell", "seconds", "frames/sec", "peak RSS"],
         rows,
@@ -269,32 +232,14 @@ def run_experiment(
 
 
 def test_p7_streaming(benchmark, tmp_path):
-    from _harness import once
-
-    payload = once(
+    check_gates(once(
         benchmark,
         lambda: run_experiment(out_path=tmp_path / "BENCH_p7.json"),
-    )
-    assert payload["parity"] == "identical"
-    assert payload["streaming_rss_flat"], (
-        f"streaming peak RSS growth is coupled to the horizon: "
-        f"{payload['rss_coupling'] * 100:.1f}% of full retention's "
-        f"growth (tolerance {RSS_COUPLING_TOLERANCE * 100:.0f}%)"
-    )
-    assert payload["headline_speedup"] >= THROUGHPUT_FLOOR, (
-        f"streaming throughput fell below {THROUGHPUT_FLOOR}x full "
-        f"retention: x{payload['headline_speedup']:.3f}"
-    )
+    ))
 
 
 if __name__ == "__main__":
-    if len(sys.argv) == 4 and sys.argv[1] == "--child":
-        sys.path.insert(0, str(_ROOT / "src"))
-        _child_main(sys.argv[2], int(sys.argv[3]))
-    elif len(sys.argv) == 4 and sys.argv[1] == "--child-throughput":
-        sys.path.insert(0, str(_ROOT / "src"))
-        _throughput_child_main(int(sys.argv[2]), int(sys.argv[3]))
+    if sys.argv[1:2] == ["--child"]:
+        _child_main(int(sys.argv[2]), int(sys.argv[3]), sys.argv[4:])
     else:
-        sys.path.insert(0, str(_ROOT / "src"))
-        sys.path.insert(0, str(Path(__file__).resolve().parent))
         run_experiment()

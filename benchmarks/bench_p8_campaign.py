@@ -29,11 +29,16 @@ Results go to ``BENCH_p8.json`` (see ``benchmarks/run_perf.py``).
 from __future__ import annotations
 
 import json
-import resource
-import time
-from pathlib import Path
 
-from _harness import once, print_experiment
+from _harness import (
+    check_gates,
+    gate,
+    measure,
+    once,
+    print_experiment,
+    timings,
+    write_payload,
+)
 
 from repro.scenario.campaign import campaign_from_data, run_campaign
 from repro.scenario.fleet import FleetUnit
@@ -46,6 +51,7 @@ RATE_LOW = 0.5
 RATE_HIGH = 2.0
 TOLERANCE = 0.05
 TIMING_REPEATS = 2
+ECONOMY_FLOOR = 2.0
 
 
 def build_campaign(
@@ -116,55 +122,37 @@ def run_experiment(
     tags=None,
 ):
     spec = build_campaign(frames=frames, seeds=seeds, tolerance=tolerance)
+    # Both instruments must reproduce their answers across repeats; the
+    # campaign's answer is its (timestamp-free) JSON document.
+    runs = measure({
+        "campaign": lambda watch: run_campaign(spec).to_json(),
+        "grid": lambda watch: run_fixed_grid(spec),
+    }, repeats)
+    document = json.loads(runs["campaign"].outcome)
+    grid = runs["grid"].outcome
 
-    campaign_seconds = float("inf")
-    grid_seconds = float("inf")
-    result = None
-    grid = None
-    # Interleaved min-of-N (the P1..P7 noise-robust estimator); both
-    # instruments must reproduce their answers across repeats.
-    for _ in range(repeats):
-        start = time.perf_counter()
-        this_result = run_campaign(spec)
-        campaign_seconds = min(
-            campaign_seconds, time.perf_counter() - start
-        )
-        assert result is None or this_result.to_json() == result.to_json(), (
-            "campaign document diverged between repeats"
-        )
-        result = this_result
-
-        start = time.perf_counter()
-        this_grid = run_fixed_grid(spec)
-        grid_seconds = min(grid_seconds, time.perf_counter() - start)
-        assert grid is None or this_grid["majority_stable"] == (
-            grid["majority_stable"]
-        ), "fixed-grid verdicts diverged between repeats"
-        grid = this_grid
-
-    (cell,) = result.cells
-    assert cell.status == "bracketed", (
-        f"P8 workload must bracket its boundary, got '{cell.status}' — "
+    (cell,) = document["cells"]
+    assert cell["status"] == "bracketed", (
+        f"P8 workload must bracket its boundary, got '{cell['status']}' — "
         "retune the search range"
     )
     assert grid["boundary"] is not None, (
         "fixed grid found no stable->unstable crossing"
     )
-    agreement = abs(cell.frontier - grid["boundary"])
+    agreement = abs(cell["frontier"] - grid["boundary"])
     # Equal-resolution agreement: both instruments localise the same
     # boundary to within one tolerance of each other.
     assert agreement <= tolerance + 1e-12, (
-        f"bisection frontier {cell.frontier:.4g} and grid boundary "
+        f"bisection frontier {cell['frontier']:.4g} and grid boundary "
         f"{grid['boundary']:.4g} disagree by {agreement:.4g} "
         f"(> tolerance {tolerance})"
     )
 
-    campaign_sims = result.total_simulations
+    campaign_sims = document["total_simulations"]
     grid_sims = grid["simulations"]
     headline = grid_sims / campaign_sims
-    payload = {
+    payload = write_payload(out_path, {
         "benchmark": "p8_campaign",
-        "created_unix": time.time(),
         "workload": {
             "name": f"mac-roundrobin-{STATIONS}stations",
             "stations": STATIONS,
@@ -174,51 +162,42 @@ def run_experiment(
             "rate_high": RATE_HIGH,
             "tolerance": tolerance,
         },
-        "frontier": cell.frontier,
-        "frontier_bracket": [cell.lower, cell.upper],
+        "frontier": cell["frontier"],
+        "frontier_bracket": [cell["lower"], cell["upper"]],
         "grid_boundary": grid["boundary"],
         "boundary_agreement": agreement,
         "campaign_simulations": campaign_sims,
         "grid_simulations": grid_sims,
-        "campaign_rate_points": len(cell.probes),
+        "campaign_rate_points": len(cell["probes"]),
         "grid_rate_points": len(grid["rates"]),
-        "seconds_campaign": campaign_seconds,
-        "seconds_grid": grid_seconds,
         "headline_speedup": headline,
-        "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-    }
-    if tags:
-        payload.update(tags)
-    if out_path is not None:
-        Path(out_path).write_text(json.dumps(payload, indent=2) + "\n")
+        "timings": timings(runs),
+        # The counts are deterministic functions of the search
+        # parameters, so the floor holds on any machine.
+        "gates": [gate(
+            "bisection economy", "grid / campaign simulations", headline,
+            ECONOMY_FLOOR,
+        )],
+    }, tags)
 
     print_experiment(
         "P8",
         f"Frontier bisection vs fixed grid at tolerance {tolerance}: "
         f"same boundary, {headline:.1f}x fewer simulations",
-        ["instrument", "rate points", "simulations", "seconds",
+        ["instrument", "rate points", "simulations", "seconds (min)",
          "boundary"],
         [
-            ["bisection", len(cell.probes), campaign_sims,
-             f"{campaign_seconds:.2f}", f"{cell.frontier:.4g}"],
+            ["bisection", len(cell["probes"]), campaign_sims,
+             f"{runs['campaign'].min:.2f}", f"{cell['frontier']:.4g}"],
             ["fixed grid", len(grid["rates"]), grid_sims,
-             f"{grid_seconds:.2f}", f"{grid['boundary']:.4g}"],
+             f"{runs['grid'].min:.2f}", f"{grid['boundary']:.4g}"],
         ],
     )
     return payload
 
 
 def test_p8_campaign(benchmark, tmp_path):
-    payload = once(
+    check_gates(once(
         benchmark,
         lambda: run_experiment(out_path=tmp_path / "BENCH_p8.json"),
-    )
-    # The counts are deterministic functions of the search parameters,
-    # so the floor holds on any machine — no CPU condition.
-    assert payload["headline_speedup"] >= 2.0, (
-        f"bisection economy below the 2x acceptance floor: "
-        f"{payload['headline_speedup']:.2f}x "
-        f"({payload['campaign_simulations']} vs "
-        f"{payload['grid_simulations']} simulations)"
-    )
-    assert payload["boundary_agreement"] <= payload["workload"]["tolerance"]
+    ))

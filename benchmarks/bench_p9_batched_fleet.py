@@ -1,9 +1,9 @@
 """P9 — the batched fleet executor vs serial and process execution.
 
-P5 measured the honest ceiling of process-per-network fleets: on the
-1-CPU bench container a worker pool adds IPC and import cost on top of
-a serial loop, and even with real cores each *small* network is too
-cheap to ship out. The batched executor runs every network in a
+The retired P5 bench measured the honest ceiling of
+process-per-network fleets: on a 1-CPU host a worker pool adds IPC and
+import cost on top of a serial loop, and even with real cores each
+*small* network is too cheap to ship out. The batched executor runs every network in a
 compatible group as a step-generator and one in-process wave loop
 interleaves their static-algorithm sub-runs.
 
@@ -34,14 +34,17 @@ Results go to ``BENCH_p9.json`` (see ``benchmarks/run_perf.py``).
 
 from __future__ import annotations
 
-import json
-import math
-import resource
-import time
 from contextlib import contextmanager
-from pathlib import Path
 
-from _harness import once, print_experiment
+from _harness import (
+    check_gates,
+    gate,
+    measure,
+    once,
+    print_experiment,
+    timings,
+    write_payload,
+)
 
 from repro.scenario import ScenarioSpec, preset_spec, run_scenario_fleet
 from repro.scenario.batched import BatchedExecutor
@@ -86,25 +89,6 @@ def build_specs(
     return [ScenarioSpec.from_json(spec.to_json()) for spec in specs]
 
 
-def records_identical(left, right) -> bool:
-    """Per-network CellResult equality, NaN-aware on latency."""
-    if len(left) != len(right):
-        return False
-    for a, b in zip(left, right):
-        if (a.rate_index, a.rate, a.seed, a.verdict, a.tail_queue,
-                a.throughput, a.frame_length, a.injected, a.delivered,
-                a.failures) != (b.rate_index, b.rate, b.seed, b.verdict,
-                                b.tail_queue, b.throughput, b.frame_length,
-                                b.injected, b.delivered, b.failures):
-            return False
-        if not (
-            a.latency == b.latency
-            or (math.isnan(a.latency) and math.isnan(b.latency))
-        ):
-            return False
-    return True
-
-
 @contextmanager
 def counted_slots():
     """Count the slots every ``FusedTask`` simulates and the slots its
@@ -134,6 +118,19 @@ def stepped_fraction(specs, executor) -> float:
     return (counts["slots"] - counts["skipped"]) / counts["slots"]
 
 
+def _fleet(specs, executor):
+    def run(watch):
+        result = run_scenario_fleet(specs, executor)
+        # repr is NaN-aware: an unstable network's NaN latency reprs
+        # equal, where NaN == NaN would not.
+        return {
+            "records": repr(result.records),
+            "summary": repr(result.summary),
+            "stable_fraction": result.summary.stable_fraction,
+        }
+    return run
+
+
 def run_experiment(
     frames: int = FRAMES,
     networks: int = NETWORKS,
@@ -142,52 +139,36 @@ def run_experiment(
     tags=None,
 ):
     specs = build_specs(frames, networks)
-    executors = [
-        ("serial", SerialExecutor()),
-        (f"process-{PROCESS_WORKERS}",
-         ProcessExecutor(workers=PROCESS_WORKERS)),
-        ("batched", BatchedExecutor(strict=True)),
-    ]
-    seconds = {name: float("inf") for name, _ in executors}
-    records = {}
-    # Interleaved min-of-N (the P1..P8 noise-robust estimator); every
-    # executor must reproduce the identical fleet records — parity is
-    # asserted inside the benchmark, not delegated to the test suite.
-    for _ in range(repeats):
-        for name, executor in executors:
-            start = time.perf_counter()
-            result = run_scenario_fleet(specs, executor)
-            seconds[name] = min(seconds[name], time.perf_counter() - start)
-            assert name not in records or records_identical(
-                records[name].records, result.records
-            ), f"{name} records diverged between repeats"
-            records[name] = result
-    baseline = records["serial"]
-    for name, _ in executors:
-        assert records_identical(
-            baseline.records, records[name].records
-        ), f"fleet '{name}' is not record-identical to serial"
-        assert records[name].summary == baseline.summary
+    runs = measure({
+        "serial": _fleet(specs, SerialExecutor()),
+        f"process-{PROCESS_WORKERS}": _fleet(
+            specs, ProcessExecutor(workers=PROCESS_WORKERS)
+        ),
+        "batched": _fleet(specs, BatchedExecutor(strict=True)),
+    }, repeats)
+    # Parity is asserted inside the benchmark, not delegated to the
+    # test suite: every executor reproduces the serial fleet records.
+    baseline = runs["serial"].outcome
+    for name, run in runs.items():
+        assert run.outcome == baseline, (
+            f"fleet '{name}' is not record-identical to serial"
+        )
 
     stepped = {
         "serial": stepped_fraction(specs, SerialExecutor()),
         "batched": stepped_fraction(specs, BatchedExecutor(strict=True)),
     }
-
     fleet_frames = networks * frames
+    serial_s = runs["serial"].min
     rows = {
         name: {
-            "seconds": seconds[name],
-            "fleet_frames_per_sec": fleet_frames / seconds[name],
-            "speedup": seconds["serial"] / seconds[name],
+            "fleet_frames_per_sec": fleet_frames / run.min,
+            "speedup": serial_s / run.min,
         }
-        for name, _ in executors
+        for name, run in runs.items()
     }
-    headline = rows["batched"]["speedup"]
-    payload = {
+    payload = write_payload(out_path, {
         "benchmark": "p9_batched_fleet",
-        "created_unix": time.time(),
-        "cpu_count": default_worker_count(),
         "workload": {
             "name": f"batched-fleet-{PRESET}-{SCHEDULER}",
             "preset": PRESET,
@@ -201,55 +182,37 @@ def run_experiment(
             "distinct_topologies": True,
         },
         "parity": "identical",
-        "seconds_serial": seconds["serial"],
         "executors": rows,
-        "headline_executor": "batched",
-        "headline_speedup": headline,
         "stepped_fraction": stepped,
-        "stepped_fraction_ceiling": STEPPED_FRACTION_CEILING,
-        "stable_fraction": baseline.summary.stable_fraction,
-        "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-    }
-    if tags:
-        payload.update(tags)
-    if out_path is not None:
-        Path(out_path).write_text(json.dumps(payload, indent=2) + "\n")
+        "stable_fraction": baseline["stable_fraction"],
+        "timings": timings(runs),
+        # Slot counts are deterministic, so the ceiling holds on any
+        # runner.
+        "gates": [
+            gate(f"{name} stepped slots", "stepped / simulated slots",
+                 fraction, STEPPED_FRACTION_CEILING, ceiling=True)
+            for name, fraction in stepped.items()
+        ],
+    }, tags)
 
-    table = []
-    for name, _ in executors:
-        row = rows[name]
-        table.append(
-            [
-                name,
-                f"{row['seconds']:.2f}",
-                f"{row['fleet_frames_per_sec']:.1f}",
-                f"{row['speedup']:.2f}x",
-            ]
-        )
     print_experiment(
         "P9",
         f"Batched fleet: {networks} small networks interleaved in one "
         f"wave loop on {default_worker_count()} CPU(s), bit-identical "
         "to serial; stepped slots "
         f"{stepped['serial']:.2%} serial, {stepped['batched']:.2%} batched",
-        ["executor", "seconds", "fleet frames/sec", "speedup"],
-        table,
+        ["executor", "seconds (min)", "fleet frames/sec", "speedup"],
+        [
+            [name, f"{runs[name].min:.2f}",
+             f"{row['fleet_frames_per_sec']:.1f}", f"{row['speedup']:.2f}x"]
+            for name, row in rows.items()
+        ],
     )
     return payload
 
 
 def test_p9_batched_fleet(benchmark, tmp_path):
-    payload = once(
+    check_gates(once(
         benchmark,
         lambda: run_experiment(out_path=tmp_path / "BENCH_p9.json"),
-    )
-    # Parity is unconditional: every executor reproduced the serial
-    # records network for network (asserted inside run_experiment).
-    assert payload["parity"] == "identical"
-    # So is the scan floor: slot counts are deterministic, so it holds
-    # on any runner.
-    for name, fraction in payload["stepped_fraction"].items():
-        assert fraction <= STEPPED_FRACTION_CEILING, (
-            f"{name} run stepped {fraction:.2%} of its slots one by one, "
-            f"above the {STEPPED_FRACTION_CEILING:.0%} ceiling"
-        )
+    ))

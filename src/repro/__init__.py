@@ -25,8 +25,9 @@ Quickstart::
     sim.run(200)
     print(sim.metrics.queue_series[-5:], sim.metrics.throughput())
 
-See DESIGN.md for the architecture and EXPERIMENTS.md for the
-paper-claim-by-claim reproduction results.
+PAPER.md has the source paper's abstract; ``repro experiments`` lists
+the benches that reproduce its claims claim by claim
+(``repro.cli.registry``), and PERFORMANCE.md the performance design.
 """
 
 from repro.errors import (

@@ -1,7 +1,7 @@
 """Plain-text table formatting for the benchmark harness.
 
 Every bench prints its reproduced rows through :func:`format_table` so
-the EXPERIMENTS.md extracts look uniform. Numbers are formatted
+the tables of all benches look uniform. Numbers are formatted
 compactly; strings pass through.
 """
 

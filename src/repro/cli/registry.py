@@ -1,8 +1,11 @@
 """The experiment inventory.
 
-One row per experiment in EXPERIMENTS.md. The CLI prints this table;
-tests assert that every listed bench file exists so the registry cannot
-drift from the benchmark suite.
+One row per bench in ``benchmarks/``: the paper claims (PAPER.md) the
+``E``/``A``/``X`` benches reproduce, and the performance contracts
+(PERFORMANCE.md) the ``P`` benches gate. The CLI prints this table;
+tests assert that every listed bench file exists, and that every
+committed ``BENCH_*.json`` belongs to a registered bench, so the
+registry cannot drift from the benchmark suite.
 """
 
 from __future__ import annotations
@@ -125,42 +128,25 @@ EXPERIMENTS: List[ExperimentEntry] = [
         "bench_x6_markov.py",
     ),
     ExperimentEntry(
-        "P1", "Performance",
-        "vectorized slot kernel: >= 3x slots/sec over the scalar slot "
-        "loop on 500 links",
-        "bench_p1_slot_kernel.py",
-    ),
-    ExperimentEntry(
-        "P3", "Performance",
-        "sharded sweep executor: process-parallel (rate, seed) cells, "
-        "record-identical to serial; >= 2x throughput at 4 workers",
-        "bench_p3_sharded_sweep.py",
-    ),
-    ExperimentEntry(
         "P4", "Performance",
         "fused run loop: numpy-backend slots/sec on the 500-link KV "
         "headline and an all-transmit drain; history recording "
-        "overhead <= 10%",
+        "overhead <= 10% (median of 9 interleaved paired ratios)",
         "bench_p4_runloop.py",
     ),
     ExperimentEntry(
-        "P5", "Performance",
-        "scenario fleet runner: process-per-network execution of "
-        "declarative ScenarioSpecs, record-identical to serial; "
-        ">= 2x throughput at 4 workers",
-        "bench_p5_fleet.py",
-    ),
-    ExperimentEntry(
         "P6", "Robustness",
-        "checkpointed execution: interrupt+resume bit-identical, "
-        "<= ~5% overhead at the default snapshot interval",
+        "checkpointed execution: interrupt+resume bit-identical; "
+        "plain / (plain + snapshot seconds) >= 0.95 at the default "
+        "snapshot interval (minima of 5 interleaved repeats)",
         "bench_p6_checkpoint.py",
     ),
     ExperimentEntry(
         "P7", "Performance",
-        "streaming metrics retention: horizon-independent peak RSS at "
-        "a 1e6-frame horizon, exact-field parity with full retention, "
-        ">= 0.95x throughput",
+        "streaming metrics retention: exact-field parity with full "
+        "retention; peak-RSS growth over a 1e6-frame horizon <= 5% of "
+        "full's; full / streaming seconds >= 0.95 (median of 5 paired "
+        "ratios)",
         "bench_p7_streaming.py",
     ),
     ExperimentEntry(
@@ -172,9 +158,9 @@ EXPERIMENTS: List[ExperimentEntry] = [
     ),
     ExperimentEntry(
         "P9", "Performance",
-        "batched fleet kernel: many small networks advanced in one "
-        "fused wave loop, bit-identical to serial; >= 2x fleet "
-        "frames/sec over serial on a single core",
+        "batched fleet: many small networks advanced in one wave "
+        "loop, records bit-identical to serial; serial and batched "
+        "runs each step at most 5% of their simulated slots",
         "bench_p9_batched_fleet.py",
     ),
 ]

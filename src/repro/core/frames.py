@@ -13,7 +13,8 @@ frame; it must fit ``f(m) * 1 + g(m, m J)`` slots.
 
 ``t_scale`` shrinks the proof constants for experiments (the theorems
 hold *a fortiori* at the paper's values; the experiments test shapes,
-which survive constant scaling — see DESIGN.md). The solver always
+which survive constant scaling; the paper-claim benches listed by
+``repro experiments`` check those shapes). The solver always
 enforces the *structural* constraint that both phases fit, growing ``T``
 if the scaled constants violate it.
 """

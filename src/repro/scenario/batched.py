@@ -1,9 +1,9 @@
 """The ``batched`` fleet executor: whole networks advanced in waves.
 
-BENCH_p5 measured that process-per-network cannot amortise small
-networks (each is too cheap to ship to a worker, and the bench
-container has one CPU). This layer instead routes a fleet through
-:mod:`repro.staticsched.batchloop`: every eligible
+The retired P5 bench (PERFORMANCE.md) measured that
+process-per-network cannot amortise small networks (each is too cheap
+to ship to a worker, and its host had one CPU). This layer instead
+routes a fleet through :mod:`repro.staticsched.batchloop`: every eligible
 :class:`~repro.scenario.fleet.FleetUnit` becomes a *step generator*
 (its whole simulation — engine frame loop, protocol frame, transform
 rounds — expressed through the :mod:`repro.core.steps` seam), and one

@@ -42,7 +42,8 @@ class KvScheduler(FusedScheduler):
         Multiplier applied after a failed attempt (default 1/2).
     recovery_slots:
         A request idle (not attempting) for this many consecutive slots
-        doubles its probability, up to ``initial_probability``.
+        doubles its probability, up to ``initial_probability``. An
+        integer >= 1; anything else raises :class:`SchedulingError`.
     budget_scale:
         Factor on the ``O(I log n)`` budget recommendation.
     """
@@ -63,10 +64,20 @@ class KvScheduler(FusedScheduler):
             )
         if not 0 < backoff < 1:
             raise SchedulingError(f"backoff must be in (0, 1), got {backoff}")
+        try:
+            integral = int(recovery_slots) == recovery_slots
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if isinstance(recovery_slots, bool) or not integral or (
+            recovery_slots < 1
+        ):
+            raise SchedulingError(
+                f"recovery_slots must be an integer >= 1, got {recovery_slots!r}"
+            )
         self._p0 = initial_probability
         self._p_min = check_positive("min_probability", min_probability)
         self._backoff = backoff
-        self._recovery_slots = max(1, int(recovery_slots))
+        self._recovery_slots = int(recovery_slots)
         self._budget_scale = check_positive("budget_scale", budget_scale)
 
     def state_dict(self):

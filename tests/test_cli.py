@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import multiprocessing
 import os
 import warnings
@@ -83,6 +84,29 @@ class TestRegistry:
         }
         missing = on_disk - listed
         assert not missing, f"benches not in the registry: {sorted(missing)}"
+
+    def test_every_baseline_and_perf_bench_registered(self):
+        """A retired bench cannot leave an orphan BENCH_*.json or a
+        ``run_perf.py`` entry behind."""
+        files = {entry.id.lower(): entry.bench_file for entry in EXPERIMENTS}
+        root = os.path.join(BENCH_DIR, "..")
+        baselines = {
+            name[len("BENCH_"):-len(".json")]
+            for name in os.listdir(root)
+            if name.startswith("BENCH_") and name.endswith(".json")
+        }
+        orphans = baselines - set(files)
+        assert not orphans, f"baselines of no registered bench: {orphans}"
+
+        spec = importlib.util.spec_from_file_location(
+            "run_perf", os.path.join(BENCH_DIR, "run_perf.py")
+        )
+        run_perf = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run_perf)
+        for bench_id, (module, _) in run_perf.PERF_BENCHES.items():
+            assert files.get(bench_id) == f"{module}.py", (
+                f"run_perf.py bench '{bench_id}' has no registry row"
+            )
 
 
 class TestCommands:

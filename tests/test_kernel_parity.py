@@ -1,6 +1,6 @@
 """Run-loop backends vs literal per-slot transcriptions of each policy.
 
-Three layers of verification:
+Four layers of verification:
 
 1. **Full-run parity** — every scheduler is run per *lane* from the
    same seed on the same instance and compared with its per-slot
@@ -23,6 +23,10 @@ Three layers of verification:
    lands exactly on the affectance threshold, forcing the fused
    backend through its exact-summation guard paths (in
    ``test_runloop``).
+4. **Whole-run parity at scale** — a KV dynamic-protocol stability
+   run and decay / single-hop drains on a banded 500-link affectance
+   instance, library vs a scheduler whose ``run`` is the
+   transcription.
 """
 
 from __future__ import annotations
@@ -34,6 +38,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.frames import FrameParameters
+from repro.core.protocol import DynamicProtocol
+from repro.injection.stochastic import uniform_pair_injection
 from repro.interference.builders import node_constraint_conflicts
 from repro.interference.conflict import ConflictGraphModel
 from repro.interference.jamming import JammedModel, PeriodicBurstPattern
@@ -44,11 +51,13 @@ from repro.interference.matrix_model import (
 )
 from repro.interference.packet_routing import PacketRoutingModel
 from repro.interference.unreliable import UnreliableModel
+from repro.network.routing import build_routing_table
 from repro.network.topology import (
     grid_network,
     mac_network,
     random_sinr_network,
 )
+from repro.sim.engine import FrameSimulation
 from repro.sinr.weights import linear_power_model
 from repro.staticsched import (
     DecayScheduler,
@@ -314,3 +323,90 @@ def test_batch_evaluator_incremental_drop():
         keep[int(rng.integers(busy.size))] = False
         busy = busy[keep]
         evaluator.drop(keep)
+
+
+# ----------------------------------------------------------------------
+# Whole runs on the banded 500-link contention instance vs the oracle
+# ----------------------------------------------------------------------
+#
+# The lane tests above run 25-request drains. These put the library
+# through the regime the KV recurrence is built for — hundreds of busy
+# links in standing contention, long idle streaks, recoveries every
+# slot — inside the full dynamic protocol, and compare it with the same
+# protocol driving a scheduler whose ``run`` is the per-slot
+# transcription. The oracle shares no policy object with the library,
+# so a fault in a policy's own recurrence shows here even though the
+# numpy-vs-scalar tests (which drive one policy) pass.
+
+BANDED_LINKS = 500
+BANDED_FRAME = FrameParameters(
+    frame_length=1000, phase1_budget=900, cleanup_budget=80,
+    measure_budget=30.0, epsilon=0.5, rate=0.2, f_m=1.0, m=BANDED_LINKS,
+)
+
+
+def _banded_model(reach=BANDED_LINKS, base=0.15, exponent=0.3):
+    """Impact decaying geometrically with link distance, unit diagonal:
+    slow decay keeps a few hundred links competing all run."""
+    idx = np.arange(BANDED_LINKS)
+    distance = np.abs(idx[:, None] - idx[None, :]).astype(float)
+    matrix = base / (1.0 + distance) ** exponent
+    matrix[distance > reach] = 0.0
+    np.fill_diagonal(matrix, 1.0)
+    return AffectanceThresholdModel(mac_network(BANDED_LINKS), matrix)
+
+
+def _oracle(scheduler_class):
+    """``scheduler_class`` with its ``run`` replaced by the oracle."""
+    def run(self, model, requests, budget, rng=None, record_history=False):
+        return run_reference(self, model, requests, budget, rng=rng,
+                             record_history=record_history, batch=True)
+    return type(f"Oracle{scheduler_class.__name__}", (scheduler_class,),
+                {"run": run})
+
+
+@pytest.mark.parametrize("recovery_slots", [8, 2])
+def test_banded_kv_stability_run_matches_oracle(recovery_slots):
+    def stability_run(scheduler_class):
+        model = _banded_model()
+        injection = uniform_pair_injection(
+            build_routing_table(model.network), model, BANDED_FRAME.rate,
+            num_generators=8, rng=1017,
+        )
+        gen = np.random.default_rng(17)
+        protocol = DynamicProtocol(
+            model, scheduler_class(recovery_slots=recovery_slots),
+            BANDED_FRAME.rate, params=BANDED_FRAME, rng=gen,
+            store=injection.store,
+        )
+        with use_backend("numpy"):
+            FrameSimulation(protocol, injection).run(6)
+        return ([p.id for p in protocol.delivered], protocol.packets_in_system,
+                protocol.potential.total_failures, gen.bit_generator.state)
+
+    library = stability_run(KvScheduler)
+    assert library[2] > 0, "the instance must produce phase-1 failures"
+    assert library == stability_run(_oracle(KvScheduler))
+
+
+@pytest.mark.parametrize("scheduler_class, model_kwargs", [
+    (DecayScheduler, {}),
+    # Steeper decay, so all-transmit slots partially succeed.
+    (SingleHopScheduler, dict(reach=40, base=0.5, exponent=1.5)),
+], ids=["decay", "single-hop"])
+def test_banded_static_drain_matches_oracle(scheduler_class, model_kwargs):
+    model = _banded_model(**model_kwargs)
+    requests = list(
+        np.random.default_rng(23).integers(0, BANDED_LINKS, size=4000)
+    )
+
+    def drain(cls):
+        gen = np.random.default_rng(29)
+        with use_backend("numpy"):
+            result = cls().run(model, requests, 1200, rng=gen)
+        return (result.delivered, result.remaining, result.slots_used,
+                gen.bit_generator.state)
+
+    library = drain(scheduler_class)
+    assert library[0], "the drain must deliver"
+    assert library == drain(_oracle(scheduler_class))

@@ -130,6 +130,20 @@ def test_raw_algorithms_have_no_network_bound():
         DecayScheduler().network_bound(10)
 
 
+@pytest.mark.parametrize("recovery_slots", [0, -3, 2.9, 0.5, "8", True])
+def test_kv_rejects_recovery_slots_it_cannot_run(recovery_slots):
+    """A bad ``recovery_slots`` raises instead of being clamped or
+    truncated to a value nobody asked for."""
+    with pytest.raises(SchedulingError, match="recovery_slots"):
+        KvScheduler(recovery_slots=recovery_slots)
+
+
+@pytest.mark.parametrize("recovery_slots", [1, 3, 8.0])
+def test_kv_state_dict_reports_recovery_slots_asked_for(recovery_slots):
+    state = KvScheduler(recovery_slots=recovery_slots).state_dict()
+    assert state["recovery_slots"] == recovery_slots
+
+
 # ----------------------------------------------------------------------
 # MAC algorithms
 # ----------------------------------------------------------------------
