@@ -30,7 +30,13 @@ class AlgorithmCall(NamedTuple):
     int array) so driving the generator reproduces the historical call
     byte for byte. ``rng`` is the live generator the call must consume
     — sharing it between the yielding layer and the executor is the
-    whole point (the RNG stream order is part of the physics).
+    whole point (the RNG stream order is part of the physics). A run
+    on a generator leaves it where per-slot draws would. The Section-3
+    transform instead hands a fused base a
+    :class:`~repro.staticsched.runloop.ChunkedUniforms` over its
+    generator, one per sparsification round: the call reads coins from
+    it and the transform, which created it, finalizes it once the
+    round's calls are done.
     """
 
     algorithm: Any

@@ -42,6 +42,7 @@ from repro.staticsched.base import (
     SlotRecord,
     StaticAlgorithm,
 )
+from repro.staticsched.runloop import ChunkedUniforms, FusedScheduler
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_positive
 
@@ -208,6 +209,16 @@ class TransformedAlgorithm(StaticAlgorithm):
         here, interleaved with the sub-runs exactly as the synchronous
         path draws it. The batched fleet kernel drives this to advance
         many networks' sub-runs inside one fused call.
+
+        A :class:`~repro.staticsched.runloop.FusedScheduler` base gets
+        its coins from one
+        :class:`~repro.staticsched.runloop.ChunkedUniforms` per
+        sparsification round, plus one for the mop-up runs, in place
+        of ``gen``: each class's run reads on from where the previous
+        one stopped, and the buffer is finalized here, once, before the
+        next draw on ``gen`` and before returning — so ``gen`` ends
+        where per-slot draws would leave it, as when every sub-run
+        owned its coins. Any other base receives ``gen`` itself.
         """
         if budget < 0:
             raise SchedulingError(f"budget must be >= 0, got {budget}")
@@ -224,6 +235,8 @@ class TransformedAlgorithm(StaticAlgorithm):
         history: Optional[List[SlotRecord]] = [] if record_history else None
         remaining = list(range(n))
         slots_used = 0
+        fused = isinstance(self._base, FusedScheduler)
+        coins = gen
 
         def sub_run(indices: List[int], sub_budget: int):
             """Run the base algorithm on a subset; return surviving indices."""
@@ -238,7 +251,7 @@ class TransformedAlgorithm(StaticAlgorithm):
                 model,
                 sub_requests,
                 sub_budget,
-                gen,
+                coins,
                 record_history,
             )
             slots_used += result.slots_used
@@ -260,6 +273,8 @@ class TransformedAlgorithm(StaticAlgorithm):
             # One stable sort partitions the classes: each class keeps
             # `remaining` order. Empty classes run nothing, so visiting
             # only the non-empty ones sees the same budget checks.
+            if fused:
+                coins = ChunkedUniforms(gen)
             by_delay = np.argsort(delays, kind="stable")
             sorted_delays = delays[by_delay]
             classes = np.unique(sorted_delays)
@@ -276,14 +291,20 @@ class TransformedAlgorithm(StaticAlgorithm):
                 survivors.extend((yield from sub_run(
                     members[start:end], class_budget
                 )))
+            if fused:
+                coins.finalize()
             remaining = survivors
 
         # Stage 2: mop-up executions of the base algorithm.
         mopup_budget = self._base.budget_for(self._mopup_measure(n), n)
+        if fused:
+            coins = ChunkedUniforms(gen)
         for _ in range(math.ceil(self._phi) + 1):
             if slots_used >= budget or not remaining:
                 break
             remaining = yield from sub_run(remaining, mopup_budget)
+        if fused:
+            coins.finalize()
 
         return RunResult(
             delivered=delivered,

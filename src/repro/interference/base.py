@@ -156,6 +156,7 @@ class InterferenceModel(ABC):
     def __init__(self, network: Network):
         self._network = network
         self._weight_cache: Optional[np.ndarray] = None
+        self._columns_cache: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Structure
@@ -195,6 +196,21 @@ class InterferenceModel(ABC):
             matrix.setflags(write=False)
             self._weight_cache = matrix
         return self._weight_cache
+
+    def weight_columns(self) -> np.ndarray:
+        """``Wᵀ`` as a C-contiguous array (cached; read-only).
+
+        Row ``e'`` holds column ``e'`` of :meth:`weight_matrix`, the
+        impact of ``e'`` on every link, so a set of columns gathers as
+        contiguous rows. Built on first use, once per model: decay's
+        measure estimate reads it (one ``num_links``-square float
+        array more per model that runs decay on the numpy backend).
+        """
+        if self._columns_cache is None:
+            columns = np.ascontiguousarray(self.weight_matrix().T)
+            columns.setflags(write=False)
+            self._columns_cache = columns
+        return self._columns_cache
 
     def weight(self, e: int, e_prime: int) -> float:
         """``W[e, e']`` — impact on ``e`` from ``e'``."""

@@ -12,10 +12,12 @@ next task.
 
 Bit-exactness contract: every network's :class:`RunResult` —
 delivered order, remaining order, slots used, history — *and* its
-generator's final state are identical to an unbatched serial run. The
-tasks share no state (each scans its own coin buffer against its own
-tiled thresholds), so the interleaving cannot perturb any of them, and
-each task is the serial engine itself.
+generator's final state are identical to an unbatched serial run.
+Tasks of different networks share no state (each scans its own coin
+buffer against its own tiled thresholds; a transform's sub-runs share
+their round's buffer, but a stream parks one task at a time), so the
+interleaving cannot perturb any of them, and each task is the serial
+engine itself.
 """
 
 from __future__ import annotations

@@ -20,10 +20,10 @@ evaluated:
     array-backed history, and inline evaluators for the affectance
     and conflict models (see :class:`FusedTask`).
     Decay binds from a column-subset estimate of its measure, guarded:
-    the first refill's coins are checked against a :data:`GUARD_BAND`
-    around each threshold the run can still use, and a coin inside a
-    band, or a second refill, makes the run switch to the exact measure
-    before any coin is compared against it (see :class:`DecayPolicy`).
+    coins are checked against a :data:`GUARD_BAND` around each
+    threshold the run can still use before any is compared against an
+    estimated threshold, and a coin inside a band makes the run switch
+    to the exact measure (see :class:`DecayPolicy`).
 ``scalar``
     The ground-truth reference: the same loop and the same policy, but
     every slot is stepped, each slot's successes come from one scalar
@@ -38,7 +38,10 @@ evaluated:
 Both backends consume the caller's generator stream exactly like a
 per-slot loop (one uniform per busy link per slot, none on idle
 schedulers), so a run replays identically across backends from one
-seed — ``tests/test_kernel_parity.py`` pins ``RunResult`` equality
+seed. A run on a generator leaves it where the per-slot loop would;
+a run on a borrowed :class:`ChunkedUniforms` (a transform sub-run)
+leaves that to the buffer's owner, which finalizes it once for many
+runs. ``tests/test_kernel_parity.py`` pins ``RunResult`` equality
 against literal per-link transcriptions of every policy, and
 ``tests/test_golden_runs.py`` pins the results themselves.
 """
@@ -179,6 +182,17 @@ class ChunkedUniforms:
     refill, and an under-consumed final chunk rewinds to the snapshot
     and re-draws precisely the consumed count, leaving the generator
     in the same state as per-slot draws would have.
+
+    Whoever creates a buffer finalizes it. A :class:`FusedTask` built
+    on a generator owns its buffer and finalizes it when the run ends.
+    The Section-3 transform instead opens one buffer per sparsification
+    round (and one for its mop-up runs) and hands it to each class's
+    task: such a task *borrows* the buffer, reads from its cursor,
+    triggers refills like any task and leaves its cursor behind for the
+    next class; the transform finalizes the buffer once, before its
+    next draw on the generator and before it returns. Between
+    finalizations the generator runs ahead of the handed-out coins, so
+    nothing else may draw from it then.
     """
 
     __slots__ = ("_gen", "_chunk_slots", "_buf", "_cursor", "_state",
@@ -359,11 +373,14 @@ class DecayPolicy(FusedPolicy):
     The measure ``I = max(W @ v)`` reaches a run only through the coin
     tests ``u < lp``, ``lp = 1 - (1 - 1/(cI))**depth``. An inexact bind
     (``exact=False``) therefore estimates it from the requested columns
-    alone, ``max(W[:, busy] @ depths)``, instead of a full mat-vec, and
-    stays *uncertified* until :meth:`guard` has cleared the run's coins
-    or rebound it exactly. For non-negative terms both sums lie within
-    ``γ_k·I`` of the true value (``γ_k = k·2⁻⁵³ / (1 - k·2⁻⁵³)``, ``k`` requested
-    links), so the estimate is within ``2γ_k·I`` of the exact measure.
+    alone, ``max(depths @ Wᵀ[busy])`` over the model's contiguous
+    :meth:`~repro.interference.base.InterferenceModel.weight_columns`,
+    instead of a full mat-vec, and stays *uncertified* until
+    :meth:`guard` has cleared the run's coins or rebound it exactly.
+    For non-negative terms both sums lie within ``γ_k·I`` of the true
+    value (``γ_k = k·2⁻⁵³ / (1 - k·2⁻⁵³)``, ``k`` requested links), so
+    the estimate is within ``2γ_k·I`` of the exact measure, whatever
+    order either sum takes.
     A link of depth ``d`` has a row sum of at least ``d`` (``W``'s
     diagonal is 1), so ``d·p <= 1/c`` and ``|Δlp| <= d·p·2γ_k`` stays
     near 1e-15 — far inside :data:`GUARD_BAND`. A coin outside the band
@@ -372,6 +389,10 @@ class DecayPolicy(FusedPolicy):
     ``interference_measure`` or ``as_request_vector`` always bind
     exactly.
     """
+
+    #: Set by a task that borrows a transform round's coin buffer: see
+    #: :meth:`guard`.
+    borrowed = False
 
     def __init__(self, probability_scale: float, measure_floor: float):
         self.probability_scale = probability_scale
@@ -390,8 +411,8 @@ class DecayPolicy(FusedPolicy):
         ):
             measure = model.interference_measure(list(requests))
         else:
-            columns = model.weight_matrix()[:, busy]
-            measure = float((columns @ depths.astype(float)).max())
+            rows = model.weight_columns().take(busy, axis=0)
+            measure = float(np.dot(depths.astype(float), rows).max())
             self._pending_exact = (model, requests)
         self._set_measure(measure)
         k = busy.size
@@ -414,20 +435,28 @@ class DecayPolicy(FusedPolicy):
         return self._pending_exact is None
 
     def guard(self, coins: np.ndarray, depths: np.ndarray) -> bool:
-        """Certify an estimated measure at a coin refill.
+        """Certify an estimated measure before ``coins`` are compared.
 
-        The first refill's ``coins`` are cleared in one pass against
+        The task calls this with each batch of coins it is about to
+        read. A batch is cleared in one pass against
         ``lp(d) ± GUARD_BAND`` for every depth ``d`` in
         ``1..max(depths)`` — depths only fall, so these are all the
-        thresholds the run can still use. A coin inside a band, or any
-        later refill, rebinds with the exact measure (certifying the
-        policy) and returns True: the caller must re-fetch its
-        thresholds. A run thus pays for one cleared refill and at most
-        one exact measure, however long it runs. With every depth 1
-        (most transform sub-runs) the one band is checked directly with
-        two comparisons.
+        thresholds the run can still use. A coin inside a band rebinds
+        with the exact measure (certifying the policy) and returns
+        True: the caller must re-fetch its thresholds. With every
+        depth 1 (most transform sub-runs) the one band is checked
+        directly with two comparisons.
+
+        A task owning its coin buffer draws its first batch at its
+        first slot; a second batch rebinds exactly whatever the coins,
+        so a long run pays for one cleared refill and at most one exact
+        measure. A task borrowing a transform round's buffer (it sets
+        :attr:`borrowed`) passes the leftover coins it starts with and
+        every refill it triggers, and each is checked alike: such tasks
+        are short, and an exact measure costs a ``num_links``-square
+        mat-vec.
         """
-        if not self._cleared:
+        if self.borrowed or not self._cleared:
             self._cleared = True
             top = int(depths.max())
             if top == 1:
@@ -907,18 +936,25 @@ class FusedTask:
     order, remaining order, slots used, history — and the generator's
     end state equal the per-slot loop's. The scalar reference
     (``scalar``) and coin-free policies only ever step.
+
+    Built on a generator, a task draws into a :class:`ChunkedUniforms`
+    of its own and finalizes it in :meth:`finish`. Built on a
+    ``ChunkedUniforms`` (a transform round's), it borrows it: its
+    coins start at the buffer's cursor, the leftover there is guarded
+    like a refill, and :meth:`finish` leaves the cursor for the next
+    borrower and the rewind to the buffer's owner.
     """
 
     __slots__ = (
         "policy", "budget", "order", "busy", "depths", "head_ptr",
-        "pending", "evaluator", "chunk", "ubuf", "ucursor", "history",
-        "delivered_parts", "slots", "scannable",
+        "pending", "evaluator", "chunk", "borrowed", "ubuf", "ucursor",
+        "history", "delivered_parts", "slots", "scannable",
     )
 
     def __init__(self, policy: FusedPolicy, model: InterferenceModel,
                  requests: Sequence[int], budget: int,
-                 gen: np.random.Generator, record_history: bool = False,
-                 scalar: bool = False):
+                 gen: np.random.Generator | ChunkedUniforms,
+                 record_history: bool = False, scalar: bool = False):
         if budget < 0:
             raise SchedulingError(f"budget must be >= 0, got {budget}")
         self.policy = policy
@@ -932,9 +968,15 @@ class FusedTask:
         self.pending = self.order.size
         policy.bind(model, requests, self.busy, self.depths, exact=scalar)
         self.evaluator = _make_fused_eval(model, self.busy, scalar)
-        self.chunk = ChunkedUniforms(gen) if policy.uses_rng else None
-        self.ubuf = self.chunk._buf if self.chunk is not None else None
-        self.ucursor = 0
+        # A ChunkedUniforms is borrowed: read from its cursor, left
+        # for its owner to finalize. A generator gets a buffer of its own.
+        self.borrowed = isinstance(gen, ChunkedUniforms)
+        chunk = None
+        if policy.uses_rng:
+            chunk = gen if self.borrowed else ChunkedUniforms(gen)
+        self.chunk = chunk
+        self.ubuf = chunk._buf if chunk is not None else None
+        self.ucursor = chunk._cursor if chunk is not None else 0
         self.history: Optional[LazySlotHistory] = None
         if record_history:
             self.history = LazySlotHistory(
@@ -955,7 +997,8 @@ class FusedTask:
         costs a chunk-buffer view and one comparison for the coins,
         the evaluator on the attempters, and attempter-subset
         gathers/scatters for the CSR head pops, depth bookkeeping and
-        the policy recurrence. Every :data:`DENSITY_SPAN` slots the
+        the policy recurrence (with one attempter, the pop and the
+        depth are Python-int reads and writes instead). Every :data:`DENSITY_SPAN` slots the
         task rechooses its mode from the event density it saw. The
         task's state is bound to locals for the loop and written back
         after it.
@@ -978,8 +1021,17 @@ class FusedTask:
         budget = self.budget
         slots = self.slots
         scannable = self.scannable
-        # An uncertified decay estimate is certified at coin refills.
+        # An uncertified decay estimate is certified at coin refills,
+        # and a borrowed buffer's leftover coins before the first slot
+        # (unless too few for it: its refill then carries them).
         guarded = type(policy) is DecayPolicy and not policy.certified
+        if guarded and self.borrowed:
+            policy.borrowed = True
+            if (
+                ucursor + busy.size <= ubuf.size
+                and policy.guard(ubuf[ucursor:], depths)
+            ):
+                guarded = False
         # A run starts stepping; `seen` slots held `events` event slots
         # since the mode was last chosen.
         scanning = False
@@ -1057,10 +1109,25 @@ class FusedTask:
                 attempt, att_idx = attempt_fn(None, depths)
             heads = None
             keep = None
-            if att_idx.size:
+            n_att = att_idx.size
+            if n_att:
                 events += 1
                 ok = evaluate(attempt, att_idx)
-                if np.count_nonzero(ok):
+                if n_att == 1:
+                    # One attempter (most event slots): its pop, depth
+                    # and drain test on Python ints, same arrays.
+                    if ok[0]:
+                        i = int(att_idx[0])
+                        hp = int(head_ptr[i])
+                        heads = order[hp:hp + 1]
+                        delivered_parts.append(heads)
+                        head_ptr[i] = hp + 1
+                        left = int(depths[i]) - 1
+                        depths[i] = left
+                        pending -= 1
+                        if not left:
+                            keep = depths > 0
+                elif np.count_nonzero(ok):
                     s_idx = att_idx[ok]
                     hp = head_ptr.take(s_idx)
                     heads = order.take(hp)
@@ -1117,12 +1184,18 @@ class FusedTask:
             self.history.append_empty(s)
 
     def finish(self) -> RunResult:
-        """Rewind coin overdraw and assemble the :class:`RunResult`."""
-        if self.chunk is not None:
-            self.chunk._cursor = self.ucursor
-            self.chunk.finalize()
-            self.ubuf = self.chunk._buf
-            self.ucursor = 0
+        """Rewind coin overdraw and assemble the :class:`RunResult`.
+
+        A borrowed buffer is not rewound: its cursor is left for the
+        next run that borrows it, and its owner finalizes it.
+        """
+        chunk = self.chunk
+        if chunk is not None:
+            chunk._cursor = self.ucursor
+            if not self.borrowed:
+                chunk.finalize()
+                self.ubuf = chunk._buf
+                self.ucursor = 0
         if self.delivered_parts:
             delivered = np.concatenate(self.delivered_parts).tolist()
         else:
@@ -1144,14 +1217,16 @@ def run_fused(
     model: InterferenceModel,
     requests: Sequence[int],
     budget: int,
-    gen: np.random.Generator,
+    gen: np.random.Generator | ChunkedUniforms,
     record_history: bool = False,
 ) -> RunResult:
     """Run a policy to completion on the resolved backend.
 
     Builds one :class:`FusedTask` and runs it: on ``numpy`` it scans
     event-sparse stretches and steps event-dense ones; on ``scalar`` it
-    steps every slot on the model's scalar ``successes()``.
+    steps every slot on the model's scalar ``successes()``. ``gen`` is
+    a generator, which the run leaves where the per-slot loop would, or
+    a borrowed :class:`ChunkedUniforms`, which its owner finalizes.
     """
     return FusedTask(
         policy, model, requests, budget, gen, record_history,
@@ -1164,7 +1239,10 @@ class FusedScheduler(StaticAlgorithm):
 
     Subclasses supply :meth:`fused_policy`; :meth:`run` drives a fresh
     policy through :func:`run_fused`, and the batched fleet executor
-    builds its per-network tasks from the same factory.
+    builds its per-network tasks from the same factory. ``rng`` may
+    also be a :class:`ChunkedUniforms` the caller owns (the Section-3
+    transform's round buffer): the run reads from it and leaves its
+    finalization to the caller.
     """
 
     @abstractmethod
@@ -1181,9 +1259,11 @@ class FusedScheduler(StaticAlgorithm):
     ) -> RunResult:
         if budget < 0:
             raise SchedulingError(f"budget must be >= 0, got {budget}")
+        if not isinstance(rng, ChunkedUniforms):
+            rng = ensure_rng(rng)
         return run_fused(
-            self.fused_policy(), model, requests, budget,
-            ensure_rng(rng), record_history,
+            self.fused_policy(), model, requests, budget, rng,
+            record_history,
         )
 
 

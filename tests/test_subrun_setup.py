@@ -3,9 +3,10 @@
 Pins the contracts that let a short run (a Section-3 transform sub-run)
 set up in time proportional to its own requests and busy links:
 
-* ``busy_csr`` — the request intake of ``FusedTask`` and of the KV ×
-  affectance lane — rejects exactly what ``LinkQueues`` rejects, with
-  the same message, on both backends, and runs an empty request list;
+* ``busy_csr`` — the request intake of ``FusedTask``, hence of every
+  fused scheduler's ``run`` — rejects exactly what ``LinkQueues``
+  rejects, with the same message, on both backends, and runs an empty
+  request list;
 * the SINR batch evaluator gathers its gain submatrix over the initial
   busy set on the first slot with two or more transmitters, so a slot
   after drains still equals the scalar ``successes()``;
@@ -77,7 +78,7 @@ def test_fused_task_rejects_requests_like_link_queues(case, scalar):
 
 
 @pytest.mark.parametrize("case", sorted(BAD_REQUESTS))
-def test_kv_affectance_lane_rejects_requests_like_link_queues(case):
+def test_kv_run_rejects_requests_like_link_queues(case):
     requests = BAD_REQUESTS[case]
     want = _link_queues_error(requests)
     with use_backend("numpy"), pytest.raises(SchedulingError) as error:
