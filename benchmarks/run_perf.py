@@ -5,10 +5,11 @@ Usage (from the repo root or the benchmarks/ directory):
 
     python benchmarks/run_perf.py [--quick] [--out-dir DIR] [--only ID]
 
-Each perf bench runs with fixed seeds, times its runners through
-``_harness.measure`` and writes one ``BENCH_<id>.json`` through
-``_harness.write_payload``: per-runner samples with min, median and
-IQR, the environment fingerprint, peak RSS, and its gates (each
+Each perf bench runs with fixed seeds in a child interpreter of its
+own, so the payload's peak RSS is that bench's alone. It times its
+runners through ``_harness.measure`` and writes one ``BENCH_<id>.json``
+through ``_harness.write_payload``: per-runner samples with min, median
+and IQR, the environment fingerprint, peak RSS, and its gates (each
 contract with the statistic it is judged on). A payload missing any of
 these fails the run; so does a missed gate in a full run. ``--quick``
 shrinks the workloads for a fast smoke signal (numbers are then not
@@ -20,6 +21,8 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import json
+import subprocess
 import sys
 import tempfile
 import time
@@ -49,6 +52,16 @@ PERF_BENCHES = {
     "p9": ("bench_p9_batched_fleet", {"frames": 20, "networks": 4,
                                       "repeats": 1}),
 }
+
+
+def run_bench(bench_id: str, out_path: str, quick: bool) -> None:
+    """Run one perf bench in this process; it writes ``out_path``."""
+    module, quick_kwargs = PERF_BENCHES[bench_id]
+    importlib.import_module(module).run_experiment(
+        out_path=Path(out_path),
+        tags={"quick_mode": quick},
+        **(quick_kwargs if quick else {}),
+    )
 
 
 def main(argv=None) -> int:
@@ -84,15 +97,24 @@ def main(argv=None) -> int:
 
     failures = []
     for bench_id in args.only or sorted(PERF_BENCHES):
-        module, quick_kwargs = PERF_BENCHES[bench_id]
-        print(f"== perf bench {bench_id} ==")
+        print(f"== perf bench {bench_id} ==", flush=True)
         out_path = args.out_dir / f"BENCH_{bench_id}.json"
         start = time.perf_counter()
-        payload = importlib.import_module(module).run_experiment(
-            out_path=out_path,
-            tags={"quick_mode": args.quick},
-            **(quick_kwargs if args.quick else {}),
+        # A fresh interpreter per bench: peak RSS is a per-process
+        # high-water mark, so benches sharing one process would all
+        # report the largest peak seen before them.
+        child = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, run_perf; "
+             "run_perf.run_bench(sys.argv[1], sys.argv[2], "
+             "sys.argv[3] == '1')",
+             bench_id, str(out_path), "1" if args.quick else "0"],
+            cwd=_HERE,
         )
+        if child.returncode:
+            failures.append(f"{bench_id} exited with {child.returncode}")
+            continue
+        payload = json.loads(out_path.read_text())
         print(f"   wrote {out_path} in {time.perf_counter() - start:.1f}s")
         problems = payload_problems(payload)
         if problems:

@@ -22,18 +22,18 @@ Conventions (fixed across the library):
 Batch evaluation
 ----------------
 The scalar :meth:`InterferenceModel.successes` is the *reference*
-semantics; the fused slot loop (:mod:`repro.staticsched.runloop`) drives
-the hot loop through two batch entry points instead:
-
-* :meth:`InterferenceModel.successes_mask` — boolean mask in, boolean
-  mask out; one call per slot, no Python-level set churn. The base
-  implementation delegates to ``successes`` so every model supports it;
-  vectorised models override it.
-* :meth:`InterferenceModel.batch_evaluator` — returns a
-  :class:`BatchSuccessEvaluator` bound to a run's (shrinking) busy set.
-  Evaluators may cache active-set submatrices across slots and update
-  them incrementally as links drain, which is where the large constant
-  factors go away.
+semantics. The fused slot loop (:mod:`repro.staticsched.runloop`)
+evaluates slots through one interface instead:
+:meth:`InterferenceModel.batch_evaluator` returns a
+:class:`BatchSuccessEvaluator` bound to a run's (shrinking) busy set,
+whose :meth:`~BatchSuccessEvaluator.successes_local` maps a slot's
+ascending local transmitter indices to one verdict each. Evaluators
+may cache active-set submatrices across slots and update them
+incrementally as links drain, which is where the large constant
+factors go away. The default evaluator routes each slot through
+:meth:`InterferenceModel.successes_mask` (bool mask in, bool mask
+out), which delegates to ``successes``; the scalar reference uses
+:class:`ScalarBatchEvaluator`, one ``successes()`` call per slot.
 """
 
 from __future__ import annotations
@@ -52,18 +52,12 @@ RequestsLike = Union[np.ndarray, Sequence[int]]
 class BatchSuccessEvaluator:
     """Per-run batch success evaluation bound to a fixed busy-link set.
 
-    ``busy`` is a sorted array of link ids with pending work; all masks
-    exchanged with the evaluator are *local* (aligned with ``busy``).
-    As links drain, the run loop calls :meth:`drop` with a local keep
-    mask; evaluators shrink their cached state in place instead of
-    re-deriving it from the full ``W`` every slot.
+    ``busy`` is a sorted array of link ids with pending work; a slot's
+    transmitters are given as *local* indices into it. As links drain,
+    the run loop calls :meth:`drop` with a local keep mask; evaluators
+    shrink their cached state in place instead of re-deriving it from
+    the full ``W`` every slot.
     """
-
-    #: Optional shortcut for a slot with one transmitter: a method
-    #: mapping its local index (a one-element array) to its verdict, a
-    #: one-element bool array equal to ``successes_local(mask).take``
-    #: of that index. ``None`` when the evaluator has none.
-    lone = None
 
     def __init__(self, busy: np.ndarray):
         self._busy = np.asarray(busy, dtype=np.int64)
@@ -73,8 +67,15 @@ class BatchSuccessEvaluator:
         """The current busy-link ids (sorted ascending)."""
         return self._busy
 
-    def successes_local(self, transmit_local: np.ndarray) -> np.ndarray:
-        """Local success mask for a local transmit mask (one slot)."""
+    def successes_local(self, att_idx: np.ndarray) -> np.ndarray:
+        """One slot's verdicts: which transmitters are received.
+
+        ``att_idx`` holds the transmitters' local indices, ascending
+        and non-empty; the result is a bool array aligned with it (it
+        may be a reusable buffer, valid until the next call). Equal to
+        ``successes()`` on ``busy[att_idx]``, and drawing the same
+        randomness in the same order.
+        """
         raise NotImplementedError
 
     def drop(self, keep_local: np.ndarray) -> None:
@@ -100,6 +101,48 @@ class CachedBatchEvaluator(BatchSuccessEvaluator):
         super().drop(keep_local)
 
 
+class SubmatrixBatchEvaluator(CachedBatchEvaluator):
+    """Cached evaluator over a frozen busy-set submatrix ``sub``.
+
+    :meth:`_block` gathers one slot's transmitter submatrix with one
+    flat ``take`` into a reused C-contiguous ``(t, t)`` buffer.
+    """
+
+    def __init__(self, busy: np.ndarray, sub: np.ndarray):
+        super().__init__(busy)
+        self._sub = sub
+        self._flat = sub.reshape(-1)
+        self._stride = len(busy)
+        # Until the first drop, local indices are cache indices.
+        self._compacted = False
+        # Scratch pools sized to the transmitter count actually seen;
+        # the row-base pool is separate from the 2-D index pool so the
+        # broadcast add never reads through its own output.
+        self._row_pool = np.empty(len(busy), dtype=np.int64)
+        self._idx_pool = np.empty(0, dtype=np.int64)
+        self._val_pool = np.empty(0, dtype=sub.dtype)
+
+    def _block(self, att_idx: np.ndarray) -> np.ndarray:
+        """``sub`` restricted to the transmitters (valid until the next
+        call)."""
+        t = att_idx.size
+        t_idx = self._cols.take(att_idx) if self._compacted else att_idx
+        if self._idx_pool.size < t * t:
+            self._idx_pool = np.empty(t * t * 2, dtype=np.int64)
+            self._val_pool = np.empty(t * t * 2, dtype=self._flat.dtype)
+        idx2d = self._idx_pool[:t * t].reshape(t, t)
+        val2d = self._val_pool[:t * t].reshape(t, t)
+        rows = np.multiply(t_idx, self._stride, out=self._row_pool[:t])
+        np.add(rows.reshape(t, 1), t_idx, out=idx2d)
+        # Indices are in range by construction, so the bounds mode is free.
+        self._flat.take(idx2d, out=val2d, mode="clip")
+        return val2d
+
+    def drop(self, keep_local: np.ndarray) -> None:
+        self._compacted = True
+        super().drop(keep_local)
+
+
 class ScalarBatchEvaluator(BatchSuccessEvaluator):
     """Reference evaluator: one scalar ``successes()`` call per slot.
 
@@ -111,31 +154,29 @@ class ScalarBatchEvaluator(BatchSuccessEvaluator):
         super().__init__(busy)
         self._model = model
 
-    def successes_local(self, transmit_local: np.ndarray) -> np.ndarray:
-        ids = self._busy[transmit_local]
-        winners = self._model.successes([int(e) for e in ids])
-        mask = np.zeros(self._busy.size, dtype=bool)
-        if winners:
-            winner_ids = np.fromiter(sorted(winners), dtype=np.int64)
-            mask[np.searchsorted(self._busy, winner_ids)] = True
-        return mask
+    def successes_local(self, att_idx: np.ndarray) -> np.ndarray:
+        ids = self._busy.take(att_idx).tolist()
+        winners = self._model.successes(ids)
+        return np.fromiter(
+            (e in winners for e in ids), dtype=bool, count=len(ids)
+        )
 
 
 class MaskBatchEvaluator(BatchSuccessEvaluator):
     """Default evaluator: routes each slot through ``successes_mask``.
 
-    Used by models that vectorise the per-slot predicate but keep no
-    cross-slot cache.
+    Used by models that keep no cross-slot cache.
     """
 
     def __init__(self, model: "InterferenceModel", busy: np.ndarray):
         super().__init__(busy)
         self._model = model
 
-    def successes_local(self, transmit_local: np.ndarray) -> np.ndarray:
+    def successes_local(self, att_idx: np.ndarray) -> np.ndarray:
+        ids = self._busy.take(att_idx)
         active = np.zeros(self._model.num_links, dtype=bool)
-        active[self._busy[transmit_local]] = True
-        return self._model.successes_mask(active)[self._busy]
+        active[ids] = True
+        return self._model.successes_mask(active).take(ids)
 
 
 def request_vector(num_links: int, link_ids: Iterable[int]) -> np.ndarray:
@@ -270,9 +311,9 @@ class InterferenceModel(ABC):
         result marks the links whose transmissions are received (always
         a subset of ``active``). The boolean encoding makes duplicate
         transmissions unrepresentable, so no duplicate check is needed.
-
-        The base implementation delegates to the scalar reference;
-        vectorised models override it with pure array arithmetic.
+        Delegates to the scalar reference (which it therefore matches,
+        randomness included); the default :meth:`batch_evaluator` calls
+        it once per slot.
         """
         active = self._as_active_mask(active)
         winners = self.successes([int(e) for e in np.flatnonzero(active)])
@@ -338,6 +379,7 @@ __all__ = [
     "RequestsLike",
     "BatchSuccessEvaluator",
     "CachedBatchEvaluator",
+    "SubmatrixBatchEvaluator",
     "ScalarBatchEvaluator",
     "MaskBatchEvaluator",
 ]

@@ -25,13 +25,13 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Set
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.interference.base import CachedBatchEvaluator, InterferenceModel
+from repro.interference.base import InterferenceModel, SubmatrixBatchEvaluator
 from repro.network.network import Network
 
 ConflictMap = Mapping[int, Set[int]]
 
 
-class _ConflictBatchEvaluator(CachedBatchEvaluator):
+class _ConflictBatchEvaluator(SubmatrixBatchEvaluator):
     """Conflict check on a cached boolean adjacency submatrix.
 
     Success is pure boolean algebra (a transmitter wins iff no
@@ -42,17 +42,13 @@ class _ConflictBatchEvaluator(CachedBatchEvaluator):
     """
 
     def __init__(self, model: "ConflictGraphModel", busy: np.ndarray):
-        super().__init__(busy)
-        self._adj = model.adjacency_matrix()[np.ix_(busy, busy)]
+        super().__init__(busy, model.adjacency_matrix()[np.ix_(busy, busy)])
 
-    def successes_local(self, transmit_local: np.ndarray) -> np.ndarray:
-        cache_idx = self._cols[transmit_local]
-        transmit_cache = np.zeros(self._adj.shape[0], dtype=bool)
-        transmit_cache[cache_idx] = True
-        collision = (self._adj[cache_idx] & transmit_cache).any(axis=1)
-        mask = np.zeros(transmit_local.size, dtype=bool)
-        mask[transmit_local] = ~collision
-        return mask
+    def successes_local(self, att_idx: np.ndarray) -> np.ndarray:
+        # The adjacency diagonal is False (no self-conflicts), so the
+        # row-wise any() over the transmitter block is exactly "some
+        # *other* transmitter conflicts with me".
+        return ~self._block(att_idx).any(axis=1)
 
 
 def _symmetrised(conflicts: ConflictMap, num_links: int) -> Dict[int, Set[int]]:
@@ -147,16 +143,6 @@ class ConflictGraphModel(InterferenceModel):
         return {
             e for e in attempted if not (self._conflicts[e] & attempted)
         }
-
-    def successes_mask(self, active: np.ndarray) -> np.ndarray:
-        active = self._as_active_mask(active)
-        mask = np.zeros(self.num_links, dtype=bool)
-        if not active.any():
-            return mask
-        idx = np.flatnonzero(active)
-        collision = (self.adjacency_matrix()[idx] & active).any(axis=1)
-        mask[idx] = ~collision
-        return mask
 
     def batch_evaluator(self, busy: np.ndarray) -> _ConflictBatchEvaluator:
         return _ConflictBatchEvaluator(self, busy)

@@ -72,15 +72,15 @@ class _JammedBatchEvaluator(BatchSuccessEvaluator):
                 count=len(busy),
             )
 
-    def successes_local(self, transmit_local: np.ndarray) -> np.ndarray:
+    def successes_local(self, att_idx: np.ndarray) -> np.ndarray:
         slot = self._model._slot
         self._model._slot += 1
-        winners = self._inner.successes_local(transmit_local)
+        winners = self._inner.successes_local(att_idx)
         if not winners.any() or not self._model.pattern.is_jammed(slot):
             return winners
         if self._reachable_local is None:
             return np.zeros(winners.size, dtype=bool)
-        return winners & ~self._reachable_local
+        return winners & ~self._reachable_local.take(att_idx)
 
     def drop(self, keep_local: np.ndarray) -> None:
         self._inner.drop(keep_local)
@@ -314,18 +314,6 @@ class JammedModel(InterferenceModel):
         if self._targets is None:
             return set()
         return {link for link in winners if link not in self._targets}
-
-    def successes_mask(self, active: np.ndarray) -> np.ndarray:
-        slot = self._slot
-        self._slot += 1
-        winners = self._base.successes_mask(active)
-        if not winners.any() or not self._pattern.is_jammed(slot):
-            return winners
-        if self._targets is None:
-            return np.zeros(self.num_links, dtype=bool)
-        reachable = np.zeros(self.num_links, dtype=bool)
-        reachable[np.fromiter(self._targets, dtype=np.int64)] = True
-        return winners & ~reachable
 
     def batch_evaluator(self, busy: np.ndarray) -> _JammedBatchEvaluator:
         return _JammedBatchEvaluator(self, busy)

@@ -18,12 +18,10 @@ from repro.network.network import Network
 
 
 class _MacBatchEvaluator(BatchSuccessEvaluator):
-    """Singleton test on the local mask; nothing to cache or shrink."""
+    """Singleton test on the transmitter count; nothing to cache or shrink."""
 
-    def successes_local(self, transmit_local: np.ndarray) -> np.ndarray:
-        if np.count_nonzero(transmit_local) == 1:
-            return transmit_local.copy()
-        return np.zeros(transmit_local.size, dtype=bool)
+    def successes_local(self, att_idx: np.ndarray) -> np.ndarray:
+        return np.full(att_idx.size, att_idx.size == 1)
 
 
 class MultipleAccessChannel(InterferenceModel):
@@ -40,12 +38,6 @@ class MultipleAccessChannel(InterferenceModel):
         if len(attempted) == 1:
             return set(attempted)
         return set()
-
-    def successes_mask(self, active: np.ndarray) -> np.ndarray:
-        active = self._as_active_mask(active)
-        if np.count_nonzero(active) == 1:
-            return active.copy()
-        return np.zeros(self.num_links, dtype=bool)
 
     def batch_evaluator(self, busy: np.ndarray) -> _MacBatchEvaluator:
         return _MacBatchEvaluator(busy)

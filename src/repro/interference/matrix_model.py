@@ -22,32 +22,36 @@ from typing import Callable, Optional, Sequence, Set
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.interference.base import CachedBatchEvaluator, InterferenceModel
+from repro.interference.base import InterferenceModel, SubmatrixBatchEvaluator
 from repro.network.network import Network
 
 SuccessPredicate = Callable[[Sequence[int]], Set[int]]
 
 
-class _AffectanceBatchEvaluator(CachedBatchEvaluator):
-    """Affectance criterion on a cached busy-set submatrix.
+class _AffectanceBatchEvaluator(SubmatrixBatchEvaluator):
+    """Affectance criterion on a cached busy-set submatrix of ``W``.
 
-    ``W`` is sliced to the run's *initial* busy set once; ``_cols``
-    (from the base class) maps surviving links into that frozen cache.
+    A slot row-sums its transmitter block with the same pairwise
+    reduction the scalar reference uses (identical contents, identical
+    routine, hence identical bits: no guard band needed).
     ``_row_sums`` (total impact on each busy link from all busy links)
-    is maintained incrementally — departing links' columns are
-    subtracted — giving an O(busy) fast path for slots where every
-    busy link transmits.
+    is maintained incrementally, departing links' columns subtracted,
+    giving an O(busy) fast path for slots where every busy link
+    transmits.
     """
 
     def __init__(self, model: "AffectanceThresholdModel", busy: np.ndarray):
-        super().__init__(busy)
+        super().__init__(busy, model.weight_matrix()[np.ix_(busy, busy)])
         self._threshold = model.threshold
-        self._sub = model.weight_matrix()[np.ix_(busy, busy)]
         self._row_sums = self._sub.sum(axis=1)
         self._diag = self._sub.diagonal().copy()
+        self._imp_pool = np.empty(busy.size)
+        self._ok_pool = np.empty(busy.size, dtype=bool)
 
-    def successes_local(self, transmit_local: np.ndarray) -> np.ndarray:
-        if transmit_local.all():
+    def successes_local(self, att_idx: np.ndarray) -> np.ndarray:
+        t = att_idx.size
+        threshold = self._threshold
+        if t == self._cols.size:
             # Every busy link transmits: impact is the maintained row
             # sum minus the stored diagonal (W's diagonal is validated
             # to ~1 but not exactly 1). O(busy) per slot. The
@@ -59,23 +63,23 @@ class _AffectanceBatchEvaluator(CachedBatchEvaluator):
             # fast path stays O(busy) in the generic slot and the
             # bit-for-bit parity contract holds even at boundaries.
             impact = self._row_sums - self._diag
-            ok = impact <= self._threshold
-            borderline = np.abs(impact - self._threshold) < 1e-9
+            ok = impact <= threshold
+            borderline = np.abs(impact - threshold) < 1e-9
             if borderline.any():
                 rows = self._cols[borderline]
                 exact = (
                     self._sub[rows[:, None], self._cols].sum(axis=1)
                     - self._diag[borderline]
                 )
-                ok[borderline] = exact <= self._threshold
+                ok[borderline] = exact <= threshold
             return ok
-        cache_idx = self._cols[transmit_local]
-        # Open-mesh fancy indexing == np.ix_ without its per-call checks.
-        sub = self._sub[cache_idx[:, None], cache_idx]
-        impact = sub.sum(axis=1) - sub.diagonal()
-        mask = np.zeros(transmit_local.size, dtype=bool)
-        mask[transmit_local] = impact <= self._threshold
-        return mask
+        block = self._block(att_idx)
+        # C-contiguous (t, t) row sums: the same pairwise reduction, on
+        # the same values, as the scalar reference's
+        # `W[ix_(ids, ids)].sum(axis=1)`.
+        impact = np.add.reduce(block, axis=1, out=self._imp_pool[:t])
+        np.subtract(impact, block.diagonal(), out=impact)
+        return np.less_equal(impact, threshold, out=self._ok_pool[:t])
 
     def drop(self, keep_local: np.ndarray) -> None:
         gone = self._cols[~keep_local]
@@ -154,24 +158,13 @@ class AffectanceThresholdModel(InterferenceModel):
         attempted = self._check_no_duplicates(transmitting)
         if not attempted:
             return set()
-        ids = np.fromiter(attempted, dtype=int)
+        # Ascending ids: a row sum's rounding depends on its order, and
+        # a set's iteration order is not ascending in general.
+        ids = np.fromiter(sorted(attempted), dtype=int)
         sub = self.weight_matrix()[np.ix_(ids, ids)]
         # Row sums minus the diagonal = impact from the *other* active links.
         impact = sub.sum(axis=1) - np.diag(sub)
         return {int(e) for e, a in zip(ids, impact) if a <= self._threshold}
-
-    def successes_mask(self, active: np.ndarray) -> np.ndarray:
-        active = self._as_active_mask(active)
-        mask = np.zeros(self.num_links, dtype=bool)
-        if not active.any():
-            return mask
-        # Same gather and reduction order as the scalar path, so the
-        # two agree bit-for-bit even at the threshold boundary.
-        ids = np.flatnonzero(active)
-        sub = self.weight_matrix()[np.ix_(ids, ids)]
-        impact = sub.sum(axis=1) - np.diag(sub)
-        mask[ids] = impact <= self._threshold
-        return mask
 
     def batch_evaluator(self, busy: np.ndarray) -> _AffectanceBatchEvaluator:
         return _AffectanceBatchEvaluator(self, busy)

@@ -25,8 +25,14 @@ from repro.network.network import Network
 class _PassThroughBatchEvaluator(BatchSuccessEvaluator):
     """Every attempted transmission succeeds (independent links)."""
 
-    def successes_local(self, transmit_local: np.ndarray) -> np.ndarray:
-        return transmit_local.copy()
+    def __init__(self, busy: np.ndarray):
+        super().__init__(busy)
+        # A slice of one read-only buffer costs less than a fresh array.
+        self._ones = np.ones(len(busy), dtype=bool)
+        self._ones.setflags(write=False)
+
+    def successes_local(self, att_idx: np.ndarray) -> np.ndarray:
+        return self._ones[:att_idx.size]
 
 
 class PacketRoutingModel(InterferenceModel):
@@ -40,9 +46,6 @@ class PacketRoutingModel(InterferenceModel):
 
     def successes(self, transmitting: Sequence[int]) -> Set[int]:
         return self._check_no_duplicates(transmitting)
-
-    def successes_mask(self, active: np.ndarray) -> np.ndarray:
-        return self._as_active_mask(active).copy()
 
     def batch_evaluator(self, busy: np.ndarray) -> _PassThroughBatchEvaluator:
         return _PassThroughBatchEvaluator(busy)

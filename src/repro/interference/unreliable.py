@@ -41,8 +41,8 @@ class _UnreliableBatchEvaluator(BatchSuccessEvaluator):
         self._rng = model._rng
         self._loss = model.loss_probability
 
-    def successes_local(self, transmit_local: np.ndarray) -> np.ndarray:
-        winners = self._inner.successes_local(transmit_local)
+    def successes_local(self, att_idx: np.ndarray) -> np.ndarray:
+        winners = self._inner.successes_local(att_idx)
         if self._loss == 0.0 or not winners.any():
             return winners
         idx = np.flatnonzero(winners)
@@ -135,16 +135,6 @@ class UnreliableModel(InterferenceModel):
             if self._rng.random() >= self._loss
         }
         return survivors
-
-    def successes_mask(self, active: np.ndarray) -> np.ndarray:
-        winners = self._base.successes_mask(active)
-        if self._loss == 0.0 or not winners.any():
-            return winners
-        idx = np.flatnonzero(winners)
-        lost = self._rng.random(idx.size) < self._loss
-        winners = winners.copy()
-        winners[idx[lost]] = False
-        return winners
 
     def batch_evaluator(self, busy: np.ndarray) -> _UnreliableBatchEvaluator:
         return _UnreliableBatchEvaluator(self, busy)

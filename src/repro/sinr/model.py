@@ -40,7 +40,7 @@ class _SinrBatchEvaluator(CachedBatchEvaluator):
     The submatrix is gathered over the *initial* busy set on the first
     slot with two or more transmitters; a run that never has one builds
     no k×k table. A lone transmitter's verdict depends on its link
-    alone, so :meth:`lone` reads it from the model's per-link table
+    alone, so such a slot reads it from the model's per-link table
     (:meth:`SinrModel.lone_verdicts`).
     """
 
@@ -51,7 +51,9 @@ class _SinrBatchEvaluator(CachedBatchEvaluator):
         self._gains = None
         self._lone_ok = model.lone_verdicts()
 
-    def successes_local(self, transmit_local: np.ndarray) -> np.ndarray:
+    def successes_local(self, att_idx: np.ndarray) -> np.ndarray:
+        if att_idx.size == 1:
+            return self._lone_ok.take(self._busy.take(att_idx))
         if self._gains is None:
             initial = self._initial
             model = self._model
@@ -59,18 +61,12 @@ class _SinrBatchEvaluator(CachedBatchEvaluator):
             self._powers = model._powers[initial]
             self._beta = model.beta
             self._noise = model.noise
-        cache_idx = self._cols[transmit_local]
+        cache_idx = self._cols.take(att_idx)
         gains = self._gains[cache_idx[:, None], cache_idx]
         received = self._powers[cache_idx, None] * gains
         signal = received.diagonal()
         interference = received.sum(axis=0) - signal
-        ok = _sinr_feasible(signal, interference, self._beta, self._noise)
-        mask = np.zeros(transmit_local.size, dtype=bool)
-        mask[transmit_local] = ok
-        return mask
-
-    def lone(self, index: np.ndarray) -> np.ndarray:
-        return self._lone_ok.take(self._busy.take(index))
+        return _sinr_feasible(signal, interference, self._beta, self._noise)
 
 
 class SinrModel(InterferenceModel):
@@ -197,6 +193,7 @@ class SinrModel(InterferenceModel):
         return self._evaluate(ids, self._powers[ids])
 
     def successes_mask(self, active: np.ndarray) -> np.ndarray:
+        # The faded subclass's evaluator asks this once per slot.
         active = self._as_active_mask(active)
         mask = np.zeros(self.num_links, dtype=bool)
         if not active.any():

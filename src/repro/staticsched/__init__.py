@@ -15,7 +15,8 @@ Each randomized scheduler (kv, decay, fkv, hm, single-hop) is defined
 once, as a :class:`~repro.staticsched.runloop.FusedPolicy` driven by
 the fused slot loop in :mod:`repro.staticsched.runloop`. The ``numpy``
 backend (the default) evaluates slots with chunked Bernoulli draws,
-sparse attempter-set bookkeeping, lazy history and inline evaluators;
+sparse attempter-set bookkeeping, lazy history and the model's own
+batch evaluator;
 :func:`scalar_reference` pins runs to the ``scalar`` backend — the same
 loop asking the model's scalar ``successes()`` once per slot — for
 verification. Both replay each other bit-for-bit from one seed.

@@ -16,9 +16,12 @@ evaluated:
     only where the busy set genuinely changes), head pops straight off
     CSR queue arrays built over the busy links only
     (:func:`~repro.staticsched.base.busy_csr`, so a run's set-up
-    scales with its requests, not with ``num_links``), lazy
-    array-backed history, and inline evaluators for the affectance
-    and conflict models (see :class:`FusedTask`).
+    scales with its requests, not with ``num_links``) and lazy
+    array-backed history. Each slot's successes come from the model's
+    own :meth:`~repro.interference.base.InterferenceModel.batch_evaluator`,
+    asked once per event slot with the attempters' local indices
+    (:meth:`~repro.interference.base.BatchSuccessEvaluator.successes_local`;
+    see :class:`FusedTask`).
     Decay binds from a column-subset estimate of its measure, guarded:
     coins are checked against a :data:`GUARD_BAND` around each
     threshold the run can still use before any is compared against an
@@ -26,9 +29,9 @@ evaluated:
     to the exact measure (see :class:`DecayPolicy`).
 ``scalar``
     The ground-truth reference: the same loop and the same policy, but
-    every slot is stepped, each slot's successes come from one scalar
-    ``successes()`` call on the model, and no inline evaluator is
-    taken.
+    every slot is stepped and each slot's successes come from one
+    scalar ``successes()`` call on the model (through
+    :class:`~repro.interference.base.ScalarBatchEvaluator`).
     :func:`scalar_reference` forces this backend and *wins ties*
     against any other selection, so verification code can always
     trust it.
@@ -56,8 +59,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError, SchedulingError
 from repro.interference.base import InterferenceModel, ScalarBatchEvaluator
-from repro.interference.conflict import ConflictGraphModel
-from repro.interference.matrix_model import AffectanceThresholdModel
 from repro.staticsched.base import (
     LazySlotHistory,
     RunResult,
@@ -629,193 +630,6 @@ class SingleHopPolicy(FusedPolicy):
 
 
 # ----------------------------------------------------------------------
-# Fused success evaluators
-# ----------------------------------------------------------------------
-
-
-class _FusedEval:
-    """Per-slot success evaluation inside the fused loop."""
-
-    def evaluate(self, attempt: np.ndarray, att_idx: np.ndarray):
-        """The verdict per attempter (aligned with ``att_idx``).
-
-        ``att_idx`` is non-empty; the result may be a reusable buffer
-        valid until the next call.
-        """
-        raise NotImplementedError
-
-    def drop(self, keep: np.ndarray) -> None:
-        """Shrink cached state to the surviving busy links."""
-
-
-class _AffectanceFusedEval(_FusedEval):
-    """Inline affectance criterion on the frozen busy-set submatrix.
-
-    The generic slot gathers the transmitter submatrix with one flat
-    ``take`` and row-sums it with the same pairwise reduction the
-    scalar reference uses (identical contents, identical routine ⇒
-    identical bits — no guard band needed). The all-transmit slot uses
-    the incrementally maintained row sums with the established 1e-9
-    guard band and exact re-summation at the threshold boundary,
-    mirroring ``_AffectanceBatchEvaluator`` arithmetic step for step.
-    """
-
-    def __init__(self, model: AffectanceThresholdModel, busy: np.ndarray):
-        sub = model.weight_matrix()[np.ix_(busy, busy)]
-        self._sub = sub
-        self._flat = sub.reshape(-1)
-        self._stride = busy.size
-        self._row_sums = sub.sum(axis=1)
-        self._diag = sub.diagonal().copy()
-        self._cols = np.arange(busy.size)
-        self._compacted = False
-        self._threshold = model.threshold
-        self._size = busy.size
-        # Scratch pools sized to the transmitter count actually seen;
-        # the row-base pool is separate from the 2-D index pool so the
-        # broadcast add never reads through its own output.
-        self._row_pool = np.empty(busy.size, dtype=np.int64)
-        self._imp_pool = np.empty(busy.size)
-        self._ok_pool = np.empty(busy.size, dtype=bool)
-        self._idx_pool = np.empty(0, dtype=np.int64)
-        self._val_pool = np.empty(0)
-
-    def evaluate(self, attempt, att_idx):
-        t = att_idx.size
-        threshold = self._threshold
-        if t == self._size:
-            # All-transmit fast path: maintained row sums, guard band,
-            # exact re-sum at the boundary (see the batch evaluator).
-            impact = self._row_sums - self._diag
-            ok = impact <= threshold
-            borderline = np.abs(impact - threshold) < 1e-9
-            if borderline.any():
-                rows = self._cols[borderline]
-                exact = (
-                    self._sub[rows[:, None], self._cols].sum(axis=1)
-                    - self._diag[borderline]
-                )
-                ok[borderline] = exact <= threshold
-            return ok
-        t_idx = self._cols.take(att_idx) if self._compacted else att_idx
-        if self._idx_pool.size < t * t:
-            self._idx_pool = np.empty(t * t * 2, dtype=np.int64)
-            self._val_pool = np.empty(t * t * 2)
-        idx2d = self._idx_pool[:t * t].reshape(t, t)
-        val2d = self._val_pool[:t * t].reshape(t, t)
-        rows = np.multiply(t_idx, self._stride, out=self._row_pool[:t])
-        np.add(rows.reshape(t, 1), t_idx, out=idx2d)
-        # One flat gather of the transmitter submatrix; indices are
-        # in-range by construction so the bounds mode is free.
-        self._flat.take(idx2d, out=val2d, mode="clip")
-        # C-contiguous (t, t) row sums — the same pairwise reduction,
-        # on the same values, as the scalar reference's
-        # `W[ix_(ids, ids)].sum(axis=1)`, hence bit-identical.
-        impact = np.add.reduce(val2d, axis=1, out=self._imp_pool[:t])
-        np.subtract(impact, val2d.diagonal(), out=impact)
-        return np.less_equal(impact, threshold, out=self._ok_pool[:t])
-
-    def drop(self, keep):
-        gone = self._cols[~keep]
-        kept = self._cols[keep]
-        self._row_sums = (
-            self._row_sums[keep]
-            - self._sub[kept[:, None], gone].sum(axis=1)
-        )
-        self._diag = self._diag[keep]
-        self._cols = kept
-        self._size = kept.size
-        self._compacted = True
-
-
-class _ConflictFusedEval(_FusedEval):
-    """Inline conflict check on the frozen adjacency submatrix.
-
-    Pure boolean algebra — exactly the scalar set intersection — so
-    the transmitter-submatrix formulation needs no numeric care.
-    """
-
-    def __init__(self, model: ConflictGraphModel, busy: np.ndarray):
-        adj = model.adjacency_matrix()[np.ix_(busy, busy)]
-        self._flat = adj.reshape(-1)
-        self._stride = busy.size
-        self._cols = np.arange(busy.size)
-        self._compacted = False
-        self._row_pool = np.empty(busy.size, dtype=np.int64)
-        self._idx_pool = np.empty(0, dtype=np.int64)
-        self._val_pool = np.empty(0, dtype=bool)
-
-    def evaluate(self, attempt, att_idx):
-        t = att_idx.size
-        t_idx = self._cols.take(att_idx) if self._compacted else att_idx
-        if self._idx_pool.size < t * t:
-            self._idx_pool = np.empty(t * t * 2, dtype=np.int64)
-            self._val_pool = np.empty(t * t * 2, dtype=bool)
-        idx2d = self._idx_pool[:t * t].reshape(t, t)
-        val2d = self._val_pool[:t * t].reshape(t, t)
-        rows = np.multiply(t_idx, self._stride, out=self._row_pool[:t])
-        np.add(rows.reshape(t, 1), t_idx, out=idx2d)
-        self._flat.take(idx2d, out=val2d, mode="clip")
-        # The adjacency diagonal is False (no self-conflicts), so the
-        # row-wise any() over the transmitter submatrix is exactly
-        # "some *other* transmitter conflicts with me".
-        return ~val2d.any(axis=1)
-
-    def drop(self, keep):
-        self._cols = self._cols[keep]
-        self._compacted = True
-
-
-class _GenericFusedEval(_FusedEval):
-    """Route slots through a :class:`BatchSuccessEvaluator`.
-
-    Used with the model's own batch evaluator for every model without
-    an inline fast path (SINR, MAC, unreliable/jammed wrappers, packet
-    routing, third-party models), and with a
-    :class:`ScalarBatchEvaluator` — one ``successes()`` call per slot —
-    for the scalar reference.
-    """
-
-    def __init__(self, evaluator):
-        self._ev = evaluator
-
-    def evaluate(self, attempt, att_idx):
-        return self._ev.successes_local(attempt).take(att_idx)
-
-    def drop(self, keep):
-        self._ev.drop(keep)
-
-
-class _LoneFusedEval(_GenericFusedEval):
-    """The generic route for an evaluator with a ``lone`` shortcut (SINR):
-    slots with one transmitter read it, the rest go through
-    ``successes_local``."""
-
-    def evaluate(self, attempt, att_idx):
-        if att_idx.size == 1:
-            return self._ev.lone(att_idx)
-        return self._ev.successes_local(attempt).take(att_idx)
-
-
-def _make_fused_eval(
-    model: InterferenceModel, busy: np.ndarray, scalar: bool = False
-) -> _FusedEval:
-    if scalar:
-        return _GenericFusedEval(ScalarBatchEvaluator(model, busy))
-    # type(...) checks, not isinstance: subclasses may override the
-    # success predicate, in which case the inline fast path would be
-    # silently wrong — they get the generic (always-correct) adapter.
-    if type(model) is AffectanceThresholdModel:
-        return _AffectanceFusedEval(model, busy)
-    if type(model) is ConflictGraphModel:
-        return _ConflictFusedEval(model, busy)
-    evaluator = model.batch_evaluator(busy)
-    if evaluator.lone is not None:
-        return _LoneFusedEval(evaluator)
-    return _GenericFusedEval(evaluator)
-
-
-# ----------------------------------------------------------------------
 # The fused engine
 # ----------------------------------------------------------------------
 
@@ -967,7 +781,10 @@ class FusedTask:
         self.depths = ends - self.head_ptr
         self.pending = self.order.size
         policy.bind(model, requests, self.busy, self.depths, exact=scalar)
-        self.evaluator = _make_fused_eval(model, self.busy, scalar)
+        self.evaluator = (
+            ScalarBatchEvaluator(model, self.busy) if scalar
+            else model.batch_evaluator(self.busy)
+        )
         # A ChunkedUniforms is borrowed: read from its cursor, left
         # for its owner to finalize. A generator gets a buffer of its own.
         self.borrowed = isinstance(gen, ChunkedUniforms)
@@ -1007,7 +824,7 @@ class FusedTask:
         attempt_fn = policy.attempt
         update_fn = policy.update
         evaluator = self.evaluator
-        evaluate = evaluator.evaluate
+        evaluate = evaluator.successes_local
         chunk = self.chunk
         ubuf = self.ubuf
         ucursor = self.ucursor
@@ -1112,7 +929,7 @@ class FusedTask:
             n_att = att_idx.size
             if n_att:
                 events += 1
-                ok = evaluate(attempt, att_idx)
+                ok = evaluate(att_idx)
                 if n_att == 1:
                     # One attempter (most event slots): its pop, depth
                     # and drain test on Python ints, same arrays.

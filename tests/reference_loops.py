@@ -11,11 +11,17 @@ one scalar draw per link), success comes from one scalar
 ``List[SlotRecord]``.
 
 :func:`run_reference` takes the scheduler's configuration from its
-``state_dict()``, so the oracle shares nothing with the library's slot
-loop but :class:`~repro.staticsched.base.LinkQueues`. ``batch=True``
-swaps the scalar ``successes()`` call for the model's cached
-:meth:`~repro.interference.base.InterferenceModel.batch_evaluator`,
-which puts those evaluators through whole runs too.
+``state_dict()``. Each slot reaches the model through a
+:class:`~repro.interference.base.BatchSuccessEvaluator`, asked with the
+transmitters' local indices. By default that is a
+:class:`~repro.interference.base.ScalarBatchEvaluator`, one scalar
+``successes()`` call per slot, so the oracle shares nothing with the
+library's slot loop but :class:`~repro.staticsched.base.LinkQueues`.
+``batch=True`` swaps in the model's cached
+:meth:`~repro.interference.base.InterferenceModel.batch_evaluator`, the
+evaluator the library's slot loop asks; that puts it through whole runs
+with the policies held independent, but no longer checks it against
+``successes()``.
 
 :class:`MarkovReference` is the same kind of oracle for
 :class:`~repro.injection.markov.MarkovModulatedInjection`'s range
@@ -74,7 +80,9 @@ class _Slots:
             if self.history is not None:
                 self.history.append(SlotRecord((), ()))
             return np.zeros(self.size, dtype=bool)
-        success = self.evaluator.successes_local(transmit)
+        att_idx = transmit.nonzero()[0]
+        success = np.zeros(self.size, dtype=bool)
+        success[att_idx] = self.evaluator.successes_local(att_idx)
         if self.history is not None:
             self.history.append(SlotRecord(
                 tuple(int(e) for e in self.busy[transmit]),

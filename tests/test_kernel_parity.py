@@ -6,7 +6,7 @@ Four layers of verification:
    same seed on the same instance and compared with its per-slot
    transcription in ``reference_loops`` (one scalar ``successes()``
    call per slot). The lanes: the fused ``numpy`` backend (chunked
-   draws, sparse bookkeeping, inline evaluators), the ``scalar``
+   draws, sparse bookkeeping, the model's batch evaluator), the ``scalar``
    backend inside ``scalar_reference()`` (the same fused loop asking
    scalar ``successes()``), and ``kernel`` — the transcription itself
    on the model's cached batch evaluator. All ``RunResult``\\ s —
@@ -15,10 +15,11 @@ Four layers of verification:
    that every lane consumes the exact same RNG stream (the
    chunk-drawn backends must rewind their overdraw to the per-slot
    generator position).
-2. **Predicate parity** — ``successes_mask`` must agree with
-   ``successes`` on random active sets for every model, including a
+2. **Evaluator parity** — every model's batch evaluator must agree
+   with ``successes`` slot by slot through random drains, including a
    hypothesis sweep over random weight matrices for the affectance
-   criterion.
+   criterion; the two ``successes_mask`` implementations (the base
+   default and SINR's) must agree with ``successes`` too.
 3. **Boundary parity** — crafted instances whose accumulated impact
    lands exactly on the affectance threshold, forcing the fused
    backend through its exact-summation guard paths (in
@@ -26,7 +27,7 @@ Four layers of verification:
 4. **Whole-run parity at scale** — a KV dynamic-protocol stability
    run and decay / single-hop drains on a banded 500-link affectance
    instance, library vs a scheduler whose ``run`` is the
-   transcription.
+   transcription on scalar ``successes()``.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from repro.network.topology import (
     random_sinr_network,
 )
 from repro.sim.engine import FrameSimulation
+from repro.sinr.fading import RayleighFadingSinrModel
 from repro.sinr.weights import linear_power_model
 from repro.staticsched import (
     DecayScheduler,
@@ -109,7 +111,7 @@ def _jammed_model():
 
 def _explicit_model():
     """A model with NO vectorized overrides: exercises the base
-    ``successes_mask`` fallback and the default ``MaskBatchEvaluator``
+    ``successes_mask`` and the default ``MaskBatchEvaluator``
     — the path every third-party model subclass gets for free."""
     weights = _random_weights(8, seed=19)
 
@@ -215,14 +217,102 @@ def test_mac_only_schedulers_unaffected_by_reference_mode(sched_name):
     assert vectorized.history == reference.history
 
 
-@pytest.mark.parametrize("model_name", sorted(MODEL_FACTORIES))
-def test_successes_mask_matches_successes(model_name):
-    """Random active sets: the batch predicate equals the scalar one.
+def _rayleigh_model():
+    net = random_sinr_network(12, rng=3)
+    return RayleighFadingSinrModel(net, alpha=3.0, beta=1.0, noise=0.02,
+                                   rng=41)
 
-    Stateful wrappers (loss coins, jammer clock) are compared across
-    twin instances so both predicates consume identical streams.
+
+#: Every registry model plus a fading SINR model, whose evaluator
+#: reaches ``SinrModel.successes_mask`` and draws fades per slot.
+EVALUATOR_FACTORIES = {**MODEL_FACTORIES, "rayleigh": _rayleigh_model}
+
+
+def _slot_sets(rng, k):
+    """One drain step's transmitter sets over ``k`` busy links: all of
+    them, one of them, and a random non-empty subset."""
+    mask = rng.random(k) < rng.uniform(0.0, 1.0)
+    mask[rng.integers(k)] = True
+    return [np.arange(k), np.array([rng.integers(k)]), mask.nonzero()[0]]
+
+
+@pytest.mark.parametrize("model_name", sorted(EVALUATOR_FACTORIES))
+def test_successes_local_matches_successes(model_name):
+    """Through drains, each slot's verdicts equal scalar ``successes()``.
+
+    The first drain starts from every link and drops one per step; the
+    others start from random busy sets and drop random subsets. Every
+    step asks an all-transmit, a one-transmitter and a random slot.
+    Stateful models (loss coins, jammer clock, fades) are compared
+    across twin instances, so both sides consume identical streams.
     """
-    factory = MODEL_FACTORIES[model_name]
+    factory = EVALUATOR_FACTORIES[model_name]
+    rng = np.random.default_rng(123)
+    batch_model = factory()
+    scalar_model = factory()
+    m = batch_model.num_links
+    for drain in range(4):
+        if drain == 0:
+            busy = np.arange(m, dtype=np.int64)
+        else:
+            busy = np.sort(rng.choice(m, size=rng.integers(1, m + 1),
+                                      replace=False))
+        evaluator = batch_model.batch_evaluator(busy)
+        while busy.size:
+            for att_idx in _slot_sets(rng, busy.size):
+                ids = busy[att_idx].tolist()
+                got = evaluator.successes_local(att_idx)
+                expected = scalar_model.successes(ids)
+                assert got.dtype == bool and got.shape == att_idx.shape
+                assert got.tolist() == [e in expected for e in ids]
+            if drain == 0:
+                keep = np.ones(busy.size, dtype=bool)
+                keep[rng.integers(busy.size)] = False
+            else:
+                keep = rng.random(busy.size) < 0.7
+            busy = busy[keep]
+            evaluator.drop(keep)
+            assert evaluator.busy.tolist() == busy.tolist()
+
+
+def test_affectance_sums_rows_in_ascending_link_order():
+    """Scalar criterion, evaluator and both backends sum each row over
+    the transmitters in ascending link order.
+
+    A set of ints iterates in hash order, which is not ascending once
+    ids pass its table size: ``{3, 5, 500}`` iterates 3, 500, 5. The
+    two orders round link 3's impact to either side of the threshold.
+    """
+    m = 501
+    weights = np.eye(m)
+    weights[3, 5], weights[3, 500] = 0.2, 0.4
+    assert list({3, 5, 500}) == [3, 500, 5]
+    hash_order = ((1.0 + 0.4) + 0.2) - 1.0
+    assert ((1.0 + 0.2) + 0.4) - 1.0 > hash_order
+    model = AffectanceThresholdModel(mac_network(m), weights,
+                                     threshold=hash_order)
+    assert model.successes([3, 5, 500]) == {5, 500}
+    evaluator = model.batch_evaluator(np.array([3, 5, 500]))
+    assert evaluator.successes_local(np.arange(3)).tolist() == [
+        False, True, True]
+    runs = []
+    for context in (use_backend("numpy"), scalar_reference()):
+        with context:
+            result = SingleHopScheduler().run(model, [3, 5, 500], 10)
+        runs.append((result.delivered, result.slots_used))
+    assert runs[0] == runs[1] == ([1, 2, 0], 2)
+
+
+@pytest.mark.parametrize("model_name", ["explicit-fallback", "sinr",
+                                        "rayleigh"])
+def test_successes_mask_matches_successes(model_name):
+    """Random active sets: ``successes_mask`` equals ``successes``.
+
+    Covers the two implementations: the base default (the explicit
+    model) and SINR's (plain and faded, compared across twin
+    instances).
+    """
+    factory = EVALUATOR_FACTORIES[model_name]
     rng = np.random.default_rng(123)
     mask_model = factory()
     scalar_model = factory()
@@ -279,13 +369,14 @@ def test_mac_backoff_bincount_stage1_matches_bucket_walk():
 
 
 def test_successes_mask_empty_and_shape():
-    model = _affectance_model()
-    empty = model.successes_mask(np.zeros(model.num_links, dtype=bool))
-    assert not empty.any()
+    """Both implementations: the base default and SINR's."""
     from repro.errors import SchedulingError
 
-    with pytest.raises(SchedulingError):
-        model.successes_mask(np.zeros(model.num_links + 1, dtype=bool))
+    for model in (_explicit_model(), _sinr_model()):
+        empty = model.successes_mask(np.zeros(model.num_links, dtype=bool))
+        assert not empty.any()
+        with pytest.raises(SchedulingError):
+            model.successes_mask(np.zeros(model.num_links + 1, dtype=bool))
 
 
 @settings(max_examples=40, deadline=None)
@@ -295,34 +386,22 @@ def test_successes_mask_empty_and_shape():
     density=st.floats(min_value=0.05, max_value=0.95),
 )
 def test_affectance_mask_property(seed, threshold, density):
-    """Property sweep: random W, threshold, and active set agree with
-    the scalar affectance criterion."""
+    """Property sweep: random W, threshold, busy set and transmit mask;
+    the affectance evaluator's verdicts equal the scalar criterion."""
     rng = np.random.default_rng(seed)
     m = int(rng.integers(2, 14))
     model = AffectanceThresholdModel(
         mac_network(m), _random_weights(m, seed=seed), threshold=threshold
     )
-    active = rng.random(m) < density
-    got = model.successes_mask(active)
-    expected = model.successes([int(e) for e in np.flatnonzero(active)])
-    assert set(np.flatnonzero(got).tolist()) == expected
-
-
-def test_batch_evaluator_incremental_drop():
-    """The cached-submatrix evaluator stays correct as links drain."""
-    model = _affectance_model()
-    busy = np.arange(model.num_links, dtype=np.int64)
-    evaluator = model.batch_evaluator(busy)
-    rng = np.random.default_rng(6)
-    while busy.size > 1:
-        transmit = rng.random(busy.size) < 0.6
-        got = evaluator.successes_local(transmit)
-        expected = model.successes([int(e) for e in busy[transmit]])
-        assert set(busy[got].tolist()) == expected
-        keep = np.ones(busy.size, dtype=bool)
-        keep[int(rng.integers(busy.size))] = False
-        busy = busy[keep]
-        evaluator.drop(keep)
+    busy = np.flatnonzero(rng.random(m) < 0.8)
+    transmit = rng.random(busy.size) < density
+    if not transmit.any():
+        return
+    att_idx = transmit.nonzero()[0]
+    ids = busy[att_idx].tolist()
+    got = model.batch_evaluator(busy).successes_local(att_idx)
+    expected = model.successes(ids)
+    assert got.tolist() == [e in expected for e in ids]
 
 
 # ----------------------------------------------------------------------
@@ -336,7 +415,10 @@ def test_batch_evaluator_incremental_drop():
 # protocol driving a scheduler whose ``run`` is the per-slot
 # transcription. The oracle shares no policy object with the library,
 # so a fault in a policy's own recurrence shows here even though the
-# numpy-vs-scalar tests (which drive one policy) pass.
+# numpy-vs-scalar tests (which drive one policy) pass. The oracle
+# evaluates slots with scalar ``successes()``, so the library's
+# affectance batch evaluator is checked against the model's predicate,
+# not against itself.
 
 BANDED_LINKS = 500
 BANDED_FRAME = FrameParameters(
@@ -360,7 +442,7 @@ def _oracle(scheduler_class):
     """``scheduler_class`` with its ``run`` replaced by the oracle."""
     def run(self, model, requests, budget, rng=None, record_history=False):
         return run_reference(self, model, requests, budget, rng=rng,
-                             record_history=record_history, batch=True)
+                             record_history=record_history, batch=False)
     return type(f"Oracle{scheduler_class.__name__}", (scheduler_class,),
                 {"run": run})
 

@@ -348,6 +348,48 @@ def test_threshold_boundary_parity(backend, sched_factory):
     assert run.history == reference.history
 
 
+def _drift_model():
+    """Three links whose all-transmit slot after a drop lands inside the
+    affectance evaluator's guard band.
+
+    Link 0 suffers 0.2 from link 1 and 0.4 from link 2; the threshold
+    is its exact impact from link 1 alone. Once link 2 drains, the
+    maintained row sum ``((1 + 0.2) + 0.4) - 0.4`` exceeds the fresh
+    ``1 + 0.2`` by a few ulps, so only the exact re-sum lets link 0 win.
+    """
+    weights = np.array([[1.0, 0.2, 0.4],
+                        [0.0, 1.0, 0.0],
+                        [0.0, 0.0, 1.0]])
+    threshold = float(np.array([1.0, 0.2]).sum() - 1.0)
+    return AffectanceThresholdModel(mac_network(3), weights,
+                                    threshold=threshold)
+
+
+def test_all_transmit_guard_band_after_drop():
+    """Slot 1: everyone transmits, link 0 loses (impact 0.6) and link 2
+    drains. Slot 2: links 0 and 1 transmit; link 0's impact is exactly
+    the threshold, and the maintained sum is a few ulps above it."""
+    model = _drift_model()
+    evaluator = model.batch_evaluator(np.arange(3))
+    assert evaluator.successes_local(np.arange(3)).tolist() == [
+        False, True, True]
+    evaluator.drop(np.array([True, True, False]))
+    drifted = evaluator._row_sums[0] - evaluator._diag[0]
+    assert 0 < drifted - model.threshold < 1e-9
+    assert evaluator.successes_local(np.arange(2)).tolist() == [True, True]
+    assert model.successes([0, 1]) == {0, 1}
+
+    requests = [0, 1, 1, 2]
+    with use_backend("numpy"):
+        run = SingleHopScheduler().run(model, requests, 10,
+                                       record_history=True)
+    reference = run_reference(SingleHopScheduler(), _drift_model(),
+                              requests, 10, record_history=True)
+    assert run.slots_used == reference.slots_used == 2
+    assert run.delivered == reference.delivered == [1, 3, 0, 2]
+    assert run.history == reference.history
+
+
 def _lone_boundary_model():
     """Links whose lone ``p·g`` sits at the SINR edge.
 

@@ -166,8 +166,10 @@ def test_gather_after_drains_matches_scalar_successes(seed):
             first = False
         transmit = rng.random(ids.size) < 0.7
         transmit[:2] = True
-        got = evaluator.successes_local(transmit)
-        assert got.tolist() == _scalar_mask(model, ids, transmit).tolist()
+        att_idx = transmit.nonzero()[0]
+        got = evaluator.successes_local(att_idx)
+        want = _scalar_mask(model, ids, transmit)[att_idx]
+        assert got.tolist() == want.tolist()
         assert evaluator._gains.shape == (busy.size, busy.size)
 
 
@@ -179,10 +181,11 @@ def test_run_drained_before_first_multi_slot_matches_reference(monkeypatch):
     seen = []
     successes_local = _SinrBatchEvaluator.successes_local
 
-    def traced(self, transmit_local):
-        seen.append((self._gains is None,
-                     self._cols.size < self._initial.size))
-        return successes_local(self, transmit_local)
+    def traced(self, att_idx):
+        if att_idx.size >= 2:
+            seen.append((self._gains is None,
+                         self._cols.size < self._initial.size))
+        return successes_local(self, att_idx)
 
     monkeypatch.setattr(_SinrBatchEvaluator, "successes_local", traced)
     for seed in range(8):
@@ -245,9 +248,15 @@ def test_lone_table_equals_per_busy_derivation(model_factory):
         assert table[busy].tobytes() == _per_busy_lone(model, busy).tobytes()
     # And each entry is the scalar verdict of the link alone.
     assert table.tolist() == [model.singleton_succeeds(e) for e in range(m)]
-    evaluator = model.batch_evaluator(np.arange(m))
-    for e in range(m):
-        assert evaluator.lone(np.array([e])).tolist() == [table[e]]
+    # A one-transmitter slot reads the table, by link id, after drops.
+    for busy in subsets:
+        evaluator = model.batch_evaluator(busy)
+        keep = rng.random(busy.size) < 0.7
+        evaluator.drop(keep)
+        for j, e in enumerate(busy[keep].tolist()):
+            got = evaluator.successes_local(np.array([j]))
+            assert got.tolist() == [table[e]]
+        assert evaluator._gains is None
 
 
 def test_lone_table_is_built_once_per_model():
