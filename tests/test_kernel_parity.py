@@ -303,14 +303,13 @@ def test_affectance_sums_rows_in_ascending_link_order():
     assert runs[0] == runs[1] == ([1, 2, 0], 2)
 
 
-@pytest.mark.parametrize("model_name", ["explicit-fallback", "sinr",
-                                        "rayleigh"])
+@pytest.mark.parametrize("model_name", sorted(EVALUATOR_FACTORIES))
 def test_successes_mask_matches_successes(model_name):
     """Random active sets: ``successes_mask`` equals ``successes``.
 
-    Covers the two implementations: the base default (the explicit
-    model) and SINR's (plain and faded, compared across twin
-    instances).
+    Covers the two implementations: SINR's (plain and faded) and the
+    base default every other model inherits. Stateful models (loss
+    coins, jammer clock, fades) are compared across twin instances.
     """
     factory = EVALUATOR_FACTORIES[model_name]
     rng = np.random.default_rng(123)
@@ -402,6 +401,24 @@ def test_affectance_mask_property(seed, threshold, density):
     got = model.batch_evaluator(busy).successes_local(att_idx)
     expected = model.successes(ids)
     assert got.tolist() == [e in expected for e in ids]
+
+
+def test_batch_evaluator_incremental_drop():
+    """The cached-submatrix evaluator stays correct as links drain."""
+    model = _affectance_model()
+    busy = np.arange(model.num_links, dtype=np.int64)
+    evaluator = model.batch_evaluator(busy)
+    rng = np.random.default_rng(6)
+    while busy.size > 1:
+        att_idx = (rng.random(busy.size) < 0.6).nonzero()[0]
+        if att_idx.size:
+            got = evaluator.successes_local(att_idx)
+            expected = model.successes(busy[att_idx].tolist())
+            assert set(busy[att_idx][got].tolist()) == expected
+        keep = np.ones(busy.size, dtype=bool)
+        keep[int(rng.integers(busy.size))] = False
+        busy = busy[keep]
+        evaluator.drop(keep)
 
 
 # ----------------------------------------------------------------------
