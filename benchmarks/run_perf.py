@@ -48,9 +48,6 @@ PERF_BENCHES = {
                                   "repeats": 2}),
     "p8": ("bench_p8_campaign", {"frames": 30, "seeds": (0,),
                                  "tolerance": 0.25, "repeats": 1}),
-    # 20 frames: the stability assessor's minimum horizon.
-    "p9": ("bench_p9_batched_fleet", {"frames": 20, "networks": 4,
-                                      "repeats": 1}),
 }
 
 

@@ -39,6 +39,7 @@ from repro.scenario.presets import preset_spec
 from repro.scenario.spec import ScenarioSpec
 from repro.sim.runner import aggregate_rate_sweep
 from repro.sim.sharding import executor_names, make_executor
+from repro.sim.stability import MIN_FRAMES
 from repro.staticsched.runloop import (
     BACKENDS,
     available_backends,
@@ -116,7 +117,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--frames",
         type=int,
         default=200,
-        help="simulation horizon; longer runs give sharper verdicts",
+        help=f"simulation horizon (at least {MIN_FRAMES} frames); longer "
+             "runs give sharper verdicts",
     )
     simulate.add_argument(
         "--rate-fraction",
@@ -403,9 +405,8 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
           + " (spec field 'backend'; every backend is bit-identical, "
           "the choice only changes speed)")
     print("executors: " + ", ".join(executor_names())
-          + " (`--executor` on sweep/fleet/campaign; 'batched' advances "
-          "many small\nnetworks through one in-process wave engine — "
-          "records stay bit-identical)")
+          + " (`--executor` on sweep/compare/fleet/campaign; every "
+          "executor\nproduces bit-identical records)")
     print("presets: " + ", ".join(scenario_names())
           + " (repro.scenario.preset_spec / `repro fleet --model`)")
     print()
@@ -537,6 +538,10 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.frames < MIN_FRAMES:
+        print(f"error: --frames must be >= {MIN_FRAMES} to assess "
+              f"stability, got {args.frames}", file=sys.stderr)
+        return 2
     scenario = preset_spec(args.model, nodes=args.nodes, seed=args.seed).build(
         with_protocol=False
     )

@@ -156,13 +156,6 @@ EXPERIMENTS: List[ExperimentEntry] = [
         "at equal resolution, agreeing within one tolerance",
         "bench_p8_campaign.py",
     ),
-    ExperimentEntry(
-        "P9", "Performance",
-        "batched fleet: many small networks advanced in one wave "
-        "loop, records bit-identical to serial; serial and batched "
-        "runs each step at most 5% of their simulated slots",
-        "bench_p9_batched_fleet.py",
-    ),
 ]
 
 

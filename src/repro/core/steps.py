@@ -1,21 +1,19 @@
-"""Algorithm-invocation steps: the seam the batched fleet kernel hooks.
+"""Algorithm-invocation steps: one seam under the frame, protocol and
+transform loops.
 
 The dynamic protocol, the Section-3 transformation and the frame
 engine all bottom out in the same primitive — "run a static algorithm
-on these requests with this budget, consuming this generator" — and
-PR 9's batched fleet kernel needs to intercept exactly that primitive
-so it can advance many networks' slot loops inside one fused call.
-
-Rather than duplicating frame/transform logic in the batch engine,
-each layer exposes a *generator* form of its loop (``run_steps`` /
+on these requests with this budget, consuming this generator". Each
+layer writes its loop once, as a *generator* (``run_steps`` /
 ``run_frame_steps``) that yields :class:`AlgorithmCall` descriptions
 and receives the resulting
 :class:`~repro.staticsched.base.RunResult` back via ``send``. The
 synchronous entry points (``run`` / ``run_frame``) drive the same
-generator through :func:`drive_steps`, executing every call in place —
-so there is exactly one copy of the bookkeeping logic, and the serial
-path's behaviour (RNG order included) is the generator's behaviour by
-construction.
+generator through :func:`drive_steps`, executing every call in place,
+so there is exactly one copy of the bookkeeping logic. Because every
+static-algorithm call passes through :meth:`AlgorithmCall.execute`,
+a profiler can time and count them (``perfbench/tracing.py`` does)
+without touching the loops.
 """
 
 from __future__ import annotations

@@ -207,8 +207,7 @@ class TransformedAlgorithm(StaticAlgorithm):
         sub-execution and receives its ``RunResult`` back; all
         transformation randomness (the per-round delay draws) stays in
         here, interleaved with the sub-runs exactly as the synchronous
-        path draws it. The batched fleet kernel drives this to advance
-        many networks' sub-runs inside one fused call.
+        path draws it; :meth:`run` drives this generator.
 
         A :class:`~repro.staticsched.runloop.FusedScheduler` base gets
         its coins from one

@@ -52,6 +52,7 @@ from repro.errors import ConfigurationError
 from repro.scenario.fleet import FleetUnit
 from repro.scenario.spec import ScenarioSpec, _plain
 from repro.sim.runner import CellResult
+from repro.sim.stability import MIN_FRAMES
 
 #: The four grid axes, in expansion (outer-to-inner) order.
 AXIS_KINDS = ("topology", "model", "scheduler", "injection")
@@ -351,9 +352,10 @@ class CampaignSpec:
                 f"campaign seeds must be distinct, got {list(seeds)}"
             )
         object.__setattr__(self, "seeds", seeds)
-        if self.frames < 1:
+        if self.frames < MIN_FRAMES:
             raise ConfigurationError(
-                f"campaign frames must be >= 1, got {self.frames}"
+                f"campaign frames must be >= {MIN_FRAMES} (the stability "
+                f"assessment's minimum), got {self.frames}"
             )
         base = dict(self.base)
         unknown = set(base) - set(_BASE_FIELDS)

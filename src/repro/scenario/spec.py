@@ -51,6 +51,7 @@ import repro.scenario.components  # noqa: F401  (registers the built-ins)
 from repro.scenario.registry import resolve
 from repro.sim.metrics import RETENTIONS
 from repro.sim.runner import CellResult, measure_cell
+from repro.sim.stability import MIN_FRAMES
 from repro.staticsched.runloop import check_backend, use_backend
 
 _RATE_MODES = ("fraction", "absolute")
@@ -166,9 +167,10 @@ class ScenarioSpec:
         object.__setattr__(
             self, "requires", tuple(str(m) for m in self.requires)
         )
-        if self.frames < 1:
+        if self.frames < MIN_FRAMES:
             raise ConfigurationError(
-                f"scenario frames must be >= 1, got {self.frames}"
+                f"scenario frames must be >= {MIN_FRAMES} (the stability "
+                f"assessment's minimum), got {self.frames}"
             )
         if (
             isinstance(self.seed, bool)

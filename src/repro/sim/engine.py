@@ -169,8 +169,7 @@ class FrameSimulation:
         Yields the frame loop's :class:`~repro.core.steps.AlgorithmCall`
         items (via the protocol's ``run_frame_steps``) and returns the
         metrics recorder. Injection, auditing and metrics accounting all
-        happen in here, so driving this generator — serially or from
-        the batched fleet kernel — is bit-identical to :meth:`run`.
+        happen in here, so driving this generator is :meth:`run`.
         """
         if frames < 0:
             raise ConfigurationError(f"frames must be >= 0, got {frames}")

@@ -102,7 +102,7 @@ class ProcessExecutor:
             return pool.map(_run_unit, cells, chunksize=1)
 
 
-EXECUTORS = ("serial", "process", "resilient", "batched")
+EXECUTORS = ("serial", "process", "resilient")
 
 
 def executor_names() -> List[str]:
@@ -113,9 +113,8 @@ def make_executor(kind: str, workers: Optional[int] = None, **kwargs):
     """Build an executor by CLI name (see :data:`EXECUTORS`).
 
     Extra keyword arguments are forwarded to the resilient executor
-    (``max_retries``, ``cell_timeout``, ``manifest``, ``resume``, ...)
-    and to the batched executor (``strict``); the plain executors
-    accept none.
+    (``max_retries``, ``cell_timeout``, ``manifest``, ``resume``, ...);
+    the plain executors accept none.
     """
     if kind == "serial":
         if kwargs:
@@ -135,12 +134,6 @@ def make_executor(kind: str, workers: Optional[int] = None, **kwargs):
         from repro.sim.resilience import FaultTolerantExecutor
 
         return FaultTolerantExecutor(workers=workers, **kwargs)
-    if kind == "batched":
-        # Imported lazily for the same reason: the batched executor
-        # lives in the scenario layer (it batches whole FleetUnits).
-        from repro.scenario.batched import BatchedExecutor
-
-        return BatchedExecutor(workers=workers, **kwargs)
     raise ConfigurationError(
         f"unknown executor '{kind}'; choose from {', '.join(EXECUTORS)}"
     )

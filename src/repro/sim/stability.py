@@ -26,6 +26,10 @@ import numpy as np
 
 from repro.errors import ConfigurationError, StabilityError
 
+#: The shortest queue series the assessors accept; a run needs at least
+#: this many frames before its stability can be judged.
+MIN_FRAMES = 20
+
 
 def _check_tail_fraction(tail_fraction: float) -> None:
     """Reject out-of-range tail fractions before they slice.
@@ -80,7 +84,7 @@ def assess_stability(
     tail_fraction: float = 0.6,
     slope_tolerance: float = 0.02,
     blowup_tolerance: float = 3.0,
-    min_frames: int = 20,
+    min_frames: int = MIN_FRAMES,
 ) -> StabilityVerdict:
     """Classify a queue series as stable or unstable.
 
@@ -158,7 +162,7 @@ def assess_stability_windowed(
     tail_fraction: float = 0.6,
     slope_tolerance: float = 0.02,
     blowup_tolerance: float = 3.0,
-    min_frames: int = 20,
+    min_frames: int = MIN_FRAMES,
 ) -> StabilityVerdict:
     """The bounded-memory detector's semantics, on a full series.
 
@@ -210,7 +214,7 @@ def assess_stability_streaming(
     tail_fraction: float = 0.6,
     slope_tolerance: float = 0.02,
     blowup_tolerance: float = 3.0,
-    min_frames: int = 20,
+    min_frames: int = MIN_FRAMES,
 ) -> StabilityVerdict:
     """Classify a queue tracked as a
     :class:`~repro.sim.streaming.StreamingSeries`, in O(window) space.
@@ -253,6 +257,7 @@ def assess_stability_streaming(
 
 
 __all__ = [
+    "MIN_FRAMES",
     "assess_stability",
     "assess_stability_streaming",
     "assess_stability_windowed",

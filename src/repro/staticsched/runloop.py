@@ -8,7 +8,7 @@ evaluated:
 
 ``numpy``
     One :class:`FusedTask` per run, for every policy and model alike
-    (serial, batched and transform sub-runs): Bernoulli coins
+    (whole runs and transform sub-runs): Bernoulli coins
     pre-drawn in chunks from the same PCG64 stream (bit-identical to
     per-slot draws, with the generator rewound to the exact per-slot
     position at run end), window scans that retire event-free slots
@@ -269,9 +269,8 @@ class FusedPolicy:
     observes the outcome via :meth:`update` (called every slot, in
     *pre-compaction* indexing) and shrinks its arrays in
     :meth:`compact`. A policy is its scheduler's only definition: the
-    numpy backend, the scalar reference and the batched wave engine all
-    drive the same object, so their runs agree bit-for-bit by
-    construction.
+    numpy backend and the scalar reference drive the same object, so
+    their runs agree bit-for-bit by construction.
 
     The exchange format is sparse: :meth:`attempt` returns the local
     transmit mask *and* the attempter index array, and the outcome
@@ -732,9 +731,8 @@ class FusedTask:
     """One fused run of a policy: the whole slot engine.
 
     The task holds the run's setup, its one slot loop (:meth:`run`),
-    the closed-form skip (:meth:`_skip`) and :meth:`finish`.
-    :func:`run_fused` runs one task; the batched wave driver
-    interleaves many, one run per network per wave.
+    the closed-form skip (:meth:`_skip`) and :meth:`finish`;
+    :func:`run_fused` builds one and runs it.
 
     The loop has two modes and picks between them from the event
     density the task just saw (see :data:`SCAN_GAP`). *Stepping* runs
@@ -1055,11 +1053,10 @@ class FusedScheduler(StaticAlgorithm):
     """A static scheduler defined by its :class:`FusedPolicy`.
 
     Subclasses supply :meth:`fused_policy`; :meth:`run` drives a fresh
-    policy through :func:`run_fused`, and the batched fleet executor
-    builds its per-network tasks from the same factory. ``rng`` may
-    also be a :class:`ChunkedUniforms` the caller owns (the Section-3
-    transform's round buffer): the run reads from it and leaves its
-    finalization to the caller.
+    policy through :func:`run_fused`. ``rng`` may also be a
+    :class:`ChunkedUniforms` the caller owns (the Section-3 transform's
+    round buffer): the run reads from it and leaves its finalization to
+    the caller.
     """
 
     @abstractmethod

@@ -1,15 +1,16 @@
-"""The batched executor's bit-identity and fallback contracts.
+"""The serial ``BatchedExecutor`` and ``run_batched_streams``.
 
-The wave engine's promise is executor invisibility with teeth: every
-record a batched fleet produces must be *bit-identical* to the serial
-run of the same spec — same deliveries, same RNG stream consumption,
-same summary — across the scheduler x model matrix, under both metrics
-modes, for every batch shape (singletons, mixed frame counts, members
-that retire early, members with nothing to do). Units that cannot
-batch must leave the batched path *loudly* (warning, or error under
-``strict``) and still produce the serial result. And a whole campaign
-driven through ``BatchedExecutor`` must emit the exact frontier JSON
-the serial executor emits.
+``repro.scenario.batched`` keeps these two names for the benchmark's
+fleet workload (``perfbench/``): ``BatchedExecutor.map`` hands its units
+to the module global ``run_batched_streams`` in one list, which runs
+each through ``unit.run()``. Its records must equal the serial
+executor's across the scheduler x model matrix, under both metrics
+modes, for every fleet shape (singletons, mixed frame counts, idle
+members, mixed schedulers and models), and a campaign driven through it
+must emit the serial frontier JSON. Units of every kind (schedulers
+without a fused policy, the scalar backend, checkpointed units) run
+the same way, silently. ``--executor batched`` is no longer an
+executor name.
 """
 
 from __future__ import annotations
@@ -20,13 +21,13 @@ import warnings
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.scenario import ScenarioSpec, preset_spec, run_scenario_fleet
-from repro.scenario.batched import (
-    BATCHABLE_SCHEDULERS,
-    BatchedExecutor,
-    BatchFallbackWarning,
-    run_fleet_batched,
+from repro.scenario import (
+    ScenarioSpec,
+    preset_spec,
+    registry,
+    run_scenario_fleet,
 )
+from repro.scenario.batched import BatchedExecutor
 from repro.scenario.campaign import campaign_from_data, run_campaign
 from repro.scenario.fleet import FleetUnit
 from repro.sim.runner import CellResult
@@ -105,11 +106,8 @@ def records_equal(left, right) -> bool:
 def _assert_batched_matches_serial(specs):
     serial = run_scenario_fleet(specs, SerialExecutor())
     with warnings.catch_warnings():
-        # Eligible specs must batch; any fallback here is a bug.
-        warnings.simplefilter("error", BatchFallbackWarning)
-        batched = run_scenario_fleet(
-            specs, BatchedExecutor()
-        )
+        warnings.simplefilter("error")
+        batched = run_scenario_fleet(specs, BatchedExecutor())
     assert records_equal(serial.records, batched.records)
     assert serial.summary == batched.summary
     return serial, batched
@@ -131,12 +129,18 @@ def test_batched_parity_matrix(combo, metrics):
 
 
 def test_every_batchable_scheduler_is_covered():
+    """The matrix covers every registered scheduler with a fused
+    policy."""
+    fused = {
+        name for name in registry.names("scheduler")
+        if hasattr(registry.resolve("scheduler", name)(), "fused_policy")
+    }
     covered = {spec.scheduler for spec in MATRIX_SPECS.values()}
-    assert covered == set(BATCHABLE_SCHEDULERS)
+    assert covered == fused
 
 
 # ----------------------------------------------------------------------
-# Batch shapes: singletons, mixed frames, early retirement, idle peers
+# Fleet shapes: singletons, mixed frames, idle members, mixed fleets
 # ----------------------------------------------------------------------
 
 
@@ -147,8 +151,8 @@ def test_batch_of_one():
 
 
 def test_mixed_frames_batch_together():
-    """Networks that retire early must leave the survivors' private
-    RNG streams untouched."""
+    """Networks with fewer frames leave the others' private RNG streams
+    untouched."""
     base = MATRIX_SPECS["kv-linear"]
     specs = [
         base.replace(seed=seed, frames=frames)
@@ -159,7 +163,7 @@ def test_mixed_frames_batch_together():
 
 def test_idle_member_batches_with_busy_peers():
     """A network whose injection produces (next to) nothing — its
-    sub-runs are born finished — must coexist with busy group peers."""
+    sub-runs are born finished — runs beside busy peers."""
     base = MATRIX_SPECS["hm-linear"]
     specs = [
         base.replace(seed=0, rate_mode="absolute", rate=1e-6),
@@ -169,8 +173,9 @@ def test_idle_member_batches_with_busy_peers():
 
 
 def test_mixed_fleet_runs_in_one_batch(monkeypatch):
-    """Eligible units of different schedulers, models and sizes all go
-    through one wave-engine call, and parity holds across them."""
+    """Units of different schedulers, models and sizes reach the module
+    global ``run_batched_streams`` in one list, and parity holds across
+    them."""
     import repro.scenario.batched as batched_mod
 
     sizes: list = []
@@ -192,115 +197,37 @@ def test_mixed_fleet_runs_in_one_batch(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Loud fallbacks
+# Every unit kind, and the executor name
 # ----------------------------------------------------------------------
 
 
-def test_unbatchable_scheduler_warns_and_matches_serial():
-    specs = [
-        ScenarioSpec(
-            topology="mac",
-            topology_kwargs={"num_stations": 4},
-            model="mac",
-            scheduler="round-robin",
-            frames=20,
-            seed=seed,
-        )
-        for seed in (0, 1)
-    ]
-    serial = run_scenario_fleet(specs, SerialExecutor())
-    with pytest.warns(BatchFallbackWarning, match="no fused policy"):
-        batched = run_scenario_fleet(specs, BatchedExecutor())
-    assert records_equal(serial.records, batched.records)
-
-
-def test_scalar_backend_warns_and_matches_serial():
-    specs = [
-        MATRIX_SPECS["kv-linear"].replace(seed=seed, backend="scalar")
-        for seed in (0, 1)
-    ]
-    serial = run_scenario_fleet(specs, SerialExecutor())
-    with pytest.warns(BatchFallbackWarning,
-                      match="the scalar reference does not batch"):
-        batched = run_scenario_fleet(specs, BatchedExecutor())
-    assert records_equal(serial.records, batched.records)
-
-
-def test_checkpointed_unit_warns_and_matches(tmp_path):
-    spec = MATRIX_SPECS["singlehop-routing"].replace(seed=4)
-    plain = FleetUnit(spec=spec, index=0)
+def test_every_unit_kind_matches_serial(tmp_path):
+    """Schedulers without a fused policy, the scalar backend and a
+    checkpointed unit all run through ``unit.run()``, without a
+    warning."""
+    round_robin = ScenarioSpec(
+        topology="mac",
+        topology_kwargs={"num_stations": 4},
+        model="mac",
+        scheduler="round-robin",
+        frames=20,
+    )
+    _assert_batched_matches_serial([
+        round_robin.replace(seed=0),
+        MATRIX_SPECS["kv-linear"].replace(seed=1, backend="scalar"),
+    ])
+    plain = FleetUnit(spec=MATRIX_SPECS["singlehop-routing"].replace(seed=4),
+                      index=0)
     unit = plain.with_checkpoint(str(tmp_path / "unit.ckpt"))
-    with pytest.warns(BatchFallbackWarning, match="checkpointed"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         got = BatchedExecutor().map([unit])
     assert records_equal([plain.run()], got)
 
 
-def _mixed_fleet_specs():
-    """4 units, 3 ineligible for 2 distinct reasons, 1 eligible."""
-    unbatchable = ScenarioSpec(
-        topology="mac",
-        topology_kwargs={"num_stations": 4},
-        model="mac",
-        scheduler="round-robin",
-        frames=20,
-    )
-    scalar = MATRIX_SPECS["kv-linear"].replace(backend="scalar")
-    return [
-        unbatchable.replace(seed=0),
-        scalar.replace(seed=1),
-        scalar.replace(seed=2),
-        MATRIX_SPECS["kv-linear"].replace(seed=3),
-    ]
-
-
-def test_mixed_fleet_emits_one_aggregated_warning():
-    """A fleet with several distinct fallbacks warns ONCE, with every
-    reason and its count in the message — not once per unit."""
-    specs = _mixed_fleet_specs()
-    serial = run_scenario_fleet(specs, SerialExecutor())
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        batched = run_scenario_fleet(specs, BatchedExecutor())
-    fallback = [
-        w for w in caught if issubclass(w.category, BatchFallbackWarning)
-    ]
-    assert len(fallback) == 1, (
-        f"expected one aggregated warning, got {len(fallback)}"
-    )
-    message = str(fallback[0].message)
-    assert "3 of 4" in message
-    assert "no fused policy" in message and "[x1]" in message
-    assert "does not batch" in message and "[x2]" in message
-    assert records_equal(serial.records, batched.records)
-
-
-def test_mixed_fleet_strict_still_raises_per_unit():
-    """strict keeps its precise per-unit contract: the first
-    ineligible position raises immediately, reason attached."""
-    with pytest.raises(ConfigurationError,
-                       match=r"fleet unit 0 cannot batch"):
-        run_scenario_fleet(
-            _mixed_fleet_specs(), BatchedExecutor(strict=True)
-        )
-
-
-def test_strict_mode_raises_instead_of_warning():
-    spec = ScenarioSpec(
-        topology="mac",
-        topology_kwargs={"num_stations": 4},
-        model="mac",
-        scheduler="round-robin",
-        frames=20,
-    )
-    with pytest.raises(ConfigurationError, match="cannot batch"):
-        run_fleet_batched([FleetUnit(spec=spec, index=0)], strict=True)
-
-
-def test_make_executor_knows_batched():
-    executor = make_executor("batched", workers=3)
-    assert isinstance(executor, BatchedExecutor)
-    with pytest.raises(ConfigurationError):
-        make_executor("no-such-executor")
+def test_make_executor_rejects_batched():
+    with pytest.raises(ConfigurationError, match="unknown executor"):
+        make_executor("batched")
 
 
 # ----------------------------------------------------------------------
@@ -332,12 +259,11 @@ CAMPAIGN_DATA = {
 
 
 def test_campaign_frontier_bit_identical_batched():
-    """The PR 8 frontier document must be byte-for-byte identical when
-    every probe wave runs through the wave engine — with zero
-    fallbacks."""
+    """The frontier document is byte-for-byte the serial one when every
+    probe wave runs through ``BatchedExecutor``."""
     spec = campaign_from_data(CAMPAIGN_DATA)
     serial = run_campaign(spec, executor=SerialExecutor()).to_json()
     with warnings.catch_warnings():
-        warnings.simplefilter("error", BatchFallbackWarning)
+        warnings.simplefilter("error")
         batched = run_campaign(spec, executor=BatchedExecutor()).to_json()
     assert serial == batched

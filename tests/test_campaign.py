@@ -109,6 +109,14 @@ def test_duplicate_seeds_rejected():
         campaign_from_data(dict(CAMPAIGN_DATA, seeds=[0, 0]))
 
 
+def test_too_few_frames_rejected():
+    # Every probe would simulate its horizon and then fail the
+    # stability assessment, which needs 20 frames.
+    with pytest.raises(ConfigurationError, match="frames must be >= 20"):
+        campaign_from_data(dict(CAMPAIGN_DATA, frames=19))
+    assert campaign_from_data(dict(CAMPAIGN_DATA, frames=20)).frames == 20
+
+
 # ---------------------------------------------------------------------
 # Grid expansion
 # ---------------------------------------------------------------------

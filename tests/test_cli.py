@@ -5,7 +5,6 @@ from __future__ import annotations
 import importlib.util
 import multiprocessing
 import os
-import warnings
 
 import pytest
 
@@ -18,8 +17,7 @@ from repro.cli.builders import build_topology, scenario_names, topology_names
 from repro.cli.main import main
 from repro.cli.registry import EXPERIMENTS, experiment_ids
 from repro.errors import ConfigurationError
-from repro.scenario import PRESETS, preset_spec, resolve
-from repro.scenario.batched import BatchFallbackWarning
+from repro.scenario import PRESETS, ScenarioSpec, preset_spec, resolve
 
 BENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
 
@@ -231,11 +229,10 @@ class TestCommands:
             pytest.skip("process-executor CLI tests assume fork workers")
         return ["--executor", executor, "--workers", "2"]
 
-    @pytest.mark.parametrize("executor", ["process", "batched"])
+    @pytest.mark.parametrize("executor", ["process"])
     def test_sweep_process_executor_output_identical(self, executor, capsys):
         # The executor is invisible in the results: byte-identical
-        # stdout, serial vs a 2-worker process pool or the wave engine,
-        # which batches every cell (no serial fallback).
+        # stdout, serial vs a 2-worker process pool.
         argv = [
             "sweep",
             "--model", "packet-routing",
@@ -246,20 +243,16 @@ class TestCommands:
         ]
         assert main(argv) == 0
         serial = capsys.readouterr().out
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", BatchFallbackWarning)
-            assert main(argv + self._executor_args(executor)) == 0
+        assert main(argv + self._executor_args(executor)) == 0
         assert capsys.readouterr().out == serial
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("executor", ["process", "batched"])
+    @pytest.mark.parametrize("executor", ["process"])
     def test_compare_process_executor_output_identical(self, executor, capsys):
         argv = ["compare", "--nodes", "10", "--frames", "20", "--seed", "1"]
         assert main(argv) == 0
         serial = capsys.readouterr().out
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", BatchFallbackWarning)
-            assert main(argv + self._executor_args(executor)) == 0
+        assert main(argv + self._executor_args(executor)) == 0
         assert capsys.readouterr().out == serial
 
     @pytest.mark.slow
@@ -293,6 +286,46 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "seed must be a non-negative integer" in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["sweep"],
+            ["compare"],
+            ["fleet"],
+            ["campaign", "--spec", "unused.json"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_batched_executor_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--executor", "batched"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'batched'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["simulate"],
+            ["sweep", "--fractions", "0.5", "--seeds", "0"],
+            ["compare"],
+            ["fleet"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_too_few_frames_is_a_usage_error(
+        self, command, capsys, monkeypatch
+    ):
+        # Rejected before any network is built or simulated.
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a spec with too few frames")
+
+        monkeypatch.setattr(ScenarioSpec, "build", no_build)
+        assert main(command + ["--frames", "19"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "frames must be >= 20" in err
+        assert "19" in err
 
     def test_sweep_rejects_bad_fractions(self, capsys):
         code = main(

@@ -9,8 +9,8 @@ step cheaply without changing any result:
   whose ``run`` is the per-slot transcription
   (``reference_loops.run_reference``) — delivered, remaining, slots,
   history and the generator's end state — through budget cuts inside a
-  round, rounds with empty classes and the mop-up runs, serially and
-  batched; a base without a fused policy still gets the generator;
+  round, rounds with empty classes and the mop-up runs; a base without
+  a fused policy still gets the generator;
 * a decay task that borrows a round buffer certifies the leftover coins
   it starts with and every refill it triggers, and never switches to
   the exact measure for a second batch alone;
@@ -38,7 +38,6 @@ from repro.staticsched import (
 )
 import repro.staticsched.runloop as runloop
 from repro.staticsched.base import StaticAlgorithm
-from repro.staticsched.batchloop import run_batched_streams
 from repro.staticsched.runloop import (
     ChunkedUniforms,
     DecayPolicy,
@@ -147,26 +146,22 @@ def test_round_buffer_replays_the_per_slot_reference(
     full, cut_budget = _full_and_cut(base_name, model, requests, 2)
     budget = cut_budget if cut else 10**9
 
-    def outcome(base, run=_drive, calls=None):
+    def outcome(base, calls=None):
         gen = np.random.default_rng(2)
         steps = _transform(base, model).run_steps(
             model, requests, budget, gen, True)
-        if run is _drive:
-            result = _drive(steps, calls if calls is not None else [])
-        else:
-            result = run([steps])[0]
+        result = _drive(steps, calls if calls is not None else [])
         return _outcome(result, gen)
 
     calls = []
     with use_backend("numpy"):
         fused = outcome(BASES[base_name](), calls=calls)
-        batched = outcome(BASES[base_name](), run=run_batched_streams)
     with scalar_reference():
         scalar = outcome(BASES[base_name]())
     reference_calls = []
     reference = outcome(_ReferenceBase(BASES[base_name]()),
                         calls=reference_calls)
-    assert fused == batched == scalar == reference
+    assert fused == scalar == reference
 
     # Each fused sub-run read a round's buffer, never the generator;
     # the per-slot base read the generator.

@@ -78,9 +78,16 @@ def records_equal(left, right) -> bool:
 @pytest.mark.parametrize("backend", BACKENDS_UNDER_TEST)
 @pytest.mark.parametrize("combo", sorted(MATRIX_SPECS))
 def test_fleet_parity_serial_process_json(combo, backend):
-    base = MATRIX_SPECS[combo]
+    base = MATRIX_SPECS[combo].replace(backend=backend)
     specs = [
-        base.replace(seed=seed, backend=backend) for seed in (0, 1)
+        base.replace(seed=0),
+        base.replace(seed=1),
+        # Mixed frame counts: a shorter member leaves the others' RNG
+        # streams untouched.
+        base.replace(seed=2, frames=20),
+        # An idle member: its injection produces (next to) nothing, so
+        # its runs are born finished.
+        base.replace(seed=3, rate_mode="absolute", rate=1e-6),
     ]
     serial = run_scenario_fleet(specs, SerialExecutor())
     process = run_scenario_fleet(specs, ProcessExecutor(workers=2))

@@ -140,6 +140,15 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="rate"):
             GRID_SPEC.replace(rate=0.0)
 
+    def test_too_few_frames_to_assess(self):
+        # A shorter run would simulate its whole horizon, then fail the
+        # stability assessment, which needs 20 frames.
+        with pytest.raises(ConfigurationError, match="frames must be >= 20"):
+            GRID_SPEC.replace(frames=19)
+        with pytest.raises(ConfigurationError, match="frames must be >= 20"):
+            specs_from_data({**GRID_SPEC.to_dict(), "frames": 1})
+        assert GRID_SPEC.replace(frames=20).frames == 20
+
     @pytest.mark.parametrize("seed", [-1, 1.5, True, np.bool_(False), "1"])
     def test_bad_seed(self, seed):
         with pytest.raises(ConfigurationError, match="seed"):

@@ -114,7 +114,7 @@ def test_sweep_record_majority_verdict():
 
 
 def test_sweep_empty_rates_returns_empty():
-    assert sweep(rates=[], frames=10, seeds=(0,)) == []
+    assert sweep(rates=[], frames=20, seeds=(0,)) == []
 
 
 def test_sweep_accepts_generator_seeds():
