@@ -201,10 +201,14 @@ def test_mixed_fleet_runs_in_one_batch(monkeypatch):
 # ----------------------------------------------------------------------
 
 
-def test_every_unit_kind_matches_serial(tmp_path):
-    """Schedulers without a fused policy, the scalar backend and a
-    checkpointed unit all run through ``unit.run()``, without a
-    warning."""
+# These three once asserted a BatchFallbackWarning; no unit falls back
+# any more, so each now asserts parity with the serial executor and that
+# ``unit.run()`` runs it silently.
+
+
+def test_unbatchable_scheduler_warns_and_matches_serial():
+    """A scheduler without a fused policy runs through ``unit.run()``,
+    without a warning."""
     round_robin = ScenarioSpec(
         topology="mac",
         topology_kwargs={"num_stations": 4},
@@ -212,10 +216,23 @@ def test_every_unit_kind_matches_serial(tmp_path):
         scheduler="round-robin",
         frames=20,
     )
+    _assert_batched_matches_serial(
+        [round_robin.replace(seed=seed) for seed in (0, 1)]
+    )
+
+
+def test_scalar_backend_warns_and_matches_serial():
+    """A scalar-backend unit runs through ``unit.run()``, without a
+    warning."""
     _assert_batched_matches_serial([
-        round_robin.replace(seed=0),
-        MATRIX_SPECS["kv-linear"].replace(seed=1, backend="scalar"),
+        MATRIX_SPECS["kv-linear"].replace(seed=seed, backend="scalar")
+        for seed in (0, 1)
     ])
+
+
+def test_checkpointed_unit_warns_and_matches(tmp_path):
+    """A checkpointed unit runs through ``unit.run()``, without a
+    warning."""
     plain = FleetUnit(spec=MATRIX_SPECS["singlehop-routing"].replace(seed=4),
                       index=0)
     unit = plain.with_checkpoint(str(tmp_path / "unit.ckpt"))
