@@ -87,18 +87,22 @@ class CachedBatchEvaluator(BatchSuccessEvaluator):
     """Base for evaluators that slice model state to the busy set once.
 
     Subclasses gather their caches (submatrices, gain tables) over the
-    *initial* busy set and never copy them again; :attr:`_cols` maps
-    current local indices into those frozen caches, so draining links
-    costs O(survivors) instead of an O(busy^2) re-slice.
+    *initial* busy set ``_initial`` and never copy them again;
+    :attr:`_cols` maps current local indices into those frozen caches,
+    so draining links costs one O(survivors) compaction of it.
     """
 
     def __init__(self, busy: np.ndarray):
         super().__init__(busy)
+        self._initial = self._busy
         self._cols = np.arange(len(busy))
+
+    @property
+    def busy(self) -> np.ndarray:
+        return self._initial.take(self._cols)
 
     def drop(self, keep_local: np.ndarray) -> None:
         self._cols = self._cols[keep_local]
-        super().drop(keep_local)
 
 
 class SubmatrixBatchEvaluator(CachedBatchEvaluator):

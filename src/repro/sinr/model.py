@@ -41,19 +41,19 @@ class _SinrBatchEvaluator(CachedBatchEvaluator):
     slot with two or more transmitters; a run that never has one builds
     no k×k table. A lone transmitter's verdict depends on its link
     alone, so such a slot reads it from the model's per-link table
-    (:meth:`SinrModel.lone_verdicts`).
+    (:meth:`SinrModel.lone_verdicts`) over the initial busy set.
     """
 
     def __init__(self, model: "SinrModel", busy: np.ndarray):
         super().__init__(busy)
         self._model = model
-        self._initial = self._busy
         self._gains = None
         self._lone_ok = model.lone_verdicts()
+        self._lone_local = self._lone_ok.take(self._initial)
 
     def successes_local(self, att_idx: np.ndarray) -> np.ndarray:
         if att_idx.size == 1:
-            return self._lone_ok.take(self._busy.take(att_idx))
+            return self._lone_local.take(self._cols.take(att_idx))
         if self._gains is None:
             initial = self._initial
             model = self._model

@@ -59,13 +59,13 @@ class LazySlotHistory(Sequence):
     ``SlotRecord`` tuples on access (indexing, iteration, equality),
     i.e. in tests and analysis code, never in the hot loop.
 
-    A busy slot is recorded by :meth:`append_mask` in the fused loop's
-    zero-copy form: a reference to the (immutable-by-convention) busy
-    array of the slot's compaction epoch, a private copy of the local
-    attempt mask, and the slot's popped head-request array (``None``
-    when nothing succeeded). Succeeded link ids are recovered lazily as
-    ``request_links[heads]`` — heads pop in ascending busy order, so
-    the ids come out sorted exactly like the eager tuples did.
+    A busy slot is recorded by :meth:`append_attempts` in the fused
+    loop's zero-copy form: references to the (immutable-by-convention)
+    busy array of the slot's compaction epoch and the slot's local
+    attempter indices, and the slot's popped head-request array
+    (``None`` when nothing succeeded). Succeeded link ids are recovered
+    lazily as ``request_links[heads]`` — heads pop in ascending busy
+    order, so the ids come out sorted exactly like the eager tuples did.
 
     Equality compares materialised records elementwise, so histories
     recorded by different backends (or plain ``List[SlotRecord]``
@@ -78,7 +78,7 @@ class LazySlotHistory(Sequence):
 
     def __init__(self, request_links: Optional[np.ndarray] = None):
         # Per slot: entry in _attempted is None (idle slot) or a
-        # (busy_ref, mask_copy) pair; entry in _succeeded is None or an
+        # (busy_ref, att_idx) pair; entry in _succeeded is None or an
         # array of head request indices to be mapped through
         # _request_links.
         self._attempted: List = []
@@ -93,19 +93,19 @@ class LazySlotHistory(Sequence):
         self._attempted.extend(idle)
         self._succeeded.extend(idle)
 
-    def append_mask(
+    def append_attempts(
         self,
         busy: np.ndarray,
-        attempt_mask: np.ndarray,
+        att_idx: np.ndarray,
         heads: Optional[np.ndarray],
     ) -> None:
         """Record a slot from the fused loop's working arrays.
 
-        ``busy`` is kept by reference (compaction replaces, never
-        mutates, the array), ``attempt_mask`` must be a private copy,
+        ``busy`` and the ascending local attempter indices ``att_idx``
+        are kept by reference (neither is written after the slot),
         ``heads`` are the popped request indices (``None`` if none).
         """
-        self._attempted.append((busy, attempt_mask))
+        self._attempted.append((busy, att_idx))
         self._succeeded.append(heads)
 
     # -- materialisation ----------------------------------------------
@@ -114,8 +114,8 @@ class LazySlotHistory(Sequence):
         attempted = self._attempted[index]
         if attempted is None:
             return SlotRecord((), ())
-        busy, mask = attempted
-        attempted = busy[mask]
+        busy, att_idx = attempted
+        attempted = busy[att_idx]
         succeeded = self._succeeded[index]
         if succeeded is None:
             succeeded_ids: Tuple[int, ...] = ()

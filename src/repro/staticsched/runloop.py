@@ -52,6 +52,7 @@ against literal per-link transcriptions of every policy, and
 from __future__ import annotations
 
 from abc import abstractmethod
+from bisect import bisect_left
 from contextlib import contextmanager
 from typing import List, Optional, Sequence, Tuple
 
@@ -215,20 +216,22 @@ class ChunkedUniforms:
         returns the new buffer; callers that consume straight off the
         buffer (the inlined slot loop) must keep
         :attr:`_cursor`/:attr:`_consumed` in sync so :meth:`finalize`
-        can rewind exactly.
+        can rewind exactly. A tail of ``k`` or more (an early splice)
+        may outlive the buffer's use, so it keeps the older snapshot.
         """
         if slots is None:
             slots = self._chunk_slots
         leftover = self._buf[self._cursor:]
-        # Snapshot *before* drawing: everything taken after this
-        # point can be replayed from here by finalize().
-        self._state = self._gen.bit_generator.state
+        if leftover.size < k:
+            # Snapshot *before* drawing: the next slot consumes past
+            # the leftover, and finalize() replays from here.
+            self._state = self._gen.bit_generator.state
+            self._consumed = -int(leftover.size)
         fresh = self._gen.random(max(slots * k, k - leftover.size))
         if leftover.size:
             self._buf = np.concatenate([leftover, fresh])
         else:
             self._buf = fresh
-        self._consumed = -int(leftover.size)
         self._cursor = 0
         return self._buf
 
@@ -245,8 +248,8 @@ class ChunkedUniforms:
     def finalize(self) -> None:
         """Rewind overdraw so the generator matches per-slot draws."""
         if self._state is not None and self._cursor < self._buf.size:
-            # A refill is only ever triggered by a take that then
-            # consumes past the leftover, so _consumed > 0 here.
+            # A snapshot is only taken for a slot that then consumes
+            # past the leftover, so _consumed > 0 here.
             self._gen.bit_generator.state = self._state
             if self._consumed > 0:
                 self._gen.random(self._consumed)
@@ -276,10 +279,17 @@ class FusedPolicy:
     transmit mask *and* the attempter index array, and the outcome
     comes back as ``ok`` — a boolean verdict per attempter — so
     adaptive updates touch O(attempters), not O(busy), elements.
+    A scanned event slot takes its attempters from the scan instead,
+    so :meth:`attempt` changes no state but its caches.
     """
 
     #: Whether the policy consumes one uniform per busy link per slot.
     uses_rng: bool = True
+    #: The coin thresholds by local link, or one float all links share
+    #: for the run; None when stale (``attempt`` calls ``_refresh``).
+    thresholds = None
+    #: A float no threshold exceeds for the rest of the run, or None.
+    ceiling = None
 
     def bind(self, model, requests, busy, depths, exact=True) -> None:
         """Allocate per-run state for the initial busy set.
@@ -292,8 +302,13 @@ class FusedPolicy:
 
     def attempt(self, u: Optional[np.ndarray], depths: np.ndarray):
         """Return ``(mask, att_idx)``: the local transmit mask (possibly
-        a reusable buffer) and the attempters' local indices."""
-        raise NotImplementedError
+        a reusable buffer) and the attempters' local indices: by default
+        the links whose coins fall below their thresholds."""
+        lp = self.thresholds
+        if lp is None:
+            lp = self.thresholds = self._refresh(depths)
+        mask = u < lp
+        return mask, mask.nonzero()[0]
 
     def update(self, att_idx: np.ndarray, ok: np.ndarray) -> None:
         """Apply the post-slot recurrence (pre-compaction indexing)."""
@@ -328,23 +343,19 @@ class KvPolicy(FusedPolicy):
 
     def bind(self, model, requests, busy, depths, exact=True) -> None:
         k = busy.size
-        self.probability = np.full(k, self.p0)
+        self.thresholds = self.probability = np.full(k, self.p0)
         self.last_reset = np.full(k, -1, dtype=np.int64)
         self.slot = 0
-
-    def attempt(self, u, depths):
-        mask = u < self.probability
-        att_idx = mask.nonzero()[0]
-        if att_idx.size:
-            self.last_reset[att_idx] = self.slot
-        return mask, att_idx
 
     def update(self, att_idx, ok):
         # The per-link rule on the attempter subset only: successes
         # reset to p0, failures back off with the p_min clamp — the
         # values match full-array masked updates element for element.
         p = self.probability
+        last_reset = self.last_reset
+        slot = self.slot
         if att_idx.size:
+            last_reset[att_idx] = slot
             backed = np.maximum(
                 p.take(att_idx) * self.backoff, self.p_min
             )
@@ -352,8 +363,6 @@ class KvPolicy(FusedPolicy):
             p[att_idx] = backed
         # This slot's attempters were stamped with it, so no recovered
         # link attempted and its probability is untouched above.
-        last_reset = self.last_reset
-        slot = self.slot
         rec_idx = (last_reset == slot - self.recovery_slots).nonzero()[0]
         if rec_idx.size:
             doubled = p.take(rec_idx) * 2.0
@@ -363,7 +372,7 @@ class KvPolicy(FusedPolicy):
         self.slot = slot + 1
 
     def compact(self, keep):
-        self.probability = self.probability[keep]
+        self.thresholds = self.probability = self.probability[keep]
         self.last_reset = self.last_reset[keep]
 
 
@@ -371,9 +380,13 @@ class DecayPolicy(FusedPolicy):
     """Non-adaptive ``1/(cI)`` transmission (paper Theorem 19).
 
     The measure ``I = max(W @ v)`` reaches a run only through the coin
-    tests ``u < lp``, ``lp = 1 - (1 - 1/(cI))**depth``. An inexact bind
-    (``exact=False``) therefore estimates it from the requested columns
-    alone, ``max(depths @ Wᵀ[busy])`` over the model's contiguous
+    tests ``u < lp``, ``lp(d) = 1 - (1 - 1/(cI))**d`` at depth ``d``,
+    read by ``take`` from a ``ladder`` of ``lp(0..max depth)`` built
+    per bind with the per-slot ufuncs on the same inputs (so the same
+    bits). Depths only fall: ``lp(max depth)`` is the run's
+    :attr:`ceiling`, and with every depth 1 all links share it. An
+    inexact bind (``exact=False``) estimates ``I`` from the requested
+    columns alone, ``max(depths @ Wᵀ[busy])`` over the model's contiguous
     :meth:`~repro.interference.base.InterferenceModel.weight_columns`,
     instead of a full mat-vec, and stays *uncertified* until
     :meth:`guard` has cleared the run's coins or rebound it exactly.
@@ -414,12 +427,10 @@ class DecayPolicy(FusedPolicy):
             rows = model.weight_columns().take(busy, axis=0)
             measure = float(np.dot(depths.astype(float), rows).max())
             self._pending_exact = (model, requests)
+        # Depths only fall; all are 1 when no two requests share a link.
+        self.shared = busy.size == len(requests)
+        self._top = 1 if self.shared else int(depths.max())
         self._set_measure(measure)
-        k = busy.size
-        self._lp = np.empty(k)
-        self._att = np.empty(k, dtype=bool)
-        self._size = k
-        self._dirty = True
 
     def _set_measure(self, measure: float) -> None:
         self.measure = measure
@@ -428,6 +439,10 @@ class DecayPolicy(FusedPolicy):
             1.0, 1.0 / (self.probability_scale * measure)
         )
         self.complement = 1.0 - self.probability
+        ladder = np.power(self.complement, np.arange(self._top + 1))
+        self.ladder = np.subtract(1.0, ladder, out=ladder)
+        self.thresholds = float(ladder[1]) if self.shared else None
+        self.ceiling = float(ladder.max())
 
     @property
     def certified(self) -> bool:
@@ -458,15 +473,15 @@ class DecayPolicy(FusedPolicy):
         """
         if self.borrowed or not self._cleared:
             self._cleared = True
-            top = int(depths.max())
+            top = 1 if self.shared else int(depths.max())
             if top == 1:
                 # One threshold, ``lp(1)``: its closed band, directly.
-                lp = 1.0 - self.complement
+                lp = self.ladder[1]
                 clear = not np.count_nonzero(
                     (coins >= lp - GUARD_BAND) & (coins <= lp + GUARD_BAND)
                 )
             else:
-                lp = 1.0 - self.complement ** np.arange(1, top + 1)
+                lp = self.ladder[1:top + 1]
                 # The bands holding a coin are those opening at or below
                 # it less those closing below it (``lp`` is
                 # non-decreasing).
@@ -479,28 +494,19 @@ class DecayPolicy(FusedPolicy):
         model, requests = self._pending_exact
         self._pending_exact = None
         self._set_measure(model.interference_measure(list(requests)))
-        self._dirty = True
         return True
 
-    def attempt(self, u, depths):
-        k = self._size
-        lp = self._lp[:k]
-        if self._dirty:
-            # `1 - complement**depths`, recomputed only when depths
-            # changed — identical inputs hence identical bits.
-            np.power(self.complement, depths, out=lp)
-            np.subtract(1.0, lp, out=lp)
-            self._dirty = False
-        mask = np.less(u, lp, out=self._att[:k])
-        return mask, mask.nonzero()[0]
+    def _refresh(self, depths):
+        return self.ladder.take(depths)
 
     def update(self, att_idx, ok):
-        if np.count_nonzero(ok):
-            self._dirty = True
+        # A success lowers a depth (draining the link when shared).
+        if not self.shared and ok.size and ok.any():
+            self.thresholds = None
 
     def compact(self, keep):
-        self._size = int(np.count_nonzero(keep))
-        self._dirty = True
+        if not self.shared:
+            self.thresholds = None
 
 
 class FkvPolicy(FusedPolicy):
@@ -519,11 +525,6 @@ class FkvPolicy(FusedPolicy):
         self._measure = max(model.interference_measure(requests), 1.0)
         self.phase = -1
         self.phase_left = 0
-        k = busy.size
-        self._lp = np.empty(k)
-        self._att = np.empty(k, dtype=bool)
-        self._size = k
-        self._dirty = True
 
     def _advance_phase(self) -> None:
         import math
@@ -542,28 +543,23 @@ class FkvPolicy(FusedPolicy):
                 * max(phase_measure, self._log_n)
             ),
         )
-        self._dirty = True
+        self.thresholds = None
+
+    def _refresh(self, depths):
+        return np.subtract(1.0, np.power(self.complement, depths))
 
     def attempt(self, u, depths):
         if self.phase_left == 0:
             self._advance_phase()
-        self.phase_left -= 1
-        k = self._size
-        lp = self._lp[:k]
-        if self._dirty:
-            np.power(self.complement, depths, out=lp)
-            np.subtract(1.0, lp, out=lp)
-            self._dirty = False
-        mask = np.less(u, lp, out=self._att[:k])
-        return mask, mask.nonzero()[0]
+        return super().attempt(u, depths)
 
     def update(self, att_idx, ok):
-        if np.count_nonzero(ok):
-            self._dirty = True
+        self.phase_left -= 1
+        if ok.size and ok.any():
+            self.thresholds = None
 
     def compact(self, keep):
-        self._size = int(np.count_nonzero(keep))
-        self._dirty = True
+        self.thresholds = None
 
 
 class HmPolicy(FusedPolicy):
@@ -576,7 +572,9 @@ class HmPolicy(FusedPolicy):
     ``sub[kept, gone]`` — the same values, in the same order, as
     re-slicing a shrunken submatrix step by step, so the row sums are
     bit-identical — and costs O(survivors × drained), not a copy of
-    the whole submatrix.
+    the whole submatrix. Contention only falls, so when none exceeds 1
+    at bind (as on packet routing's identity ``W``) every link attempts
+    with ``min(1, chi)`` for the whole run, the :attr:`ceiling`.
     """
 
     def __init__(self, chi: float):
@@ -586,19 +584,16 @@ class HmPolicy(FusedPolicy):
         self._sub = model.weight_matrix()[np.ix_(busy, busy)]
         self._cols = np.arange(busy.size)
         self.contention = self._sub.sum(axis=1)
-        self._att = np.empty(busy.size, dtype=bool)
-        self._p = None
+        shared = busy.size and self.contention.max() <= 1.0
+        self.thresholds = float(min(1.0, self.chi)) if shared else None
+        self.ceiling = self.thresholds
 
-    def attempt(self, u, depths):
-        if self._p is None:
-            # Cached: contention only changes on compaction.
-            self._p = np.minimum(
-                1.0, self.chi / np.maximum(self.contention, 1.0)
-            )
-        mask = np.less(u, self._p, out=self._att[:self._p.size])
-        return mask, mask.nonzero()[0]
+    def _refresh(self, depths):
+        return np.minimum(1.0, self.chi / np.maximum(self.contention, 1.0))
 
     def compact(self, keep):
+        if self.ceiling is not None:
+            return  # Shared: no threshold moves; contention is as bound.
         cols = self._cols
         kept = cols[keep]
         self.contention = (
@@ -606,7 +601,7 @@ class HmPolicy(FusedPolicy):
             - self._sub[kept[:, None], cols[~keep]].sum(axis=1)
         )
         self._cols = kept
-        self._p = None
+        self.thresholds = None
 
 
 class SingleHopPolicy(FusedPolicy):
@@ -666,10 +661,11 @@ _NO_OK = np.empty(0, dtype=bool)
 def _scan_state(policy: FusedPolicy, depths: np.ndarray):
     """``(thresholds, horizon, changed)`` for scanning at frozen state.
 
-    ``thresholds`` is the per-link transmission threshold array the
-    next ``horizon`` slots would all use, and ``changed`` reports
-    whether this call moved them (a scanning task re-tiles its limits
-    then, and after every stepped slot). Horizons guarantee that
+    ``thresholds`` is the policy's :attr:`~FusedPolicy.thresholds`
+    (per link, or one float when shared) the next ``horizon`` slots
+    would all use, and ``changed`` reports whether this call moved them
+    (a scanning task re-tiles its limits then, and after every slot it
+    runs through the slot body). Horizons guarantee that
     *skipped* (attempt-free) slots inside the window are complete
     no-ops for the policy beyond the closed-form bookkeeping in
     :meth:`FusedTask._skip`:
@@ -687,40 +683,26 @@ def _scan_state(policy: FusedPolicy, depths: np.ndarray):
       contention, which only change on successful deliveries — and a
       skipped slot has no attempts at all. Unlimited horizon.
 
-    Threshold refreshes write through the policy's own caches with the
-    policy's own ufunc sequence (and clear its dirty flags), so the
-    event slot's real ``attempt`` reuses bit-identical values exactly
-    like a stepped slot following a cached refresh.
+    A refresh is the policy's own :meth:`~FusedPolicy._refresh`, cached
+    in its ``thresholds``, so a later ``attempt`` reuses bit-identical
+    values exactly like a stepped slot following a cached refresh.
     """
     kind = type(policy)
+    horizon = _UNLIMITED
     if kind is KvPolicy:
-        # Only stepped slots move KV's probabilities.
         horizon = (
             policy.recovery_slots - policy.slot
             + int(policy.last_reset.min())
         )
-        return policy.probability, horizon, False
-    if kind is HmPolicy:
-        changed = policy._p is None
-        if changed:
-            policy._p = np.minimum(
-                1.0, policy.chi / np.maximum(policy.contention, 1.0)
-            )
-        return policy._p, _UNLIMITED, changed
-    horizon = _UNLIMITED
-    changed = False
-    if kind is FkvPolicy:
-        changed = policy.phase_left == 0
-        if changed:
+    elif kind is FkvPolicy:
+        if policy.phase_left == 0:
             policy._advance_phase()
         horizon = policy.phase_left
-    lp = policy._lp[:policy._size]
-    if policy._dirty:
-        changed = True
-        np.power(policy.complement, depths, out=lp)
-        np.subtract(1.0, lp, out=lp)
-        policy._dirty = False
-    return lp, horizon, changed
+    thresholds = policy.thresholds
+    if thresholds is not None:
+        return thresholds, horizon, False
+    policy.thresholds = thresholds = policy._refresh(depths)
+    return thresholds, horizon, True
 
 
 #: The policies :func:`_scan_state` can freeze; other policies step.
@@ -742,25 +724,31 @@ class FusedTask:
     event-free slots before the first hit in closed form (their coins
     are consumed, their attempt sets are empty by construction, and
     the policy bookkeeping they would have done is applied by
-    :meth:`_skip`) and runs the event slot through the slot body. Both
-    modes consume the same coins and make the same decisions, so the
-    mode never changes a result: every :class:`RunResult` — delivered
-    order, remaining order, slots used, history — and the generator's
-    end state equal the per-slot loop's. The scalar reference
-    (``scalar``) and coin-free policies only ever step.
+    :meth:`_skip`) and runs the event slot, its attempters the hits in
+    its row, through the slot body. A policy with a
+    :attr:`~FusedPolicy.ceiling` is scanned against it, and the hits
+    are kept until the scanned coins run out: later event slots come
+    from them at the busy set's current width (if all links share the
+    ceiling, the task only scans). Both modes consume the same coins
+    and make the same decisions, so the mode never changes a result:
+    every :class:`RunResult` — delivered order, remaining order, slots
+    used, history — and the generator's end state equal the per-slot
+    loop's. The scalar reference (``scalar``) and coin-free policies
+    only ever step.
 
     Built on a generator, a task draws into a :class:`ChunkedUniforms`
     of its own and finalizes it in :meth:`finish`. Built on a
     ``ChunkedUniforms`` (a transform round's), it borrows it: its
     coins start at the buffer's cursor, the leftover there is guarded
-    like a refill, and :meth:`finish` leaves the cursor for the next
-    borrower and the rewind to the buffer's owner.
+    like a refill (and spliced with one if short of a scan window), and
+    :meth:`finish` leaves the cursor for the next borrower and the
+    rewind to the buffer's owner.
     """
 
     __slots__ = (
-        "policy", "budget", "order", "busy", "depths", "head_ptr",
-        "pending", "evaluator", "chunk", "borrowed", "ubuf", "ucursor",
-        "history", "delivered_parts", "slots", "scannable",
+        "policy", "budget", "order", "links", "busy", "depths",
+        "head_ptr", "pending", "evaluator", "chunk", "borrowed", "ubuf",
+        "ucursor", "history", "delivered_parts", "slots", "scannable",
     )
 
     def __init__(self, policy: FusedPolicy, model: InterferenceModel,
@@ -771,17 +759,16 @@ class FusedTask:
             raise SchedulingError(f"budget must be >= 0, got {budget}")
         self.policy = policy
         self.budget = budget
-        # Queues over the busy links only: a link's remaining requests
-        # are order[head_ptr : head_ptr + depth].
-        self.order, self.busy, self.head_ptr, ends = busy_csr(
-            requests, model.num_links
-        )
-        self.depths = ends - self.head_ptr
+        # Queues over the busy links only (rows of `links`, compacted
+        # together): a link's requests are order[head_ptr:][:depth].
+        self.order, busy, starts, ends = busy_csr(requests, model.num_links)
+        self.links = np.array((busy, ends - starts, starts))
+        self.busy, self.depths, self.head_ptr = self.links
         self.pending = self.order.size
-        policy.bind(model, requests, self.busy, self.depths, exact=scalar)
+        policy.bind(model, requests, busy, self.depths, exact=scalar)
         self.evaluator = (
-            ScalarBatchEvaluator(model, self.busy) if scalar
-            else model.batch_evaluator(self.busy)
+            ScalarBatchEvaluator(model, busy) if scalar
+            else model.batch_evaluator(busy)
         )
         # A ChunkedUniforms is borrowed: read from its cursor, left
         # for its owner to finalize. A generator gets a buffer of its own.
@@ -806,26 +793,29 @@ class FusedTask:
 
         The engine's one loop. Each pass either *scans* — compares a
         window of upcoming coins against the policy's frozen
-        thresholds, retires the event-free slots before the first hit
-        with :meth:`_skip`, and falls through to the event slot — or
-        *steps* one slot. The slot body below is the only one: a slot
-        costs a chunk-buffer view and one comparison for the coins,
-        the evaluator on the attempters, and attempter-subset
-        gathers/scatters for the CSR head pops, depth bookkeeping and
-        the policy recurrence (with one attempter, the pop and the
-        depth are Python-int reads and writes instead). Every :data:`DENSITY_SPAN` slots the
-        task rechooses its mode from the event density it saw. The
-        task's state is bound to locals for the loop and written back
-        after it.
+        thresholds, or reads on in a ceiling scan's kept hits, retires
+        the event-free slots before the first hit in closed form, and
+        falls through to the event slot — or *steps* one slot. The
+        slot body below is the only one: a slot costs its attempters
+        (when stepped, a chunk-buffer view and one comparison), the
+        evaluator on them, and attempter-subset gathers/scatters for
+        the CSR head pops, depth bookkeeping and the policy recurrence
+        (with one attempter, the pop and the depth are Python-int reads
+        and writes instead). Every :data:`DENSITY_SPAN` slots the task
+        rechooses its mode from the event density it saw. The task's
+        state is bound to locals for the loop and written back after
+        it.
         """
         policy = self.policy
         attempt_fn = policy.attempt
         update_fn = policy.update
-        evaluator = self.evaluator
-        evaluate = evaluator.successes_local
+        compact = policy.compact
+        evaluate = self.evaluator.successes_local
+        drop = self.evaluator.drop
         chunk = self.chunk
         ubuf = self.ubuf
         ucursor = self.ucursor
+        links = self.links
         busy = self.busy
         depths = self.depths
         head_ptr = self.head_ptr
@@ -836,6 +826,12 @@ class FusedTask:
         budget = self.budget
         slots = self.slots
         scannable = self.scannable
+        ceiled = scannable and policy.ceiling is not None
+        # A run starts stepping, unless its links share the ceiling;
+        # `seen` slots held `events` event slots since the last choice.
+        shared = ceiled and type(policy.thresholds) is float
+        scanning = shared
+        seen = events = 0
         # An uncertified decay estimate is certified at coin refills,
         # and a borrowed buffer's leftover coins before the first slot
         # (unless too few for it: its refill then carries them).
@@ -847,81 +843,139 @@ class FusedTask:
                 and policy.guard(ubuf[ucursor:], depths)
             ):
                 guarded = False
-        # A run starts stepping; `seen` slots held `events` event slots
-        # since the mode was last chosen.
-        scanning = False
-        seen = events = 0
         # Tiled thresholds (`tiled` coins' worth are current) and the
         # scan's output buffer.
         tiled = 0
         limits = hits_buf = None
+        # A scan's hits of the ceiling, as positions in the buffer, `hit`
+        # the next unread, found in the coins before `scanned`.
+        hits = []
+        hit = scanned = 0
+        local = np.arange(busy.size)
         while slots < budget and pending:
             k = busy.size
+            att_idx = None
             if scanning:
-                thresholds, horizon, changed = _scan_state(policy, depths)
-                # Tiled rows serve every later scan at these thresholds:
-                # the remaining budget and the horizon only shrink.
-                rows = min(budget - slots, horizon, WINDOW)
-                if rows >= 1:
-                    if ucursor + k > ubuf.size:
-                        # The stepping refill trigger: the first
-                        # consumption after a refill (one slot at
-                        # least) exceeds the leftover, which keeps
-                        # finalize()'s rewind exact.
-                        chunk._cursor = ucursor
-                        ubuf = chunk.refill(k, min(WINDOW, budget - slots))
-                        ucursor = 0
-                        if guarded and policy.guard(ubuf, depths):
-                            # The exact measure moved the thresholds:
-                            # re-fetch them (the coins are in place).
-                            guarded = False
-                            continue
-                    w = min(rows, (ubuf.size - ucursor) // k)
-                    n = w * k
-                    if changed or tiled < n:
-                        size = rows * k
-                        if limits is None or limits.size < size:
-                            limits = np.empty(size)
-                            hits_buf = np.empty(size, dtype=bool)
-                        limits[:size].reshape(rows, k)[:] = thresholds
-                        tiled = size
-                    hits = np.less(
-                        ubuf[ucursor:ucursor + n], limits[:n],
-                        out=hits_buf[:n],
+                kept = ceiled and ucursor + k <= scanned
+                if kept:
+                    # A ceiling moves only when the guard rebinds, at
+                    # a refill, which drops the kept hits.
+                    rows = budget - slots
+                else:
+                    thresholds, horizon, changed = _scan_state(
+                        policy, depths
                     )
-                    first = int(hits.argmax())
-                    skip = first // k if hits[first] else w
-                    if skip:
+                    # Tiled rows serve every later scan at these
+                    # thresholds: the budget and horizon only shrink.
+                    rows = min(budget - slots, horizon, WINDOW)
+                if rows >= 1:
+                    if not kept:
+                        if ucursor + k > ubuf.size or (
+                            self.borrowed and ucursor + rows * k > ubuf.size
+                        ):
+                            # The stepping refill trigger (the first
+                            # consumption after a refill, one slot at
+                            # least, exceeds the leftover), or a
+                            # borrowed leftover short of the window.
+                            chunk._cursor = ucursor
+                            ubuf = chunk.refill(
+                                k, min(WINDOW, budget - slots)
+                            )
+                            ucursor = scanned = 0
+                            if guarded and policy.guard(ubuf, depths):
+                                # The exact measure moved the thresholds:
+                                # re-fetch them (the coins are in place).
+                                guarded = False
+                                continue
+                        w = min(rows, (ubuf.size - ucursor) // k)
+                        n = w * k
+                        if ceiled:
+                            scanned = ucursor + n
+                            lit = ubuf[ucursor:scanned] < policy.ceiling
+                            hits = (lit.nonzero()[0] + ucursor).tolist()
+                            hit = 0
+                        else:
+                            if changed or tiled < n:
+                                size = rows * k
+                                if limits is None or limits.size < size:
+                                    limits = np.empty(size)
+                                    hits_buf = np.empty(size, dtype=bool)
+                                limits[:size].reshape(rows, k)[:] = (
+                                    thresholds
+                                )
+                                tiled = size
+                            lit = np.less(
+                                ubuf[ucursor:ucursor + n], limits[:n],
+                                out=hits_buf[:n],
+                            )
+                            first = int(lit.argmax())
+                            skip = w
+                            if lit[first]:
+                                skip = first // k
+                                att_idx = lit[skip * k:skip * k + k]
+                                att_idx = att_idx.nonzero()[0]
+                    if ceiled:
+                        # The kept hits by slot of the current width: the
+                        # event is the first slot with hits under their
+                        # links' own thresholds. Skips keep no state.
+                        skip = min(rows, (scanned - ucursor) // k)
+                        end = ucursor + skip * k
+                        while hit < len(hits) and hits[hit] < end:
+                            row = (hits[hit] - ucursor) // k
+                            at = ucursor + row * k
+                            j = bisect_left(hits, at + k, hit + 1)
+                            cols = [h - at for h in hits[hit:j]]
+                            hit = j
+                            if not shared:
+                                lp = _scan_state(policy, depths)[0]
+                                cols = [c for c in cols
+                                        if ubuf[at + c] < lp[c]]
+                            if cols:
+                                skip = row
+                                att_idx = (
+                                    local[cols[0]:cols[0] + 1]
+                                    if len(cols) == 1 else np.array(cols)
+                                )
+                                break
+                        if skip and history is not None:
+                            history.append_empty(skip)
+                    elif skip:
+                        self._skip(skip)
+                    slots += skip
+                    seen += skip
+                    if att_idx is None:
                         ucursor += skip * k
                         chunk._consumed += skip * k
-                        self._skip(skip)
-                        slots += skip
-                        seen += skip
-                    if skip == w:
                         if seen >= DENSITY_SPAN:
-                            scanning = events * SCAN_GAP <= seen
+                            scanning = shared or events * SCAN_GAP <= seen
                             seen = events = 0
                         continue
-                    # The event slot (its coins are the scanned ones)
-                    # runs through the slot body below.
-            # A stepped slot may move the thresholds.
+                    # The event slot's coins are the scanned ones.
+                    ucursor += (skip + 1) * k
+                    chunk._consumed += (skip + 1) * k
+            # The slot may move the thresholds.
             tiled = 0
-            if chunk is not None:
-                nxt = ucursor + k
-                if nxt > ubuf.size:
-                    chunk._cursor = ucursor
-                    ubuf = chunk.refill(k, min(STEP_CHUNK, budget - slots))
-                    ucursor = 0
-                    nxt = k
-                    if guarded and policy.guard(ubuf, depths):
-                        # attempt() re-derives the thresholds.
-                        guarded = False
-                u = ubuf[ucursor:nxt]
-                ucursor = nxt
-                chunk._consumed += k
-                attempt, att_idx = attempt_fn(u, depths)
-            else:
-                attempt, att_idx = attempt_fn(None, depths)
+            if att_idx is None:
+                # A stepped slot reads coins past the kept hits.
+                scanned = 0
+                if chunk is not None:
+                    nxt = ucursor + k
+                    if nxt > ubuf.size:
+                        chunk._cursor = ucursor
+                        ubuf = chunk.refill(
+                            k, min(STEP_CHUNK, budget - slots)
+                        )
+                        ucursor = 0
+                        nxt = k
+                        if guarded and policy.guard(ubuf, depths):
+                            # attempt() re-derives the thresholds.
+                            guarded = False
+                    u = ubuf[ucursor:nxt]
+                    ucursor = nxt
+                    chunk._consumed += k
+                    att_idx = attempt_fn(u, depths)[1]
+                else:
+                    att_idx = attempt_fn(None, depths)[1]
             heads = None
             keep = None
             n_att = att_idx.size
@@ -941,7 +995,7 @@ class FusedTask:
                         depths[i] = left
                         pending -= 1
                         if not left:
-                            keep = depths > 0
+                            keep = depths.astype(bool)
                 elif np.count_nonzero(ok):
                     s_idx = att_idx[ok]
                     hp = head_ptr.take(s_idx)
@@ -952,27 +1006,29 @@ class FusedTask:
                     depths[s_idx] = served
                     pending -= heads.size
                     if np.count_nonzero(served) < served.size:
-                        keep = depths > 0
+                        keep = depths.astype(bool)
                 if history is not None:
-                    history.append_mask(busy, attempt.copy(), heads)
+                    history.append_attempts(busy, att_idx, heads)
             else:
                 ok = _NO_OK
                 if history is not None:
                     history.append_empty()
             update_fn(att_idx, ok)
             if keep is not None:
-                busy = busy[keep]
-                depths = depths[keep]
-                head_ptr = head_ptr[keep]
-                evaluator.drop(keep)
-                policy.compact(keep)
+                links = links.compress(keep, axis=1)
+                busy, depths, head_ptr = links[0], links[1], links[2]
+                drop(keep)
+                compact(keep)
             slots += 1
             seen += 1
             if seen >= DENSITY_SPAN:
-                scanning = scannable and events * SCAN_GAP <= seen
+                scanning = shared or (
+                    scannable and events * SCAN_GAP <= seen
+                )
                 seen = events = 0
         self.ubuf = ubuf
         self.ucursor = ucursor
+        self.links = links
         self.busy = busy
         self.depths = depths
         self.head_ptr = head_ptr

@@ -701,20 +701,21 @@ def test_sparse_fleet_steps_at_most_5_percent_of_slots(monkeypatch):
     ``chi = 0.002`` (long, almost event-free frame runs), run serially:
     the scans clear at least 95% of the slots every task simulates.
 
-    ``FusedTask._skip`` counts the slots a scan clears and
+    ``HmPolicy.update``, called once for every slot a task runs through
+    its slot body, counts the slots no scan cleared, and
     ``FusedTask.finish`` the slots each run took."""
-    counts = {"slots": 0, "skipped": 0}
-    skip, finish = FusedTask._skip, FusedTask.finish
+    counts = {"slots": 0, "stepped": 0}
+    update, finish = HmPolicy.update, FusedTask.finish
 
-    def counted_skip(task, s):
-        counts["skipped"] += s
-        return skip(task, s)
+    def counted_update(policy, att_idx, ok):
+        counts["stepped"] += 1
+        return update(policy, att_idx, ok)
 
     def counted_finish(task):
         counts["slots"] += task.slots
         return finish(task)
 
-    monkeypatch.setattr(FusedTask, "_skip", counted_skip)
+    monkeypatch.setattr(HmPolicy, "update", counted_update)
     monkeypatch.setattr(FusedTask, "finish", counted_finish)
     specs = [
         preset_spec(
@@ -725,9 +726,8 @@ def test_sparse_fleet_steps_at_most_5_percent_of_slots(monkeypatch):
         for seed in range(4)
     ]
     run_scenario_fleet(specs, SerialExecutor())
-    stepped = counts["slots"] - counts["skipped"]
-    assert counts["skipped"] > 0
-    assert stepped / counts["slots"] <= STEPPED_FRACTION_CEILING
+    assert 0 < counts["stepped"] < counts["slots"]
+    assert counts["stepped"] / counts["slots"] <= STEPPED_FRACTION_CEILING
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
