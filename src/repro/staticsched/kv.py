@@ -37,7 +37,7 @@ class KvScheduler(FusedScheduler):
     initial_probability:
         Starting per-request transmission probability (default 1/8).
     min_probability:
-        Back-off floor.
+        Back-off floor, at most ``initial_probability``.
     backoff:
         Multiplier applied after a failed attempt (default 1/2).
     recovery_slots:
@@ -76,6 +76,11 @@ class KvScheduler(FusedScheduler):
             )
         self._p0 = initial_probability
         self._p_min = check_positive("min_probability", min_probability)
+        if self._p_min > initial_probability:
+            raise SchedulingError(
+                f"min_probability ({min_probability}) must not exceed "
+                f"initial_probability ({initial_probability})"
+            )
         self._backoff = backoff
         self._recovery_slots = int(recovery_slots)
         self._budget_scale = check_positive("budget_scale", budget_scale)

@@ -217,7 +217,11 @@ class MacBackoffScheduler(StaticAlgorithm):
         # Stage 2: memoryless polling at probability 1/s. Only the
         # *count* of transmitters matters for the channel outcome, so a
         # binomial draw replaces per-packet coins (identical law); the
-        # winner of a singleton slot is uniform among the pending.
+        # winner of a singleton slot is uniform among the pending. A
+        # collision's transmitters matter only to the history, so they
+        # come from a child generator: ``gen``'s stream, and with it
+        # the run, is the same with history on or off.
+        sampler = None
         s = max(self._stage2_population(n), 1.0)
         probability = min(1.0, 1.0 / s)
         stage2_budget = self._stage2_slots(n)
@@ -239,7 +243,9 @@ class MacBackoffScheduler(StaticAlgorithm):
                 if transmitter_count == 0:
                     history.append(SlotRecord((), ()))
                 else:
-                    sample = gen.choice(
+                    if sampler is None:
+                        sampler = gen.spawn(1)[0]
+                    sample = sampler.choice(
                         len(pending), size=transmitter_count, replace=False
                     )
                     links = tuple(

@@ -11,10 +11,12 @@ evaluated:
     (whole runs and transform sub-runs): Bernoulli coins
     pre-drawn in chunks from the same PCG64 stream (bit-identical to
     per-slot draws, with the generator rewound to the exact per-slot
-    position at run end), window scans that retire event-free slots
-    in closed form, sparse attempter-set bookkeeping (full-length work
-    only where the busy set genuinely changes), head pops straight off
-    CSR queue arrays built over the busy links only
+    position at run end), one kind of window scan — coins against the
+    policy's :attr:`~FusedPolicy.ceiling`, a bound on every threshold,
+    with the hits kept until the ceiling is cleared — that retires
+    event-free slots in closed form, sparse attempter-set bookkeeping
+    (full-length work only where the busy set genuinely changes), head
+    pops straight off CSR queue arrays built over the busy links only
     (:func:`~repro.staticsched.base.busy_csr`, so a run's set-up
     scales with its requests, not with ``num_links``) and lazy
     array-backed history. Each slot's successes come from the model's
@@ -275,12 +277,18 @@ class FusedPolicy:
     numpy backend and the scalar reference drive the same object, so
     their runs agree bit-for-bit by construction.
 
-    The exchange format is sparse: :meth:`attempt` returns the local
-    transmit mask *and* the attempter index array, and the outcome
-    comes back as ``ok`` — a boolean verdict per attempter — so
-    adaptive updates touch O(attempters), not O(busy), elements.
-    A scanned event slot takes its attempters from the scan instead,
-    so :meth:`attempt` changes no state but its caches.
+    The exchange format is sparse: :meth:`attempt` returns the
+    attempters' local indices, and the outcome comes back as ``ok`` — a
+    boolean verdict per attempter — so adaptive updates touch
+    O(attempters), not O(busy), elements. A scanned event slot takes
+    its attempters from the scan instead, so :meth:`attempt` changes
+    no state but its caches.
+
+    A policy that draws coins is scanned against its :attr:`ceiling`,
+    a bound on every threshold: the policy clears it to None in any
+    ``update``, ``compact`` or phase change that may raise a threshold
+    above it, and :func:`_scan_state` sets a cleared ceiling to the
+    refreshed thresholds' max.
     """
 
     #: Whether the policy consumes one uniform per busy link per slot.
@@ -288,7 +296,7 @@ class FusedPolicy:
     #: The coin thresholds by local link, or one float all links share
     #: for the run; None when stale (``attempt`` calls ``_refresh``).
     thresholds = None
-    #: A float no threshold exceeds for the rest of the run, or None.
+    #: A float no threshold exceeds until the policy clears it to None.
     ceiling = None
 
     def bind(self, model, requests, busy, depths, exact=True) -> None:
@@ -300,15 +308,14 @@ class FusedPolicy:
         reference always binds exactly.
         """
 
-    def attempt(self, u: Optional[np.ndarray], depths: np.ndarray):
-        """Return ``(mask, att_idx)``: the local transmit mask (possibly
-        a reusable buffer) and the attempters' local indices: by default
-        the links whose coins fall below their thresholds."""
+    def attempt(self, u: Optional[np.ndarray],
+                depths: np.ndarray) -> np.ndarray:
+        """The attempters' local indices: by default the links whose
+        coins fall below their thresholds."""
         lp = self.thresholds
         if lp is None:
             lp = self.thresholds = self._refresh(depths)
-        mask = u < lp
-        return mask, mask.nonzero()[0]
+        return (u < lp).nonzero()[0]
 
     def update(self, att_idx: np.ndarray, ok: np.ndarray) -> None:
         """Apply the post-slot recurrence (pre-compaction indexing)."""
@@ -327,7 +334,9 @@ class KvPolicy(FusedPolicy):
     and reset every slot and ``recovery_slots >= 1``, so it can only
     ever *hit* the threshold, and "streak >= R" is exactly
     ``last_reset == slot - R`` — one comparison per slot, with the
-    recovery applied to the recovered links only.
+    recovery applied to the recovered links only. A success or a
+    recovery may raise a probability, so either clears the
+    :attr:`ceiling`.
     """
 
     def __init__(self, p0: float, p_min: float, backoff: float,
@@ -361,6 +370,7 @@ class KvPolicy(FusedPolicy):
             )
             backed[ok] = self.p0
             p[att_idx] = backed
+            self.ceiling = None
         # This slot's attempters were stamped with it, so no recovered
         # link attempted and its probability is untouched above.
         rec_idx = (last_reset == slot - self.recovery_slots).nonzero()[0]
@@ -369,6 +379,7 @@ class KvPolicy(FusedPolicy):
             np.minimum(doubled, self.p0, out=doubled)
             p[rec_idx] = doubled
             last_reset[rec_idx] = slot
+            self.ceiling = None
         self.slot = slot + 1
 
     def compact(self, keep):
@@ -510,7 +521,11 @@ class DecayPolicy(FusedPolicy):
 
 
 class FkvPolicy(FusedPolicy):
-    """Phased decay (FKV, TCS 2011): geometric phase schedule."""
+    """Phased decay (FKV, TCS 2011): geometric phase schedule.
+
+    Within a phase depths only fall, and so do the thresholds; a new
+    phase clears the :attr:`ceiling`.
+    """
 
     def __init__(self, probability_scale: float, phase_scale: float):
         self.probability_scale = probability_scale
@@ -543,7 +558,7 @@ class FkvPolicy(FusedPolicy):
                 * max(phase_measure, self._log_n)
             ),
         )
-        self.thresholds = None
+        self.thresholds = self.ceiling = None
 
     def _refresh(self, depths):
         return np.subtract(1.0, np.power(self.complement, depths))
@@ -575,6 +590,7 @@ class HmPolicy(FusedPolicy):
     the whole submatrix. Contention only falls, so when none exceeds 1
     at bind (as on packet routing's identity ``W``) every link attempts
     with ``min(1, chi)`` for the whole run, the :attr:`ceiling`.
+    Otherwise a compaction may raise thresholds and clears the ceiling.
     """
 
     def __init__(self, chi: float):
@@ -584,16 +600,17 @@ class HmPolicy(FusedPolicy):
         self._sub = model.weight_matrix()[np.ix_(busy, busy)]
         self._cols = np.arange(busy.size)
         self.contention = self._sub.sum(axis=1)
-        shared = busy.size and self.contention.max() <= 1.0
-        self.thresholds = float(min(1.0, self.chi)) if shared else None
-        self.ceiling = self.thresholds
+        self.shared = bool(busy.size) and self.contention.max() <= 1.0
+        self.thresholds = self.ceiling = (
+            float(min(1.0, self.chi)) if self.shared else None
+        )
 
     def _refresh(self, depths):
         return np.minimum(1.0, self.chi / np.maximum(self.contention, 1.0))
 
     def compact(self, keep):
-        if self.ceiling is not None:
-            return  # Shared: no threshold moves; contention is as bound.
+        if self.shared:
+            return  # No threshold moves; contention is as bound.
         cols = self._cols
         kept = cols[keep]
         self.contention = (
@@ -601,7 +618,7 @@ class HmPolicy(FusedPolicy):
             - self._sub[kept[:, None], cols[~keep]].sum(axis=1)
         )
         self._cols = kept
-        self.thresholds = None
+        self.thresholds = self.ceiling = None
 
 
 class SingleHopPolicy(FusedPolicy):
@@ -610,14 +627,11 @@ class SingleHopPolicy(FusedPolicy):
     uses_rng = False
 
     def bind(self, model, requests, busy, depths, exact=True) -> None:
-        self._ones = np.ones(busy.size, dtype=bool)
-        self._ones.setflags(write=False)
         self._arange = np.arange(busy.size)
         self._size = busy.size
 
     def attempt(self, u, depths):
-        k = self._size
-        return self._ones[:k], self._arange[:k]
+        return self._arange[:self._size]
 
     def compact(self, keep):
         self._size = int(np.count_nonzero(keep))
@@ -658,23 +672,25 @@ _UNLIMITED = 1 << 30
 _NO_OK = np.empty(0, dtype=bool)
 
 
-def _scan_state(policy: FusedPolicy, depths: np.ndarray):
-    """``(thresholds, horizon, changed)`` for scanning at frozen state.
+def _scan_state(policy: FusedPolicy, depths: np.ndarray) -> int:
+    """Ready the policy's :attr:`~FusedPolicy.ceiling` for a scan; the
+    scan's horizon.
 
-    ``thresholds`` is the policy's :attr:`~FusedPolicy.thresholds`
-    (per link, or one float when shared) the next ``horizon`` slots
-    would all use, and ``changed`` reports whether this call moved them
-    (a scanning task re-tiles its limits then, and after every slot it
-    runs through the slot body). Horizons guarantee that
-    *skipped* (attempt-free) slots inside the window are complete
-    no-ops for the policy beyond the closed-form bookkeeping in
-    :meth:`FusedTask._skip`:
+    A cleared ceiling is set to the max of the policy's
+    :attr:`~FusedPolicy.thresholds`, refreshed by its own
+    :meth:`~FusedPolicy._refresh` if stale and cached, so a later
+    ``attempt`` or kept-hit walk reuses bit-identical values. The
+    ceiling bounds every threshold until the policy clears it, and the
+    engine drops its kept hits after any slot that did. The next
+    ``horizon`` slots are safe to retire in closed form: *skipped*
+    (attempt-free) slots inside it are complete no-ops for the policy
+    beyond the bookkeeping in :meth:`FusedTask._skip`:
 
     * KV: attempt-free slots only lengthen idle streaks, but idle
       recovery fires in ``update`` once a streak reaches
       ``recovery_slots``, doubling probabilities — so at most
       ``recovery_slots - slot + min(last_reset)`` slots can pass
-      without any streak reaching the threshold. The event slot itself
+      without any streak reaching the threshold. The slot after them
       runs the real update, which applies any recovery exactly.
     * FKV: thresholds change only at phase boundaries; after advancing
       a just-expired phase (exactly what the per-slot attempt would do
@@ -682,10 +698,6 @@ def _scan_state(policy: FusedPolicy, depths: np.ndarray):
     * decay/HM: thresholds depend only on queue depths / the busy-set
       contention, which only change on successful deliveries — and a
       skipped slot has no attempts at all. Unlimited horizon.
-
-    A refresh is the policy's own :meth:`~FusedPolicy._refresh`, cached
-    in its ``thresholds``, so a later ``attempt`` reuses bit-identical
-    values exactly like a stepped slot following a cached refresh.
     """
     kind = type(policy)
     horizon = _UNLIMITED
@@ -698,15 +710,12 @@ def _scan_state(policy: FusedPolicy, depths: np.ndarray):
         if policy.phase_left == 0:
             policy._advance_phase()
         horizon = policy.phase_left
-    thresholds = policy.thresholds
-    if thresholds is not None:
-        return thresholds, horizon, False
-    policy.thresholds = thresholds = policy._refresh(depths)
-    return thresholds, horizon, True
-
-
-#: The policies :func:`_scan_state` can freeze; other policies step.
-_SCANNABLE = (KvPolicy, HmPolicy, FkvPolicy, DecayPolicy)
+    if policy.ceiling is None:
+        thresholds = policy.thresholds
+        if thresholds is None:
+            thresholds = policy.thresholds = policy._refresh(depths)
+        policy.ceiling = float(thresholds.max())
+    return horizon
 
 
 class FusedTask:
@@ -719,22 +728,22 @@ class FusedTask:
     The loop has two modes and picks between them from the event
     density the task just saw (see :data:`SCAN_GAP`). *Stepping* runs
     slots one by one through the slot body. *Scanning* compares a
-    window of upcoming coins against the policy's frozen thresholds in
-    one vectorised ``<`` on the task's own coin buffer, retires the
-    event-free slots before the first hit in closed form (their coins
-    are consumed, their attempt sets are empty by construction, and
-    the policy bookkeeping they would have done is applied by
-    :meth:`_skip`) and runs the event slot, its attempters the hits in
-    its row, through the slot body. A policy with a
-    :attr:`~FusedPolicy.ceiling` is scanned against it, and the hits
-    are kept until the scanned coins run out: later event slots come
-    from them at the busy set's current width (if all links share the
-    ceiling, the task only scans). Both modes consume the same coins
-    and make the same decisions, so the mode never changes a result:
-    every :class:`RunResult` — delivered order, remaining order, slots
-    used, history — and the generator's end state equal the per-slot
-    loop's. The scalar reference (``scalar``) and coin-free policies
-    only ever step.
+    window of upcoming coins against the policy's
+    :attr:`~FusedPolicy.ceiling` in one vectorised ``<`` on the task's
+    own coin buffer and keeps the hits until the scanned coins run
+    out, the ceiling is cleared or the scan's horizon (see
+    :func:`_scan_state`) is reached. The event slot is the first slot,
+    at the busy set's current width, with a kept hit under its link's
+    own threshold (any hit, if all links share the ceiling: such a
+    task only scans); the event-free slots before it are retired in
+    closed form by :meth:`_skip` (their coins are consumed, their
+    attempt sets are empty by construction) and the event slot, its
+    attempters the hits in its row, runs through the slot body. Both
+    modes consume the same coins and make the same decisions, so the
+    mode never changes a result: every :class:`RunResult` — delivered
+    order, remaining order, slots used, history — and the generator's
+    end state equal the per-slot loop's. The scalar reference
+    (``scalar``) and coin-free policies only ever step.
 
     Built on a generator, a task draws into a :class:`ChunkedUniforms`
     of its own and finalizes it in :meth:`finish`. Built on a
@@ -786,25 +795,25 @@ class FusedTask:
             )
         self.delivered_parts: List[np.ndarray] = []
         self.slots = 0
-        self.scannable = not scalar and type(policy) in _SCANNABLE
+        self.scannable = not scalar and policy.uses_rng
 
     def run(self) -> RunResult:
         """Run to the end (budget spent or queues empty); the result.
 
-        The engine's one loop. Each pass either *scans* — compares a
-        window of upcoming coins against the policy's frozen
-        thresholds, or reads on in a ceiling scan's kept hits, retires
-        the event-free slots before the first hit in closed form, and
-        falls through to the event slot — or *steps* one slot. The
-        slot body below is the only one: a slot costs its attempters
-        (when stepped, a chunk-buffer view and one comparison), the
-        evaluator on them, and attempter-subset gathers/scatters for
-        the CSR head pops, depth bookkeeping and the policy recurrence
-        (with one attempter, the pop and the depth are Python-int reads
-        and writes instead). Every :data:`DENSITY_SPAN` slots the task
-        rechooses its mode from the event density it saw. The task's
-        state is bound to locals for the loop and written back after
-        it.
+        The engine's one loop. Each pass either *scans* — reads on in
+        the kept hits of the last scan, or compares a fresh window of
+        coins against the ceiling when they ran out, the ceiling was
+        cleared or the horizon was reached, then retires the event-free
+        slots before the first event in closed form and falls through
+        to the event slot — or *steps* one slot. The slot body below is
+        the only one: a slot costs its attempters (when stepped, a
+        chunk-buffer view and one comparison), the evaluator on them,
+        and attempter-subset gathers/scatters for the CSR head pops,
+        depth bookkeeping and the policy recurrence (with one attempter,
+        the pop and the depth are Python-int reads and writes instead).
+        Every :data:`DENSITY_SPAN` slots the task rechooses its mode
+        from the event density it saw. The task's state is bound to
+        locals for the loop and written back after it.
         """
         policy = self.policy
         attempt_fn = policy.attempt
@@ -826,10 +835,9 @@ class FusedTask:
         budget = self.budget
         slots = self.slots
         scannable = self.scannable
-        ceiled = scannable and policy.ceiling is not None
         # A run starts stepping, unless its links share the ceiling;
         # `seen` slots held `events` event slots since the last choice.
-        shared = ceiled and type(policy.thresholds) is float
+        shared = scannable and type(policy.thresholds) is float
         scanning = shared
         seen = events = 0
         # An uncertified decay estimate is certified at coin refills,
@@ -843,119 +851,78 @@ class FusedTask:
                 and policy.guard(ubuf[ucursor:], depths)
             ):
                 guarded = False
-        # Tiled thresholds (`tiled` coins' worth are current) and the
-        # scan's output buffer.
-        tiled = 0
-        limits = hits_buf = None
         # A scan's hits of the ceiling, as positions in the buffer, `hit`
-        # the next unread, found in the coins before `scanned`.
+        # the next unread, found in the coins before `scanned`; they
+        # serve the slots before `stop`, the scan's horizon.
         hits = []
-        hit = scanned = 0
+        hit = scanned = stop = 0
         local = np.arange(busy.size)
         while slots < budget and pending:
             k = busy.size
             att_idx = None
-            if scanning:
-                kept = ceiled and ucursor + k <= scanned
-                if kept:
-                    # A ceiling moves only when the guard rebinds, at
-                    # a refill, which drops the kept hits.
-                    rows = budget - slots
-                else:
-                    thresholds, horizon, changed = _scan_state(
-                        policy, depths
-                    )
-                    # Tiled rows serve every later scan at these
-                    # thresholds: the budget and horizon only shrink.
-                    rows = min(budget - slots, horizon, WINDOW)
+            if scanning and (ucursor + k > scanned or slots >= stop):
+                stop = min(budget, slots + _scan_state(policy, depths))
+                rows = min(stop - slots, WINDOW)
                 if rows >= 1:
-                    if not kept:
-                        if ucursor + k > ubuf.size or (
-                            self.borrowed and ucursor + rows * k > ubuf.size
-                        ):
-                            # The stepping refill trigger (the first
-                            # consumption after a refill, one slot at
-                            # least, exceeds the leftover), or a
-                            # borrowed leftover short of the window.
-                            chunk._cursor = ucursor
-                            ubuf = chunk.refill(
-                                k, min(WINDOW, budget - slots)
-                            )
-                            ucursor = scanned = 0
-                            if guarded and policy.guard(ubuf, depths):
-                                # The exact measure moved the thresholds:
-                                # re-fetch them (the coins are in place).
-                                guarded = False
-                                continue
-                        w = min(rows, (ubuf.size - ucursor) // k)
-                        n = w * k
-                        if ceiled:
-                            scanned = ucursor + n
-                            lit = ubuf[ucursor:scanned] < policy.ceiling
-                            hits = (lit.nonzero()[0] + ucursor).tolist()
-                            hit = 0
-                        else:
-                            if changed or tiled < n:
-                                size = rows * k
-                                if limits is None or limits.size < size:
-                                    limits = np.empty(size)
-                                    hits_buf = np.empty(size, dtype=bool)
-                                limits[:size].reshape(rows, k)[:] = (
-                                    thresholds
-                                )
-                                tiled = size
-                            lit = np.less(
-                                ubuf[ucursor:ucursor + n], limits[:n],
-                                out=hits_buf[:n],
-                            )
-                            first = int(lit.argmax())
-                            skip = w
-                            if lit[first]:
-                                skip = first // k
-                                att_idx = lit[skip * k:skip * k + k]
-                                att_idx = att_idx.nonzero()[0]
-                    if ceiled:
-                        # The kept hits by slot of the current width: the
-                        # event is the first slot with hits under their
-                        # links' own thresholds. Skips keep no state.
-                        skip = min(rows, (scanned - ucursor) // k)
-                        end = ucursor + skip * k
-                        while hit < len(hits) and hits[hit] < end:
-                            row = (hits[hit] - ucursor) // k
-                            at = ucursor + row * k
-                            j = bisect_left(hits, at + k, hit + 1)
-                            cols = [h - at for h in hits[hit:j]]
-                            hit = j
-                            if not shared:
-                                lp = _scan_state(policy, depths)[0]
-                                cols = [c for c in cols
-                                        if ubuf[at + c] < lp[c]]
-                            if cols:
-                                skip = row
-                                att_idx = (
-                                    local[cols[0]:cols[0] + 1]
-                                    if len(cols) == 1 else np.array(cols)
-                                )
-                                break
-                        if skip and history is not None:
-                            history.append_empty(skip)
-                    elif skip:
-                        self._skip(skip)
-                    slots += skip
-                    seen += skip
-                    if att_idx is None:
-                        ucursor += skip * k
-                        chunk._consumed += skip * k
-                        if seen >= DENSITY_SPAN:
-                            scanning = shared or events * SCAN_GAP <= seen
-                            seen = events = 0
-                        continue
-                    # The event slot's coins are the scanned ones.
-                    ucursor += (skip + 1) * k
-                    chunk._consumed += (skip + 1) * k
-            # The slot may move the thresholds.
-            tiled = 0
-            if att_idx is None:
+                    if ucursor + k > ubuf.size or (
+                        self.borrowed and ucursor + rows * k > ubuf.size
+                    ):
+                        # The stepping refill trigger (the first
+                        # consumption after a refill, one slot at least,
+                        # exceeds the leftover), or a borrowed leftover
+                        # short of the window.
+                        chunk._cursor = ucursor
+                        ubuf = chunk.refill(k, min(WINDOW, budget - slots))
+                        ucursor = scanned = 0
+                        if guarded and policy.guard(ubuf, depths):
+                            # The exact measure moved the ceiling and the
+                            # thresholds: rescan (the coins are in place).
+                            guarded = False
+                            continue
+                    rows = min(rows, (ubuf.size - ucursor) // k)
+                    scanned = ucursor + rows * k
+                    lit = ubuf[ucursor:scanned] < policy.ceiling
+                    hits = (lit.nonzero()[0] + ucursor).tolist()
+                    hit = 0
+            if scanning and slots < stop:
+                # The kept hits by slot of the current width: the event
+                # is the first slot with hits under their links' own
+                # thresholds.
+                skip = min(stop - slots, (scanned - ucursor) // k)
+                end = ucursor + skip * k
+                lp = policy.thresholds
+                while hit < len(hits) and hits[hit] < end:
+                    row = (hits[hit] - ucursor) // k
+                    at = ucursor + row * k
+                    j = bisect_left(hits, at + k, hit + 1)
+                    cols = [h - at for h in hits[hit:j]]
+                    hit = j
+                    if not shared:
+                        if lp is None:
+                            lp = policy.thresholds = policy._refresh(depths)
+                        cols = [c for c in cols if ubuf[at + c] < lp[c]]
+                    if cols:
+                        skip = row
+                        att_idx = (
+                            local[cols[0]:cols[0] + 1]
+                            if len(cols) == 1 else np.array(cols)
+                        )
+                        break
+                if skip:
+                    self._skip(skip)
+                slots += skip
+                seen += skip
+                if att_idx is None:
+                    ucursor += skip * k
+                    chunk._consumed += skip * k
+                    if seen >= DENSITY_SPAN:
+                        scanning = shared or events * SCAN_GAP <= seen
+                        seen = events = 0
+                    continue
+                # The event slot's coins are the scanned ones.
+                ucursor += (skip + 1) * k
+                chunk._consumed += (skip + 1) * k
+            else:
                 # A stepped slot reads coins past the kept hits.
                 scanned = 0
                 if chunk is not None:
@@ -973,9 +940,9 @@ class FusedTask:
                     u = ubuf[ucursor:nxt]
                     ucursor = nxt
                     chunk._consumed += k
-                    att_idx = attempt_fn(u, depths)[1]
+                    att_idx = attempt_fn(u, depths)
                 else:
-                    att_idx = attempt_fn(None, depths)[1]
+                    att_idx = attempt_fn(None, depths)
             heads = None
             keep = None
             n_att = att_idx.size
@@ -1019,6 +986,10 @@ class FusedTask:
                 busy, depths, head_ptr = links[0], links[1], links[2]
                 drop(keep)
                 compact(keep)
+            if policy.ceiling is None:
+                # The slot may have raised a threshold past the kept
+                # hits' ceiling.
+                scanned = 0
             slots += 1
             seen += 1
             if seen >= DENSITY_SPAN:

@@ -16,7 +16,7 @@ import pytest
 import repro
 from repro.cli.builders import scenario_names
 from repro.core.frames import FrameParameters
-from repro.scenario import preset_spec
+from repro.scenario import preset_spec, registry
 
 
 def run_scenario(name, seed, frames=30, use_store=False):
@@ -200,6 +200,25 @@ def test_static_algorithms_replay():
             )
             results.append((tuple(result.delivered), result.slots_used))
         assert results[0] == results[1], algorithm.name
+
+
+@pytest.mark.parametrize("name", registry.names("scheduler"))
+def test_recording_history_leaves_the_run_unchanged(name):
+    """A run on a MAC model delivers the same packets in the same
+    slots, and leaves its generator where it would, whether or not it
+    records its history."""
+    model = repro.MultipleAccessChannel(repro.mac_network(6))
+    requests = [i % model.num_links for i in range(300)]
+    scheduler = registry.resolve("scheduler", name)()
+    for seed in range(3):
+        outcomes = []
+        for record_history in (False, True):
+            gen = np.random.default_rng(seed)
+            result = scheduler.run(model, requests, 4000, rng=gen,
+                                   record_history=record_history)
+            outcomes.append((result.delivered, result.remaining,
+                             result.slots_used, gen.random()))
+        assert outcomes[0] == outcomes[1], (name, seed)
 
 
 def test_fading_and_unreliable_models_replay():

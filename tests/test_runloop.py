@@ -8,8 +8,8 @@ backend × scheduler × model) with the machinery-level contracts:
   per-slot stream position afterwards (hypothesis sweep);
 * backend resolution — ``auto``, retired lane names, the scalar
   reference winning ties, per-cell backend pinning in sharded sweeps;
-* the single-hop policy's shared transmit mask is an *enforced*
-  read-only view;
+* the single-hop policy's attempters are every busy local index,
+  before and after compaction;
 * ``LazySlotHistory`` behaves like the eager ``List[SlotRecord]`` it
   replaced (equality, concatenation, merge, feasibility consumers);
 * threshold-boundary instances and protocol-shaped generator sharing
@@ -208,27 +208,20 @@ def test_set_default_backend_round_trip():
 
 
 # ----------------------------------------------------------------------
-# Enforced read-only shared masks
+# Single-hop attempters
 # ----------------------------------------------------------------------
 
 
-def test_single_hop_mask_is_read_only():
-    """The single-hop policy hands out views of one shared all-transmit
-    mask; writing through one raises instead of corrupting later
-    slots, before and after compaction."""
+def test_single_hop_attempts_every_busy_link():
+    """The single-hop policy's attempters are every busy local index,
+    before and after compaction."""
     model = _affectance_model()
     busy = np.arange(4)
     policy = SingleHopPolicy()
     policy.bind(model, [0, 1, 2, 3], busy, np.ones(4, dtype=np.int64))
-    mask, att_idx = policy.attempt(None, None)
-    assert mask.all() and att_idx.tolist() == [0, 1, 2, 3]
-    with pytest.raises(ValueError):
-        mask[0] = False
+    assert policy.attempt(None, None).tolist() == [0, 1, 2, 3]
     policy.compact(np.array([True, False, True, True]))
-    mask, att_idx = policy.attempt(None, None)
-    assert mask.size == 3 and att_idx.tolist() == [0, 1, 2]
-    with pytest.raises(ValueError):
-        mask[0] = False
+    assert policy.attempt(None, None).tolist() == [0, 1, 2]
 
 
 @pytest.mark.parametrize("recovery_slots", [0, -3])

@@ -1,4 +1,4 @@
-"""Shared-threshold scans, decay's depth ladder and one-call compaction.
+"""Kept-hit scans, decay's depth ladder and one-call compaction.
 
 * decay's per-bind ladder ``lp(d)`` has the bits of the per-slot
   ``1 - np.power(complement, depths)`` it replaced, for ``d`` in 1..64
@@ -6,12 +6,16 @@
 * the numpy engine, scanning, replays the per-slot transcriptions in
   ``reference_loops`` (``run_reference``) on runs whose slots drain
   two or more links at once and drain the first and the last local
-  index — decay, HM and KV on SINR, packet routing and affectance;
-* a shared-threshold run keeps its scan's hits across drains: a fixed
-  seed-0 transformed decay run with every depth 1 pins its scan count.
+  index, and on runs whose successes leave links busy — decay, HM,
+  KV (at recovery horizons of 1, 3 and 40 slots) and FKV on SINR,
+  packet routing and affectance;
+* a scan's hits are kept across event slots until the policy clears
+  its ceiling: a fixed seed-0 transformed decay run with every depth 1
+  (one shared threshold) and a seed-0 HM run with per-link thresholds
+  each pin their scan counts below their event slots.
 
-A scan asks ``runloop._scan_state`` for its thresholds once per window
-it compares (a shared run reads kept hits without asking), so the
+A scan asks ``runloop._scan_state`` for its ceiling and horizon once
+per window it compares (a walk over kept hits does not ask), so the
 tests count scans by wrapping it.
 """
 
@@ -23,9 +27,19 @@ import pytest
 from repro.core.transform import TransformedAlgorithm
 from repro.interference.packet_routing import PacketRoutingModel
 from repro.network.topology import mac_network
-from repro.staticsched import DecayScheduler, HmScheduler, KvScheduler
+from repro.staticsched import (
+    DecayScheduler,
+    FkvScheduler,
+    HmScheduler,
+    KvScheduler,
+)
 import repro.staticsched.runloop as runloop
-from repro.staticsched.runloop import DecayPolicy, FusedTask, use_backend
+from repro.staticsched.runloop import (
+    DecayPolicy,
+    FusedTask,
+    HmPolicy,
+    use_backend,
+)
 from reference_loops import run_reference
 from test_kernel_parity import _sinr_model
 from test_runloop import _affectance_model, _outcome
@@ -82,6 +96,19 @@ DRAIN_SCHEDULERS = {
     "kv": lambda dense: KvScheduler(
         initial_probability=0.5 if dense else 0.05, recovery_slots=3
     ),
+    # Every slot recovers or resets every link: each scan meets its
+    # horizon at once, and the slot steps.
+    "kv-recovery-1": lambda dense: KvScheduler(
+        initial_probability=0.5 if dense else 0.05, recovery_slots=1
+    ),
+    # A long horizon: a success that lifts a backed-off link back to
+    # p0, above the scan's ceiling, must drop the kept hits.
+    "kv-recovery-40": lambda dense: KvScheduler(
+        initial_probability=0.5 if dense else 0.05, recovery_slots=40
+    ),
+    "fkv": lambda dense: FkvScheduler(
+        probability_scale=1.0 if dense else 8.0
+    ),
 }
 
 
@@ -125,6 +152,8 @@ def test_scanning_drains_replay_the_per_slot_loop(monkeypatch,
         "single": list(range(links)),
         # The first and the last link hold two packets each.
         "mixed": list(range(links)) + [0, links - 1],
+        # Every link holds three: successes leave links busy.
+        "deep": list(range(links)) * 3,
     }
     seen = {"together": 0, "first": 0, "last": 0, "scans": 0}
     _count_scans(monkeypatch, seen)
@@ -184,4 +213,35 @@ def test_shared_threshold_run_pins_its_scan_count(monkeypatch):
     assert not result.remaining
     assert counts["runs"] > 1
     assert counts["scans"] == PINNED_SCANS
+    assert counts["scans"] < counts["events"]
+
+
+#: The scans of the run below (291 event slots). Its links' thresholds
+#: differ, and a drain may raise them: the run rescans after each of
+#: its 96 drains and reads every other event slot from kept hits.
+PINNED_HM_SCANS = 112
+
+
+def test_per_link_threshold_run_pins_its_scan_count(monkeypatch):
+    """A seed-0 HM run whose contention exceeds 1 (so each link has its
+    own threshold) with three packets a link compares
+    :data:`PINNED_HM_SCANS` windows, fewer than its event slots."""
+    counts = {"scans": 0, "events": 0}
+    update = HmPolicy.update
+    _count_scans(monkeypatch, counts)
+
+    def counted_update(policy, att_idx, ok):
+        counts["events"] += att_idx.size > 0
+        return update(policy, att_idx, ok)
+
+    monkeypatch.setattr(HmPolicy, "update", counted_update)
+    model = _sinr_model()
+    policy = HmScheduler(chi=0.05).fused_policy()
+    with use_backend("numpy"):
+        task = FusedTask(policy, model, list(range(model.num_links)) * 3,
+                         10**6, np.random.default_rng(0))
+        assert policy.contention.max() > 1.0
+        result = task.run()
+    assert not result.remaining
+    assert counts["scans"] == PINNED_HM_SCANS
     assert counts["scans"] < counts["events"]

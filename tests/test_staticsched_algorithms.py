@@ -138,6 +138,15 @@ def test_kv_rejects_recovery_slots_it_cannot_run(recovery_slots):
         KvScheduler(recovery_slots=recovery_slots)
 
 
+@pytest.mark.parametrize("initial, floor", [(0.01, 0.5), (0.125, 0.13)])
+def test_kv_rejects_min_probability_above_initial(initial, floor):
+    """A floor above the start would make a failure raise ``p`` and a
+    recovery cut it back; it raises instead."""
+    with pytest.raises(SchedulingError, match="min_probability"):
+        KvScheduler(initial_probability=initial, min_probability=floor)
+    KvScheduler(initial_probability=initial, min_probability=initial)
+
+
 @pytest.mark.parametrize("recovery_slots", [1, 3, 8.0])
 def test_kv_state_dict_reports_recovery_slots_asked_for(recovery_slots):
     state = KvScheduler(recovery_slots=recovery_slots).state_dict()
