@@ -148,7 +148,6 @@ from repro.sim import (
     EventKind,
     FrameSimulation,
     MetricsRecorder,
-    ProcessExecutor,
     RateSweepRecord,
     SerialExecutor,
     StabilityVerdict,
@@ -295,7 +294,6 @@ __all__ = [
     "RateSweepRecord",
     "CellResult",
     "SerialExecutor",
-    "ProcessExecutor",
     "make_executor",
     "measure_cell",
     "aggregate_rate_sweep",

@@ -8,7 +8,7 @@
 * ``simulate`` — one protocol run on a preset; metrics + verdict.
 * ``sweep`` — rate sweep across the stability boundary.
 * ``compare`` — static algorithms side by side on one network.
-* ``fleet`` — a multi-network scenario fleet, one process per network.
+* ``fleet`` — a multi-network scenario fleet, serial or in one worker pool.
 * ``campaign`` — cross-product scenario grid with a stability-frontier
   bisection per cell; JSON document + ascii phase diagram.
 * ``experiments`` — the reproduced-claim inventory.
@@ -69,15 +69,20 @@ def _add_executor_arguments(parser: argparse.ArgumentParser) -> None:
         default="serial",
         choices=executor_names(),
         help=(
-            "how to run the (rate, seed) cells: in-process, or sharded "
-            "across worker processes (identical records either way)"
+            "how to run the (rate, seed) cells: 'serial' in this "
+            "process; 'process' in one worker pool, raising if any "
+            "cell fails; 'resilient' in the same pool with "
+            "retries (identical records either way)"
         ),
     )
     parser.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="process-executor worker count (default: available CPUs)",
+        help=(
+            "cells in flight in the process and resilient pools "
+            "(default: available CPUs)"
+        ),
     )
 
 
@@ -202,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet = sub.add_parser(
         "fleet",
         help="run a multi-network scenario fleet "
-             "(one process per network with --executor process)",
+             "(networks share one worker pool with --executor process)",
     )
     fleet.add_argument(
         "--spec",
@@ -405,8 +410,9 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
           + " (spec field 'backend'; every backend is bit-identical, "
           "the choice only changes speed)")
     print("executors: " + ", ".join(executor_names())
-          + " (`--executor` on sweep/compare/fleet/campaign; every "
-          "executor\nproduces bit-identical records)")
+          + " (`--executor` on sweep/compare/fleet/campaign; process "
+          "and resilient\nrun the cells in one worker pool, resilient "
+          "with retries; every executor\nproduces bit-identical records)")
     print("presets: " + ", ".join(scenario_names())
           + " (repro.scenario.preset_spec / `repro fleet --model`)")
     print()
@@ -463,9 +469,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         outcome = run_resilient_fleet(
             specs,
             workers=args.workers,
-            max_retries=(
-                args.max_retries if args.max_retries is not None else 2
-            ),
+            max_retries=args.max_retries,
             cell_timeout=args.cell_timeout,
             manifest_dir=args.checkpoint_dir,
             resume=args.resume,

@@ -133,8 +133,9 @@ def run_scenario_fleet(
 
     ``executor`` is anything with ``map(units) -> results`` over
     ``unit.run()`` work units (:class:`~repro.sim.sharding.SerialExecutor`
-    by default; pass a :class:`~repro.sim.sharding.ProcessExecutor` for
-    one process per network). Any executor produces identical records —
+    by default; pass ``make_executor("process", workers)`` to run the
+    networks in one process pool, which raises naming any network whose
+    run failed). Any executor produces identical records —
     as does either ``metrics`` retention policy: ``metrics`` (when
     given) overrides every spec's retention, and ``"streaming"`` caps
     each worker's memory at O(window) regardless of the horizon.

@@ -9,7 +9,7 @@ with any frame-protocol object (duck-typed: ``run_frame``,
 stable/unstable verdict; :mod:`repro.sim.runner` reduces one run to a
 :class:`~repro.sim.runner.CellResult` and folds sweep cells per rate,
 and :mod:`repro.sim.sharding`'s executors map the same cells in-process
-or over process pools (record-for-record identical either way).
+or over one process pool (record-for-record identical either way).
 :mod:`repro.sim.trace` records per-packet event streams when a
 :class:`~repro.sim.trace.Tracer` is attached to a protocol.
 """
@@ -37,7 +37,6 @@ from repro.sim.runner import (
     simulate_protocol,
 )
 from repro.sim.sharding import (
-    ProcessExecutor,
     SerialExecutor,
     default_worker_count,
     executor_names,
@@ -69,7 +68,6 @@ __all__ = [
     "CellResult",
     "aggregate_rate_sweep",
     "measure_cell",
-    "ProcessExecutor",
     "SerialExecutor",
     "default_worker_count",
     "executor_names",

@@ -1,28 +1,35 @@
-"""Fault-tolerant fleet execution: retry, timeout, quarantine, resume.
+"""The process executor: one pool, with retry, timeout, quarantine, resume.
 
-The plain :class:`~repro.sim.sharding.ProcessExecutor` assumes a
-healthy pool: one dead worker or one wedged cell takes the whole
-campaign down, and an interrupted fleet restarts from zero. This
-module adds the operational layer long campaigns need:
+:class:`FaultTolerantExecutor` runs a list of work units in one process
+pool, at most ``workers`` cells in flight, and returns the results in
+input order. Long campaigns need more than a healthy pool: one dead
+worker or one wedged cell must not take the campaign down, and an
+interrupted fleet must not restart from zero. So the executor adds:
 
 * **Retry with backoff** — transient failures (worker crashes, cell
   timeouts, raised exceptions) are retried up to ``max_retries`` times
-  with exponential backoff and deterministic jitter.
+  with exponential backoff and deterministic jitter. A retried cell
+  rejoins the same queue.
 * **Crash classification and quarantine** — a cell that fails twice
   with the *same* exception signature is deterministic, not transient:
   it is quarantined instead of burning its remaining retries (and,
   under ``strict``, named in the final error).
 * **Per-cell timeouts** — a wedged cell is blamed and retried; cells
   that were healthy when the pool was torn down are re-queued without
-  charging them an attempt.
-* **Graceful degradation** — two consecutive pool-level crashes drop
-  the executor to in-process serial execution rather than looping on a
-  broken pool.
+  charging them an attempt. Only a timeout or a dead worker rebuilds
+  the pool.
+* **Graceful degradation** — two pool crashes with no cell completed
+  between them drop the executor to in-process serial execution rather
+  than looping on a broken pool.
 * **A durable manifest** — every completed cell is journalled (with a
   per-record checksum, so torn writes are detected and skipped) the
   moment it finishes. A re-run with ``resume=True`` skips completed
   cells and hands unfinished cells their checkpoint file, so they
   restart from the last snapshot instead of frame 0.
+
+With ``max_retries=0`` and no manifest it is the plain process
+executor (``make_executor("process")``): a failed cell or a dead
+worker raises, naming the cell.
 
 Determinism is preserved through all of it: cells are pure functions
 of their spec, checkpoints restore bit-identically, and results are
@@ -32,13 +39,15 @@ twice produces records byte-identical to one clean run.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
+import dataclasses
 import hashlib
 import json
-import math
 import multiprocessing
 import os
 import random
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -46,7 +55,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError
 from repro.sim.faults import active_injector, corrupt_file
 from repro.sim.runner import CellResult
-from repro.sim.sharding import _default_start_method, default_worker_count
+from repro.sim.sharding import default_worker_count
 from repro.sim.stability import StabilityVerdict
 
 # ----------------------------------------------------------------------
@@ -345,6 +354,31 @@ def _run_unit_attempt(task: Tuple[Any, int]) -> CellResult:
     return unit.run()
 
 
+def _pool_context():
+    """The multiprocessing context the pool's workers start in.
+
+    On Linux, fork inherits the component registry (test-local
+    components included) and skips re-importing numpy per worker.
+    Elsewhere the platform default stands — macOS offers fork but
+    deliberately defaults to spawn because forking a
+    threaded/Objective-C parent is unsafe; spawn workers recover
+    registrations via each spec's ``requires`` imports.
+    """
+    if (
+        sys.platform.startswith("linux")
+        and "fork" in multiprocessing.get_all_start_methods()
+    ):
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()
+
+
+def _died(future) -> bool:
+    """True when a finished future failed because its pool broke."""
+    return isinstance(
+        future.exception(), concurrent.futures.process.BrokenProcessPool
+    )
+
+
 @dataclass
 class CellStatus:
     """Everything the executor knows about one cell's journey."""
@@ -357,18 +391,22 @@ class CellStatus:
 
 
 class FaultTolerantExecutor:
-    """An order-preserving ``map`` that survives crashes and wedged cells.
+    """An order-preserving ``map`` over one process pool.
 
-    Drop-in where :class:`~repro.sim.sharding.ProcessExecutor` fits
-    (``map(units) -> results`` in input order), plus the recovery
-    behaviour described in the module docstring. After ``map`` returns,
-    ``statuses`` holds one :class:`CellStatus` per unit (input order).
+    ``map(units) -> results`` in input order, with the recovery
+    behaviour described in the module docstring; ``use_processes=False``
+    runs the same retry and quarantine logic in this process. After
+    ``map`` returns, ``statuses`` holds one :class:`CellStatus` per
+    unit (input order).
 
-    With ``strict=True`` (the default) any cell that still has no
-    result after retries raises a :class:`ConfigurationError` naming
-    the failed and quarantined cells — safe for callers that assume a
-    complete result list. ``strict=False`` returns ``None`` at failed
-    positions instead (what :func:`run_resilient_fleet` uses).
+    ``max_retries`` (default: the retry policy's, 2 unless
+    ``retry_policy`` says otherwise) may be given with ``retry_policy``
+    only when the two agree. With ``strict=True`` (the default) any
+    cell that still has no result after retries raises a
+    :class:`ConfigurationError` naming the failed and quarantined cells
+    and their last error — safe for callers that assume a complete
+    result list. ``strict=False`` returns ``None`` at failed positions
+    instead (what :func:`run_resilient_fleet` uses).
     """
 
     name = "resilient"
@@ -376,7 +414,7 @@ class FaultTolerantExecutor:
     def __init__(
         self,
         workers: Optional[int] = None,
-        max_retries: int = 2,
+        max_retries: Optional[int] = None,
         cell_timeout: Optional[float] = None,
         retry_policy: Optional[RetryPolicy] = None,
         manifest: Optional[FleetManifest] = None,
@@ -391,10 +429,18 @@ class FaultTolerantExecutor:
             raise ConfigurationError(
                 f"cell_timeout must be > 0, got {cell_timeout}"
             )
+        policy = retry_policy or RetryPolicy()
+        if max_retries is not None:
+            if retry_policy is not None and (
+                max_retries != retry_policy.max_retries
+            ):
+                raise ConfigurationError(
+                    f"max_retries={max_retries} disagrees with the retry "
+                    f"policy's max_retries={retry_policy.max_retries}"
+                )
+            policy = dataclasses.replace(policy, max_retries=max_retries)
         self.workers = workers or default_worker_count()
-        self.retry_policy = retry_policy or RetryPolicy(
-            max_retries=max_retries
-        )
+        self.retry_policy = policy
         self.cell_timeout = cell_timeout
         self.manifest = manifest
         self.resume = resume
@@ -427,21 +473,17 @@ class FaultTolerantExecutor:
         return prepared
 
     def _note_failure(
-        self,
-        status: CellStatus,
-        key: str,
-        unit,
-        attempt: int,
-        kind: str,
-        detail: str,
-    ) -> bool:
-        """Record one failed attempt; returns True when the cell retries."""
+        self, requeue, units, keys, position, attempt, kind, detail
+    ) -> None:
+        """Record one failed attempt; requeue the cell when it retries."""
+        status = self.statuses[position]
         signature = f"{kind}:{detail}"
         status.failures.append(signature)
         status.attempts = attempt + 1
         if self.manifest is not None:
             self.manifest.record_failure(
-                key, _unit_index(unit), attempt, kind, detail
+                keys[position], _unit_index(units[position]), attempt,
+                kind, detail,
             )
         if (
             kind == "error"
@@ -449,12 +491,22 @@ class FaultTolerantExecutor:
         ):
             # Same exception twice: deterministic, retries are wasted.
             status.state = "quarantined"
-            return False
-        if attempt >= self.retry_policy.max_retries:
+        elif attempt >= self.retry_policy.max_retries:
             status.state = "failed"
-            return False
-        time.sleep(self.retry_policy.delay(attempt, key))
-        return True
+        else:
+            time.sleep(self.retry_policy.delay(attempt, keys[position]))
+            requeue.append((position, attempt + 1))
+
+    def _complete(self, position, attempt, units, keys, results, result):
+        results[position] = result
+        status = self.statuses[position]
+        status.attempts = attempt + 1
+        status.state = "completed"
+        self._pool_crashes = 0
+        if self.manifest is not None:
+            self.manifest.record_completed(
+                keys[position], _unit_index(units[position]), result
+            )
 
     # -- execution -----------------------------------------------------
 
@@ -482,23 +534,8 @@ class FaultTolerantExecutor:
             pending.append((position, 0))
 
         while pending:
-            if self.use_processes:
-                try:
-                    pending = self._run_wave_processes(
-                        units, keys, pending, results
-                    )
-                    self._pool_crashes = 0
-                except _PoolCrashed as crash:
-                    pending = crash.pending
-                    self._pool_crashes += 1
-                    if self._pool_crashes >= 2:
-                        # The pool itself is unhealthy (not one bad
-                        # cell): degrade to serial rather than loop.
-                        self.use_processes = False
-            else:
-                pending = self._run_wave_serial(
-                    units, keys, pending, results
-                )
+            run = self._run_pool if self.use_processes else self._run_serial
+            pending = run(units, keys, pending, results)
 
         if self.strict:
             bad = [
@@ -518,132 +555,131 @@ class FaultTolerantExecutor:
                 )
         return results
 
-    def _complete(self, position, units, keys, results, result) -> None:
-        results[position] = result
-        self.statuses[position].state = "completed"
-        if self.manifest is not None:
-            self.manifest.record_completed(
-                keys[position], _unit_index(units[position]), result
-            )
-
-    def _run_wave_serial(self, units, keys, pending, results):
+    def _run_serial(self, units, keys, pending, results):
         """In-process fallback: same retry/quarantine logic, no pool."""
         requeue: List[Tuple[int, int]] = []
         for position, attempt in pending:
-            status = self.statuses[position]
             try:
                 result = _run_unit_attempt((units[position], attempt))
-            except KeyboardInterrupt:
-                raise
             except Exception as exc:
-                detail = f"{type(exc).__name__}: {exc}"
-                if self._note_failure(
-                    status, keys[position], units[position], attempt,
-                    "error", detail,
-                ):
-                    requeue.append((position, attempt + 1))
-                continue
-            status.attempts = attempt + 1
-            self._complete(position, units, keys, results, result)
+                self._note_failure(
+                    requeue, units, keys, position, attempt,
+                    "error", f"{type(exc).__name__}: {exc}",
+                )
+            else:
+                self._complete(
+                    position, attempt, units, keys, results, result
+                )
         return requeue
 
-    def _run_wave_processes(self, units, keys, pending, results):
-        """One pool wave: submit up to ``workers`` cells, harvest all.
+    def _settle(self, future, position, attempt, units, keys, results, queue):
+        """Fold one finished (not pool-broken) future into the results."""
+        error = future.exception()
+        if error is None:
+            self._complete(
+                position, attempt, units, keys, results, future.result()
+            )
+        elif not isinstance(error, Exception):
+            raise error  # KeyboardInterrupt from a worker stops the map
+        else:
+            self._note_failure(
+                queue, units, keys, position, attempt,
+                "error", f"{type(error).__name__}: {error}",
+            )
 
-        Raises :class:`_PoolCrashed` (carrying the new pending list)
-        when the pool breaks or a timeout forces a teardown — the
-        caller decides whether to rebuild a pool or degrade to serial.
+    def _run_pool(self, units, keys, pending, results):
+        """Run ``pending`` through one pool, ``workers`` cells in flight.
+
+        Each finished cell frees its slot for the next queued one, and a
+        retried cell rejoins the back of the queue; the wait wakes at
+        the nearest cell deadline. Returns ``[]`` once every cell has
+        settled. A dead worker or an overdue cell forces the pool down:
+        the cells it was running are charged (or requeued uncharged
+        when healthy) and the work left is returned, for ``map`` to run
+        in a new pool — or in-process after two pool crashes with no
+        cell completed between them.
         """
-        wave = pending[: self.workers]
-        rest = pending[self.workers :]
-        requeue: List[Tuple[int, int]] = []
-        context = multiprocessing.get_context(_default_start_method())
+        queue = collections.deque(pending)
         pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(self.workers, len(wave)), mp_context=context
+            max_workers=min(self.workers, len(queue)),
+            mp_context=_pool_context(),
         )
-        futures: Dict[Any, Tuple[int, int, float]] = {}
-        crashed = False
-        broken = False
+        running: Dict[Any, Tuple[int, int, float]] = {}
+        broken = overdue = False
         try:
-            for position, attempt in wave:
-                future = pool.submit(
-                    _run_unit_attempt, (units[position], attempt)
-                )
-                futures[future] = (position, attempt, time.monotonic())
-            for future, (position, attempt, started) in futures.items():
-                status = self.statuses[position]
-                if crashed:
-                    # Pool already torn down; harvest finished futures.
-                    if future.done() and not future.cancelled():
-                        error = future.exception()
-                        if error is None:
-                            status.attempts = attempt + 1
-                            self._complete(
-                                position, units, keys, results,
-                                future.result(),
-                            )
-                            continue
-                    if broken:
-                        # A dead worker breaks every in-flight future,
-                        # and the pool cannot say which cell it was
-                        # running — charge the whole blast radius one
-                        # (transient, never quarantining) crash so the
-                        # guilty cell's attempt counter advances.
-                        if self._note_failure(
-                            status, keys[position], units[position],
-                            attempt, "crash", "worker process died",
-                        ):
-                            requeue.append((position, attempt + 1))
-                    else:
-                        # Timeout teardown: this cell was healthy when
-                        # we killed the pool; requeue without charging
-                        # an attempt.
-                        requeue.append((position, attempt))
-                    continue
+            while (queue or running) and not (broken or overdue):
+                try:
+                    while queue and len(running) < self.workers:
+                        position, attempt = queue[0]
+                        future = pool.submit(
+                            _run_unit_attempt, (units[position], attempt)
+                        )
+                        queue.popleft()
+                        running[future] = (position, attempt, time.monotonic())
+                except concurrent.futures.process.BrokenProcessPool:
+                    broken = True
+                    break
                 budget = None
                 if self.cell_timeout is not None:
+                    oldest = min(started for _, _, started in running.values())
                     budget = max(
-                        0.05,
-                        started + self.cell_timeout - time.monotonic(),
+                        0.0, oldest + self.cell_timeout - time.monotonic()
                     )
-                try:
-                    result = future.result(timeout=budget)
-                except concurrent.futures.TimeoutError:
-                    crashed = True
-                    self._teardown(pool)
-                    if self._note_failure(
-                        status, keys[position], units[position], attempt,
-                        "timeout",
-                        f"exceeded {self.cell_timeout:.3g}s",
-                    ):
-                        requeue.append((position, attempt + 1))
-                    continue
-                except concurrent.futures.process.BrokenProcessPool:
-                    crashed = True
-                    broken = True
-                    if self._note_failure(
-                        status, keys[position], units[position], attempt,
+                done, _ = concurrent.futures.wait(
+                    running,
+                    timeout=budget,
+                    return_when=concurrent.futures.FIRST_COMPLETED,
+                )
+                for future in [f for f in running if f in done]:
+                    if _died(future):
+                        broken = True
+                    else:
+                        position, attempt, _ = running.pop(future)
+                        self._settle(
+                            future, position, attempt, units, keys,
+                            results, queue,
+                        )
+                now = time.monotonic()
+                overdue = self.cell_timeout is not None and any(
+                    not future.done() and now - started >= self.cell_timeout
+                    for future, (_, _, started) in running.items()
+                )
+            if not (broken or overdue):
+                return []
+            now = time.monotonic()
+            self._teardown(pool)  # before any backoff sleep below
+            for future, (position, attempt, started) in running.items():
+                if future.done() and not _died(future):
+                    self._settle(
+                        future, position, attempt, units, keys, results,
+                        queue,
+                    )
+                elif broken:
+                    # A dead worker breaks every in-flight future, and
+                    # the pool cannot say which cell it was running —
+                    # charge the whole blast radius one (transient,
+                    # never quarantining) crash so the guilty cell's
+                    # attempt counter advances.
+                    self._note_failure(
+                        queue, units, keys, position, attempt,
                         "crash", "worker process died",
-                    ):
-                        requeue.append((position, attempt + 1))
-                    continue
-                except KeyboardInterrupt:
-                    raise
-                except Exception as exc:
-                    detail = f"{type(exc).__name__}: {exc}"
-                    if self._note_failure(
-                        status, keys[position], units[position], attempt,
-                        "error", detail,
-                    ):
-                        requeue.append((position, attempt + 1))
-                    continue
-                status.attempts = attempt + 1
-                self._complete(position, units, keys, results, result)
+                    )
+                elif now - started >= self.cell_timeout:
+                    self._note_failure(
+                        queue, units, keys, position, attempt,
+                        "timeout", f"exceeded {self.cell_timeout:.3g}s",
+                    )
+                else:
+                    # Healthy when the pool had to go: requeue uncharged.
+                    queue.append((position, attempt))
         finally:
             self._teardown(pool)
-        if crashed:
-            raise _PoolCrashed(requeue + rest)
-        return requeue + rest
+        self._pool_crashes += 1
+        if self._pool_crashes >= 2:
+            # The pool itself is unhealthy (not one bad cell): degrade
+            # to serial rather than loop.
+            self.use_processes = False
+        return list(queue)
 
     @staticmethod
     def _teardown(pool) -> None:
@@ -658,14 +694,6 @@ class FaultTolerantExecutor:
             pass
         for process in processes:
             process.join(timeout=5.0)
-
-
-class _PoolCrashed(Exception):
-    """Internal: a wave ended with a dead pool; carries remaining work."""
-
-    def __init__(self, pending: List[Tuple[int, int]]):
-        super().__init__("process pool crashed")
-        self.pending = pending
 
 
 # ----------------------------------------------------------------------
@@ -698,7 +726,7 @@ def run_resilient_fleet(
     specs: Sequence,
     *,
     workers: Optional[int] = None,
-    max_retries: int = 2,
+    max_retries: Optional[int] = None,
     cell_timeout: Optional[float] = None,
     manifest_dir: Optional[str] = None,
     resume: bool = False,

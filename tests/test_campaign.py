@@ -24,7 +24,7 @@ from repro.scenario.campaign import (
     load_campaign,
     run_campaign,
 )
-from repro.sim.sharding import ProcessExecutor, SerialExecutor
+from repro.sim.sharding import SerialExecutor, make_executor
 
 # One MAC network, two schedulers: round-robin brackets its boundary
 # inside the search range, single-hop is unstable already at the low
@@ -222,10 +222,10 @@ def test_document_is_json_safe_and_deterministic():
 def test_frontier_bit_identical_across_executors():
     serial = run_campaign(small_campaign(), executor=SerialExecutor())
     one = run_campaign(
-        small_campaign(), executor=ProcessExecutor(workers=1)
+        small_campaign(), executor=make_executor("process", workers=1)
     )
     many = run_campaign(
-        small_campaign(), executor=ProcessExecutor(workers=3)
+        small_campaign(), executor=make_executor("process", workers=3)
     )
     assert serial.to_json() == one.to_json() == many.to_json()
 

@@ -10,8 +10,10 @@ final records are byte-identical to one clean serial run.
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import os
+import signal
 
 import pytest
 
@@ -19,6 +21,7 @@ from repro.errors import ConfigurationError
 from repro.scenario import ScenarioSpec, run_scenario_fleet
 from repro.scenario.fleet import FleetUnit
 from repro.sim.faults import ENV_VAR, FaultInjector, active_injector
+from repro.sim import resilience
 from repro.sim.resilience import (
     FaultTolerantExecutor,
     FleetManifest,
@@ -28,6 +31,7 @@ from repro.sim.resilience import (
     run_resilient_fleet,
     unit_key,
 )
+from repro.sim.sharding import make_executor
 
 pytestmark = pytest.mark.usefixtures("clean_fault_env")
 
@@ -359,16 +363,66 @@ def test_retry_policy_validation():
         FaultTolerantExecutor(workers=0)
     with pytest.raises(ConfigurationError):
         FaultTolerantExecutor(cell_timeout=0.0)
+    # max_retries defaults to the policy's; both given must agree.
+    policy = RetryPolicy(backoff_base=0.0)
+    with pytest.raises(ConfigurationError, match="disagrees"):
+        FaultTolerantExecutor(max_retries=6, retry_policy=policy)
+    with pytest.raises(ConfigurationError, match="disagrees"):
+        run_resilient_fleet(_specs(1), max_retries=6, retry_policy=policy)
+    assert FaultTolerantExecutor().retry_policy.max_retries == 2
+    assert FaultTolerantExecutor(max_retries=6).retry_policy.max_retries == 6
+    agreed = FaultTolerantExecutor(
+        max_retries=6, retry_policy=RetryPolicy(max_retries=6)
+    )
+    assert agreed.retry_policy.max_retries == 6
+    assert FaultTolerantExecutor(
+        retry_policy=RetryPolicy(max_retries=4)
+    ).retry_policy.max_retries == 4
 
 
 def test_make_executor_resilient():
-    from repro.sim.sharding import make_executor
-
     executor = make_executor("resilient", workers=2, max_retries=1)
     assert executor.name == "resilient"
     assert executor.retry_policy.max_retries == 1
     with pytest.raises(ConfigurationError, match="no extra options"):
         make_executor("serial", max_retries=1)
+
+
+def test_one_pool_per_map(monkeypatch):
+    """A clean map keeps ``workers`` cells in flight in a single pool."""
+    built = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(
+        resilience.concurrent.futures, "ProcessPoolExecutor", CountingPool
+    )
+    specs = _specs(6)
+    units = [FleetUnit(spec=spec, index=i) for i, spec in enumerate(specs)]
+    records = FaultTolerantExecutor(workers=2).map(units)
+    assert built == [2]
+    _same_records(records, run_scenario_fleet(specs).records)
+
+
+def test_dead_worker_fails_the_process_executor():
+    """No retries under ``process``: a dead worker raises, never hangs."""
+    _set_faults(kill=[{"index": 1, "attempt": 0}])
+    units = [FleetUnit(spec=spec, index=i) for i, spec in enumerate(_specs())]
+
+    def hung(signum, frame):
+        raise TimeoutError("the process executor hung on a dead worker")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        with pytest.raises(ConfigurationError, match="cell 1 failed"):
+            make_executor("process", workers=2).map(units)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ----------------------------------------------------------------------

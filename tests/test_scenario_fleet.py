@@ -24,7 +24,7 @@ from repro.scenario import (
     sweep_units,
 )
 from repro.sim.runner import CellResult, aggregate_rate_sweep
-from repro.sim.sharding import ProcessExecutor, SerialExecutor
+from repro.sim.sharding import SerialExecutor, make_executor
 from repro.sim.stability import StabilityVerdict
 
 # scheduler x topology x model combinations the parity matrix pins.
@@ -90,7 +90,7 @@ def test_fleet_parity_serial_process_json(combo, backend):
         base.replace(seed=3, rate_mode="absolute", rate=1e-6),
     ]
     serial = run_scenario_fleet(specs, SerialExecutor())
-    process = run_scenario_fleet(specs, ProcessExecutor(workers=2))
+    process = run_scenario_fleet(specs, make_executor("process", workers=2))
     json_trip = run_scenario_fleet(
         [ScenarioSpec.from_json(spec.to_json()) for spec in specs],
         SerialExecutor(),
@@ -128,7 +128,8 @@ def test_sweep_cells_carrying_scenarios_shard_identically():
         base.replace(frames=25), [0.5 * certified, 1.2 * certified], [0, 1]
     )
     serial = aggregate_rate_sweep(SerialExecutor().map(cells))
-    sharded = aggregate_rate_sweep(ProcessExecutor(workers=2).map(cells))
+    process = make_executor("process", workers=2)
+    sharded = aggregate_rate_sweep(process.map(cells))
     assert len(serial) == 2
     for a, b in zip(serial, sharded):
         assert a.seeds == b.seeds

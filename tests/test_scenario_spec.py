@@ -14,14 +14,14 @@ from __future__ import annotations
 import json
 import multiprocessing
 import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.scenario import ScenarioSpec, preset_spec, sweep_units
-from repro.scenario.fleet import specs_from_data
-from repro.sim.sharding import ProcessExecutor
+from repro.scenario.fleet import FleetUnit, specs_from_data
 
 HAS_SPAWN = "spawn" in multiprocessing.get_all_start_methods()
 needs_spawn = pytest.mark.skipif(
@@ -206,5 +206,7 @@ class TestPickling:
         # itself must re-register the built-in components.
         cells = sweep_units(GRID_SPEC, [0.1, 0.3], [0])
         serial = [cell.run() for cell in cells]
-        spawned = ProcessExecutor(workers=2, start_method="spawn").map(cells)
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(2, mp_context=context) as pool:
+            spawned = list(pool.map(FleetUnit.run, cells))
         assert spawned == serial

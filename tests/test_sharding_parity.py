@@ -28,7 +28,8 @@ from repro.scenario import FleetUnit, ScenarioSpec, sweep_units
 from repro.scenario import components
 from repro.scenario.registry import register, resolve
 from repro.sim.runner import aggregate_rate_sweep, measure_cell
-from repro.sim.sharding import ProcessExecutor, SerialExecutor, make_executor
+from repro.sim.resilience import FaultTolerantExecutor
+from repro.sim.sharding import SerialExecutor, make_executor
 from repro.staticsched.round_robin import RoundRobinScheduler
 from repro.staticsched.single_hop import SingleHopScheduler
 
@@ -174,8 +175,12 @@ def test_spec_run_matches_closure_run(net, scheduler, kind):
 def test_process_executor_matches_serial_one_and_n_workers():
     spec = spec_for("line", "single-hop", "uniform")
     serial = run_sweep(spec, RATES, SEEDS, SerialExecutor())
-    one_worker = run_sweep(spec, RATES, SEEDS, ProcessExecutor(workers=1))
-    n_workers = run_sweep(spec, RATES, SEEDS, ProcessExecutor(workers=3))
+    one_worker = run_sweep(
+        spec, RATES, SEEDS, make_executor("process", workers=1)
+    )
+    n_workers = run_sweep(
+        spec, RATES, SEEDS, make_executor("process", workers=3)
+    )
     assert_sweeps_identical(serial, one_worker)
     assert_sweeps_identical(serial, n_workers)
 
@@ -188,7 +193,7 @@ def test_process_parity_full_matrix(net, scheduler, kind):
     serial = aggregate_rate_sweep(SerialExecutor().map(units))
     for workers in (1, 3):
         sharded = aggregate_rate_sweep(
-            ProcessExecutor(workers=workers).map(units)
+            make_executor("process", workers=workers).map(units)
         )
         assert_sweeps_identical(serial, sharded)
 
@@ -200,7 +205,8 @@ def test_nan_latency_cells_survive_the_pool():
     # identically on both paths.
     units = units_for("line", "single-hop", "path", rates=[1e-9, 0.25])
     serial = aggregate_rate_sweep(SerialExecutor().map(units))
-    sharded = aggregate_rate_sweep(ProcessExecutor(workers=2).map(units))
+    process = make_executor("process", workers=2)
+    sharded = aggregate_rate_sweep(process.map(units))
     assert math.isnan(serial[0].mean_latency)
     assert math.isnan(sharded[0].mean_latency)
     assert not math.isnan(serial[1].mean_latency)
@@ -213,14 +219,16 @@ def test_run_rate_sweep_accepts_a_process_executor():
     # default in-process loop.
     spec = spec_for("mac", "round-robin", "path")
     serial = run_sweep(spec, RATES, SEEDS)
-    sharded = run_sweep(spec, RATES, SEEDS, ProcessExecutor(workers=2))
+    sharded = run_sweep(
+        spec, RATES, SEEDS, make_executor("process", workers=2)
+    )
     assert_sweeps_identical(serial, sharded)
 
 
 @needs_fork
 def test_cell_results_align_with_specs():
     units = units_for("line", "single-hop", "path")
-    for executor in (SerialExecutor(), ProcessExecutor(workers=2)):
+    for executor in (SerialExecutor(), make_executor("process", workers=2)):
         results = executor.map(units)
         assert [(r.rate_index, r.rate, r.seed) for r in results] == [
             (u.index, u.spec.rate, u.spec.seed) for u in units
@@ -289,17 +297,20 @@ def test_dotted_path_resolution():
 def test_make_executor():
     assert isinstance(make_executor("serial"), SerialExecutor)
     process = make_executor("process", workers=2)
-    assert isinstance(process, ProcessExecutor)
+    assert isinstance(process, FaultTolerantExecutor)
     assert process.workers == 2
+    assert process.retry_policy.max_retries == 0
     with pytest.raises(ConfigurationError):
         make_executor("threads")
     with pytest.raises(ConfigurationError):
         make_executor("process", workers=0)
+    with pytest.raises(ConfigurationError, match="no extra options"):
+        make_executor("process", workers=2, max_retries=1)
 
 
 def test_empty_spec_list_is_empty_sweep():
     assert run_sweep(spec_for("line", "single-hop", "path"), [], SEEDS) == []
-    assert ProcessExecutor(workers=2).map([]) == []
+    assert make_executor("process", workers=2).map([]) == []
 
 
 def test_mixed_rates_in_one_group_rejected():
